@@ -562,7 +562,6 @@ def overlap_exploit(ts: TraceSet, candidates: int | None = None,
     scale = float(np.median(all_amps)) if all_amps.size else 0.0
     thr = amp_factor * scale
     n_overlap = 0
-    reduced = []
     for peaks, amps in per_trace:
         if len(peaks) == 0:
             continue
@@ -579,8 +578,7 @@ def overlap_exploit(ts: TraceSet, candidates: int | None = None,
             hit = bool(((overlap_pos >= lo) & (overlap_pos <= hi)).any())
         if hit:
             n_overlap += 1
-            reduced.append(2.0)
     frac = n_overlap / n_considered if n_considered else 0.0
-    mean_reduced = float(np.mean(reduced)) if reduced else float(candidates)
-    return OverlapReport(overlap_fraction=frac, reduced_candidates=mean_reduced,
+    reduced = 2.0 if n_overlap else float(candidates)
+    return OverlapReport(overlap_fraction=frac, reduced_candidates=reduced,
                          candidates=int(candidates), n_traces=n_considered)

@@ -248,27 +248,14 @@ def _edges_until(fs: FrequencySet, rng: np.random.Generator, n_edges: int,
     phases = np.asarray(source_phases if source_phases is not None else fs.phases,
                         dtype=np.float64)
     duty = fs.duty_cycle
+    tol = EDGE_COINCIDENCE_TOL_S / fs.base_period_s
     chunk = max(16, n_edges)
-    collected: list[np.ndarray] = []
-    count = 0
+    # chunks cover disjoint ascending cycle ranges, so merging after each
+    # one equals merging their concatenation
+    edges = np.empty(0, dtype=np.float64)
     first_cycle = 0
     prev_sel: int | None = None
-    while count < n_edges:
-        if first_cycle >= cycle_cap:
-            raise StalledClockError(
-                f"only {count} edges after {first_cycle} base cycles "
-                f"(needed {n_edges})")
-        size = min(chunk, cycle_cap - first_cycle)
-        sel = rng.integers(0, 4, size=size, dtype=np.int8)
-        part = _mux_edges(ratios, duty, phases, sel, first_cycle, prev_sel)
-        collected.append(part)
-        count += len(part)
-        first_cycle += size
-        prev_sel = int(sel[-1])
-    edges = np.concatenate(collected)
-    edges = _merge_close(edges, EDGE_COINCIDENCE_TOL_S / fs.base_period_s)
     while len(edges) < n_edges:
-        # merging swallowed a needed edge; extend by one more chunk
         if first_cycle >= cycle_cap:
             raise StalledClockError(
                 f"only {len(edges)} edges after {first_cycle} base cycles "
@@ -276,8 +263,7 @@ def _edges_until(fs: FrequencySet, rng: np.random.Generator, n_edges: int,
         size = min(chunk, cycle_cap - first_cycle)
         sel = rng.integers(0, 4, size=size, dtype=np.int8)
         part = _mux_edges(ratios, duty, phases, sel, first_cycle, prev_sel)
-        edges = _merge_close(np.concatenate([edges, part]),
-                             EDGE_COINCIDENCE_TOL_S / fs.base_period_s)
+        edges = _merge_close(np.concatenate([edges, part]), tol)
         first_cycle += size
         prev_sel = int(sel[-1])
     return edges[:n_edges] + base_phase

@@ -18,7 +18,10 @@ Per-trace randomness comes from PCG64 generators seeded by
 (plaintext, dual-core phases, core-1 clock, core-2 clock, failure
 ciphertext, noise) and the noise draw always happens, scaled by
 ``noise_sigma``, so different noise levels reuse identical clocks and
-plaintexts.
+plaintexts.  A set draws every trace's plaintext first, encrypts them all
+in one AES batch per key, then renders trace by trace; since AES draws
+nothing, each generator's order is the one above, and single- and dual-core
+traces, one at a time or in sets, come from the same render loop.
 """
 
 from __future__ import annotations
@@ -160,28 +163,6 @@ def _render_pulses(edge_times_s: np.ndarray, amplitudes: np.ndarray,
     return out
 
 
-def _core_render(fs: FrequencySet, rng: np.random.Generator, states: np.ndarray,
-                 rounds: int, amplitude: float, n_samples: int,
-                 sample_period_s: float, half_width_s: float, pulse: str,
-                 error_threshold_factor: float, base_phase: float = 0.0,
-                 source_phases: tuple[float, ...] | None = None):
-    """Simulate one core's clock and render its pulses.
-
-    Returns (float32 samples, failed flag, edge times in seconds).
-    """
-    cap = STALL_CAP_CYCLES_PER_EDGE * (rounds + 1)
-    edges = _edges_until(fs, rng, rounds + 1, cap, base_phase=base_phase,
-                         source_phases=source_phases)
-    tb = fs.base_period_s
-    edges_s = edges * tb
-    periods = np.diff(edges_s)
-    failed = bool((periods < error_threshold_factor * tb).any())
-    dists = aes.round_distances(states).astype(np.float64)
-    clean = _render_pulses(edges_s[1:rounds + 1], amplitude * dists,
-                           n_samples, sample_period_s, half_width_s, pulse)
-    return clean.astype(np.float32), failed, edges_s
-
-
 def _resolve_grid(fs: FrequencySet, oversampling: int, rounds: int,
                   window_cycles: int | None, sample_period_s: float | None,
                   pulse_half_width_s: float | None):
@@ -194,6 +175,55 @@ def _resolve_grid(fs: FrequencySet, oversampling: int, rounds: int,
         else float(pulse_half_width_s)
     n_samples = int(round(window_cycles * fs.base_period_s / sp))
     return sp, hw, n_samples
+
+
+def _generate(cores, plaintexts: list[bytes], rngs, grid, *,
+              noise_sigma: float, rounds: int, amplitude: float,
+              error_threshold_factor: float, pulse: str) -> list[PowerTrace]:
+    """Render one trace per (plaintext, generator) pair.
+
+    ``cores`` lists (fs, key, offset) per core, where offset is core 2's
+    (base phase, source phases) or None to draw it from each trace's
+    generator; core 1 always runs at (0.0, None).  Every key encrypts the
+    whole batch at once.  Each generator then draws, in order: the drawn
+    offsets, each core's clock, the failure ciphertext, and the noise.
+    """
+    if len({fs.base_hz for fs, _, _ in cores}) != len(cores):
+        raise ValueError("dual-core base clocks must have distinct frequencies")
+    sp, hw, n_samples = grid
+    pts = np.frombuffer(b"".join(plaintexts), np.uint8).reshape(len(plaintexts), 16)
+    cts, dists = [], []
+    for _, key, _ in cores:
+        states, ct = aes.encrypt_blocks_with_states(key, pts)
+        cts.append(ct)
+        dists.append(amplitude * aes.round_distances(states).astype(np.float64))
+    cap = STALL_CAP_CYCLES_PER_EDGE * (rounds + 1)
+    traces = []
+    for j, (pt, rng) in enumerate(zip(plaintexts, rngs)):
+        offsets = [off if off is not None else (float(rng.random()), tuple(rng.random(4)))
+                   for _, _, off in cores]
+        clean = np.zeros(n_samples, dtype=np.float64)
+        edges_meta = []
+        for (fs, _, _), (base_phase, source_phases), d in zip(cores, offsets, dists):
+            edges_s = _edges_until(fs, rng, rounds + 1, cap, base_phase=base_phase,
+                                   source_phases=source_phases) * fs.base_period_s
+            render = _render_pulses(edges_s[1:rounds + 1], d[:, j], n_samples,
+                                    sp, hw, pulse)
+            clean += render.astype(np.float32).astype(np.float64)
+            edges_meta.append(edges_s)
+        # the failed flag and the stored ciphertext are core 1's
+        tb = cores[0][0].base_period_s
+        failed = bool((np.diff(edges_meta[0]) < error_threshold_factor * tb).any())
+        ciphertext = cts[0][j].tobytes()
+        if failed:
+            ciphertext = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
+        samples = (clean + noise_sigma * rng.standard_normal(n_samples)).astype(np.float32)
+        traces.append(PowerTrace(
+            samples=samples, sample_period_s=sp, plaintext=pt,
+            ciphertext=ciphertext, failed=failed, core_count=len(cores),
+            ciphertext2=cts[1][j].tobytes() if len(cores) == 2 else None,
+            clock_meta=tuple(edges_meta)))
+    return traces
 
 
 def generate_trace(fs: FrequencySet, key: bytes, plaintext: bytes, *,
@@ -215,22 +245,11 @@ def generate_trace(fs: FrequencySet, key: bytes, plaintext: bytes, *,
     """
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(seed))
-    sp, hw, n_samples = _resolve_grid(fs, oversampling, rounds, window_cycles,
-                                      sample_period_s, pulse_half_width_s)
-    pts = np.frombuffer(bytes(plaintext), np.uint8)[None, :]
-    states, cts = aes.encrypt_blocks_with_states(key, pts)
-    clean, failed, edges_s = _core_render(
-        fs, rng, states[:, 0, :], rounds, amplitude, n_samples, sp, hw, pulse,
-        error_threshold_factor)
-    ciphertext = cts[0].tobytes()
-    if failed:
-        ciphertext = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-    samples = (clean.astype(np.float64)
-               + noise_sigma * rng.standard_normal(n_samples)).astype(np.float32)
-    return PowerTrace(samples=samples, sample_period_s=sp,
-                      plaintext=bytes(plaintext), ciphertext=ciphertext,
-                      failed=failed, core_count=1,
-                      clock_meta=(edges_s[:rounds + 1],))
+    grid = _resolve_grid(fs, oversampling, rounds, window_cycles,
+                         sample_period_s, pulse_half_width_s)
+    return _generate([(fs, key, (0.0, None))], [bytes(plaintext)], [rng], grid,
+                     noise_sigma=noise_sigma, rounds=rounds, amplitude=amplitude,
+                     error_threshold_factor=error_threshold_factor, pulse=pulse)[0]
 
 
 def generate_dual_trace(fs: FrequencySet, fs2: FrequencySet, key: bytes,
@@ -255,35 +274,15 @@ def generate_dual_trace(fs: FrequencySet, fs2: FrequencySet, key: bytes,
     flag reflects core 1 only (the dummy core's output is discarded anyway);
     its ciphertext is kept in ``ciphertext2`` for bookkeeping.
     """
-    if fs2.base_hz == fs.base_hz:
-        raise ValueError("dual-core base clocks must have distinct frequencies")
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(seed))
-    sp, hw, n_samples = _resolve_grid(fs, oversampling, rounds, window_cycles,
-                                      None, pulse_half_width_s)
-    if randomize_core2_phase:
-        core2_base_phase = float(rng.random())
-        core2_source_phases = tuple(rng.random(4))
-    pts = np.frombuffer(bytes(plaintext), np.uint8)[None, :]
-    states1, cts1 = aes.encrypt_blocks_with_states(key, pts)
-    states2, cts2 = aes.encrypt_blocks_with_states(key2, pts)
-    clean1, failed, edges1 = _core_render(
-        fs, rng, states1[:, 0, :], rounds, amplitude, n_samples, sp, hw, pulse,
-        error_threshold_factor)
-    clean2, _, edges2 = _core_render(
-        fs2, rng, states2[:, 0, :], rounds, amplitude, n_samples, sp, hw, pulse,
-        error_threshold_factor, base_phase=core2_base_phase,
-        source_phases=core2_source_phases)
-    ciphertext = cts1[0].tobytes()
-    if failed:
-        ciphertext = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-    samples = (clean1.astype(np.float64) + clean2.astype(np.float64)
-               + noise_sigma * rng.standard_normal(n_samples)).astype(np.float32)
-    return PowerTrace(samples=samples, sample_period_s=sp,
-                      plaintext=bytes(plaintext), ciphertext=ciphertext,
-                      failed=failed, core_count=2,
-                      ciphertext2=cts2[0].tobytes(),
-                      clock_meta=(edges1[:rounds + 1], edges2[:rounds + 1]))
+    grid = _resolve_grid(fs, oversampling, rounds, window_cycles,
+                         None, pulse_half_width_s)
+    offset2 = None if randomize_core2_phase else (core2_base_phase, core2_source_phases)
+    return _generate([(fs, key, (0.0, None)), (fs2, key2, offset2)],
+                     [bytes(plaintext)], [rng], grid,
+                     noise_sigma=noise_sigma, rounds=rounds, amplitude=amplitude,
+                     error_threshold_factor=error_threshold_factor, pulse=pulse)[0]
 
 
 def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
@@ -299,7 +298,11 @@ def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
 
     ``plaintext_mode`` is "random" (fresh block per trace) or "fixed" (all
     traces share ``fixed_plaintext``; correlation attacks are then expected
-    to fail for lack of hypothesis variance).
+    to fail for lack of hypothesis variance).  Every trace's plaintext is
+    drawn first, from its own generator; the set is then encrypted in one
+    batch per key and each trace rendered in turn, so each generator keeps
+    the draw order of ``generate_trace``/``generate_dual_trace`` and the set
+    equals those one-trace calls trace for trace.
     """
     if n_traces < 0:
         raise ValueError("n_traces must be non-negative")
@@ -311,26 +314,16 @@ def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
         raise ValueError("dual-core generation needs both fs2 and key2")
     rngs = [np.random.Generator(np.random.PCG64(s))
             for s in np.random.SeedSequence(seed).spawn(n_traces)]
-    traces = []
-    for rng in rngs:
-        if plaintext_mode == "random":
-            pt = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-        else:
-            pt = bytes(fixed_plaintext)
-        if fs2 is None:
-            tr = generate_trace(
-                fs, key, pt, noise_sigma=noise_sigma, oversampling=oversampling,
-                rng=rng, rounds=rounds, amplitude=amplitude,
-                error_threshold_factor=error_threshold_factor,
-                window_cycles=window_cycles, pulse=pulse)
-        else:
-            tr = generate_dual_trace(
-                fs, fs2, key, key2, pt, noise_sigma=noise_sigma,
-                oversampling=oversampling, rng=rng, rounds=rounds,
-                amplitude=amplitude,
-                error_threshold_factor=error_threshold_factor,
-                window_cycles=window_cycles, pulse=pulse)
-        traces.append(tr)
+    plaintexts = [rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
+                  if plaintext_mode == "random" else bytes(fixed_plaintext)
+                  for rng in rngs]
+    cores = [(fs, key, (0.0, None))]
+    if fs2 is not None:
+        cores.append((fs2, key2, None))
+    grid = _resolve_grid(fs, oversampling, rounds, window_cycles, None, None)
+    traces = _generate(cores, plaintexts, rngs, grid, noise_sigma=noise_sigma,
+                       rounds=rounds, amplitude=amplitude,
+                       error_threshold_factor=error_threshold_factor, pulse=pulse)
     return TraceSet(traces=traces, key=bytes(key), fs=fs,
                     oversampling=int(oversampling),
                     noise_sigma=float(noise_sigma),

@@ -11,7 +11,7 @@ import pytest
 
 from clockmux import aes
 from clockmux.clock import FrequencySet
-from clockmux.presets import doubled_window_pair, study_set
+from clockmux.presets import doubled_window_pair, dual_reference_pair, study_set
 from clockmux.traces import (
     PowerTrace,
     TraceMagicError,
@@ -204,6 +204,32 @@ def test_first_round_coincidence_fraction():
     single = generate_set(fs1, KEY, 3, oversampling=8, seed=5)
     with pytest.raises(ValueError):
         first_round_coincidence_fraction(single)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_set_traces_equal_one_trace_generation(cores):
+    # the set path must give, trace by trace, what the one-trace generators
+    # give on the same spawned generator and plaintext, failures included
+    fs1, fs2 = dual_reference_pair()
+    key2 = KEY2 if cores == 2 else None
+    ts = generate_set(fs1, KEY, 30, oversampling=8, seed=9, noise_sigma=0.5,
+                      fs2=fs2 if cores == 2 else None, key2=key2)
+    rngs = [np.random.Generator(np.random.PCG64(s))
+            for s in np.random.SeedSequence(9).spawn(30)]
+    assert any(tr.failed for tr in ts.traces)
+    for tr, rng in zip(ts.traces, rngs):
+        pt = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
+        if cores == 1:
+            one = generate_trace(fs1, KEY, pt, noise_sigma=0.5, oversampling=8,
+                                 rng=rng)
+        else:
+            one = generate_dual_trace(fs1, fs2, KEY, KEY2, pt, noise_sigma=0.5,
+                                      oversampling=8, rng=rng)
+        assert tr == one
+        assert tr.ciphertext2 == one.ciphertext2
+        assert len(tr.clock_meta) == len(one.clock_meta) == cores
+        for a, b in zip(tr.clock_meta, one.clock_meta):
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
