@@ -13,6 +13,10 @@ The pipeline mirrors how captures are processed in practice:
    find the smallest trace count (on a coarse grid) that still recovers the
    whole key.
 
+Every peak-reading pass gets a trace's peaks from ``_peaks``, which detects
+them once per non-failed trace and remembers them on it, so the min-traces
+search re-filters and re-synchronizes the caller's traces without detecting.
+
 ``fft_spectrum`` summarizes sets in the frequency domain and
 ``peak_permutation_bound`` / ``overlap_exploit`` quantify the brute-force
 search left to an attacker facing a duplicated (dual-core) device.
@@ -26,7 +30,7 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from . import aes
-from .traces import TraceSet
+from .traces import PowerTrace, TraceSet
 
 DEFAULT_STEP = 250
 
@@ -81,6 +85,12 @@ class AlignedMatrix:
     kept_indices: np.ndarray
     peak_positions: np.ndarray
 
+    @property
+    def max_delay_samples(self) -> int:
+        """See ``AttackReport``."""
+        known = self.peak_positions[self.peak_positions >= 0]
+        return int(known.max() - known.min()) if known.size else 0
+
 
 @dataclass(frozen=True)
 class CpaResult:
@@ -107,6 +117,14 @@ class CpaResult:
 
 @dataclass(frozen=True)
 class AttackReport:
+    """Outcome of the min-traces search.
+
+    ``max_delay_samples`` is the spread of the attacked round's peak over
+    the aligned traces: max minus min of the known (non-negative) positions
+    in ``AlignedMatrix.peak_positions``, 0 when none is known.  The CLI
+    reports the same number.
+    """
+
     min_traces: int | None
     removed_fraction: float
     failed_fraction: float
@@ -169,6 +187,20 @@ def detect_peaks(samples: np.ndarray, threshold_k: float = 3.0,
     return peaks.astype(np.int64)
 
 
+def _peaks(tr: PowerTrace, params: FilterParams) -> np.ndarray:
+    """``tr``'s detected peaks under resolved ``params``, detected once.
+
+    The result is remembered on the trace with its (threshold_k,
+    detect_separation) and returned read-only; other knobs detect afresh.
+    """
+    key = (params.threshold_k, params.detect_separation)
+    if tr.peak_memo is None or tr.peak_memo[0] != key:
+        peaks = detect_peaks(tr.samples, *key)
+        peaks.flags.writeable = False
+        tr.peak_memo = (key, peaks)
+    return tr.peak_memo[1]
+
+
 def filter_traces(ts: TraceSet, params: FilterParams | None = None
                   ) -> tuple[TraceSet, float, float]:
     """Drop unusable traces; returns (kept, removed_fraction, failed_fraction).
@@ -179,8 +211,9 @@ def filter_traces(ts: TraceSet, params: FilterParams | None = None
     samples, (d) a ground-truth clock period under-sampled below the Nyquist
     floor (only checkable on generator-fresh traces carrying clock metadata).
     ``failed_fraction`` counts reason (a); ``removed_fraction`` counts
-    (b)-(d); both are fractions of the input size.  Kept traces stay in
-    input order.
+    (b)-(d); both are fractions of the input size.  Kept traces are the
+    input's own objects, in input order, so the peaks detected here are
+    reused by later passes with the same threshold and separation.
     """
     params = (params or FilterParams()).resolved(ts.oversampling)
     kept = []
@@ -190,8 +223,7 @@ def filter_traces(ts: TraceSet, params: FilterParams | None = None
         if tr.failed:
             n_failed += 1
             continue
-        peaks = detect_peaks(tr.samples, params.threshold_k,
-                             params.detect_separation)
+        peaks = _peaks(tr, params)
         if len(peaks) < params.expected_peaks:
             n_removed += 1
             continue
@@ -220,6 +252,7 @@ def synchronize(ts: TraceSet, round: int = 10,
     Each trace is shifted (by whole samples) so its ``round``-th detected
     peak lands on the window center; traces whose peak sits too close to a
     trace edge to fill the window are dropped.  Trace order is preserved.
+    Traces ``filter_traces`` kept are not detected again.
     """
     if round < 1:
         raise ValueError("round must be at least 1")
@@ -229,8 +262,7 @@ def synchronize(ts: TraceSet, round: int = 10,
     kept_idx = []
     positions = []
     for i, tr in enumerate(ts.traces):
-        peaks = detect_peaks(tr.samples, params.threshold_k,
-                             params.detect_separation)
+        peaks = _peaks(tr, params)
         if len(peaks) < round:
             continue
         p = int(peaks[round - 1])
@@ -264,8 +296,7 @@ def raw_matrix(ts: TraceSet, round: int = 10,
     positions = np.full(len(ts.traces), -1, dtype=np.int64)
     for i, tr in enumerate(ts.traces):
         rows[i, :len(tr.samples)] = tr.samples
-        peaks = detect_peaks(tr.samples, params.threshold_k,
-                             params.detect_separation)
+        peaks = _peaks(tr, params)
         if len(peaks) >= round:
             positions[i] = int(peaks[round - 1])
     return AlignedMatrix(rows=rows, round_anchor=None,
@@ -384,7 +415,7 @@ def min_traces_search(ts: TraceSet, true_key: bytes, step: int = DEFAULT_STEP,
     sync_dropped = len(kept.traces) - am.rows.shape[0]
     if len(ts.traces):
         removed_fraction += sync_dropped / len(ts.traces)
-    max_delay = int(am.peak_positions.max()) if am.peak_positions.size else 0
+    max_delay = am.max_delay_samples
     note = "unsynchronized" if no_sync else "synchronized on round %d" % round
 
     n = am.rows.shape[0]
@@ -552,8 +583,7 @@ def overlap_exploit(ts: TraceSet, candidates: int | None = None,
     for tr in ts.traces:
         if tr.failed:
             continue
-        peaks = detect_peaks(tr.samples, params.threshold_k,
-                             params.detect_separation)
+        peaks = _peaks(tr, params)
         amps = np.asarray(tr.samples, dtype=np.float64)[peaks]
         per_trace.append((peaks, amps))
         pooled.append(amps)

@@ -226,12 +226,10 @@ def _attack_trace_set(cfg: ExperimentConfig, ts, true_key: bytes | None) -> dict
     else:
         am = synchronize(kept, round=cfg.attack_round,
                          window_halfwidth=cfg.window_halfwidth, params=params)
-    positions = am.peak_positions[am.peak_positions >= 0]
-    max_delay = int(positions.max() - positions.min()) if positions.size else 0
     result = {
         "failed_fraction": failed_fraction,
         "removed_fraction": removed_fraction,
-        "max_delay_samples": max_delay,
+        "max_delay_samples": am.max_delay_samples,
         "min_traces": None,
         "broken": None,
         "recovered_key": None,

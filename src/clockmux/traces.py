@@ -26,8 +26,10 @@ traces, one at a time or in sets, come from the same render loop.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,7 +74,11 @@ class PowerTrace:
     ``clock_meta`` holds the per-core round edge times in seconds (load edge
     plus one per round) when the trace came from the generator; it is not
     persisted and is excluded from equality, as is ``ciphertext2`` (the dummy
-    core's result, recomputable from key2 and the plaintext).
+    core's result, recomputable from key2 and the plaintext).  ``peak_memo``
+    holds the attack's last detected peaks as ((threshold_k,
+    detect_separation), peaks); it derives from ``samples`` (treat them as
+    read-only once attacked), is never persisted, and is excluded from
+    equality and repr.
     """
 
     samples: np.ndarray
@@ -83,6 +89,8 @@ class PowerTrace:
     core_count: int = 1
     ciphertext2: bytes | None = None
     clock_meta: tuple[np.ndarray, ...] | None = None
+    peak_memo: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __eq__(self, other):
         if not isinstance(other, PowerTrace):
@@ -373,7 +381,11 @@ def first_round_coincidence_fraction(ts: TraceSet, tol_s: float | None = None) -
 #   per trace: u8 failed, 16s plaintext, 16s ciphertext, u32 n_samples,
 #              n_samples x f32 samples
 #
-# Source phases and generation metadata are not persisted.
+# Source phases, generation metadata and detected peaks are not persisted.
+# The reader raises TraceFormatError for anything ``write_trace_set`` cannot
+# produce: a label that is not UTF-8, frequency-set values FrequencySet
+# rejects, a non-finite or non-positive sample period, oversampling below 2,
+# or a sample count running past the end of the file.
 # ---------------------------------------------------------------------------
 
 def _pack_fs(fs: FrequencySet) -> bytes:
@@ -414,10 +426,13 @@ def _read_exact(f, n: int, what: str) -> bytes:
 
 def _unpack_fs(f) -> FrequencySet:
     (label_len,) = struct.unpack("<H", _read_exact(f, 2, "frequency-set label length"))
-    label = _read_exact(f, label_len, "frequency-set label").decode("utf-8")
+    label = _read_exact(f, label_len, "frequency-set label")
     vals = struct.unpack("<6d", _read_exact(f, 48, "frequency-set values"))
-    return FrequencySet(base_hz=vals[0], fundamentals=tuple(vals[1:5]),
-                        label=label, duty_cycle=vals[5])
+    try:  # a label that is not UTF-8 raises UnicodeDecodeError, a ValueError
+        return FrequencySet(base_hz=vals[0], fundamentals=tuple(vals[1:5]),
+                            label=label.decode("utf-8"), duty_cycle=vals[5])
+    except ValueError as exc:
+        raise TraceFormatError(f"invalid frequency set: {exc}") from None
 
 
 def read_trace_set(path) -> TraceSet:
@@ -433,18 +448,26 @@ def read_trace_set(path) -> TraceSet:
             raise TraceFormatError(f"invalid core count {core_count}")
         sp, oversampling, noise_sigma = struct.unpack(
             "<dId", _read_exact(f, 20, "header"))
+        if not (math.isfinite(sp) and sp > 0):
+            raise TraceFormatError(f"invalid sample period {sp!r}")
+        if oversampling < 2:
+            raise TraceFormatError(f"invalid oversampling {oversampling} (minimum 2)")
         key = _read_exact(f, 16, "key")
         fs = _unpack_fs(f)
         key2 = fs2 = None
         if core_count == 2:
             key2 = _read_exact(f, 16, "key2")
             fs2 = _unpack_fs(f)
+        size = os.fstat(f.fileno()).st_size
         traces = []
         for i in range(n_traces):
             (failed,) = struct.unpack("<B", _read_exact(f, 1, f"trace {i} flag"))
             pt = _read_exact(f, 16, f"trace {i} plaintext")
             ct = _read_exact(f, 16, f"trace {i} ciphertext")
             (n_samples,) = struct.unpack("<I", _read_exact(f, 4, f"trace {i} count"))
+            if 4 * n_samples > size - f.tell():
+                raise TraceTruncatedError(f"trace {i} claims {n_samples} samples, "
+                                          f"past the end of the file")
             raw = _read_exact(f, 4 * n_samples, f"trace {i} samples")
             samples = np.frombuffer(raw, dtype="<f4").copy()
             traces.append(PowerTrace(

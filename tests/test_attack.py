@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from clockmux import aes
+from clockmux import aes, attack
 from clockmux.attack import (
     AlignedMatrix,
     FilterParams,
@@ -27,7 +27,7 @@ from clockmux.attack import (
 )
 from clockmux.clock import FrequencySet
 from clockmux.presets import STUDY_SETS, dual_reference_pair, study_set
-from clockmux.traces import PowerTrace, TraceSet, generate_set
+from clockmux.traces import PowerTrace, TraceSet, generate_set, write_trace_set
 
 KEY = bytes(range(16))
 KEY2 = bytes(range(16, 32))
@@ -166,6 +166,58 @@ def test_raw_matrix_pads_and_keeps_everything():
     assert am.rows.shape == (6, 240)
     assert np.array_equal(am.kept_indices, np.arange(6))
     assert np.all(am.peak_positions == 80)
+
+
+# ---------------------------------------------------------------------------
+# One peak pass per trace
+# ---------------------------------------------------------------------------
+
+def study_set_with_failures(seed=5):
+    ts = generate_set(study_set(1).fs, KEY, 80, oversampling=12, seed=seed,
+                      noise_sigma=0.5)
+    assert any(t.failed for t in ts.traces)
+    return ts
+
+
+def test_pipeline_detects_each_trace_once(monkeypatch):
+    calls = []
+    real = attack.detect_peaks
+    monkeypatch.setattr(attack, "detect_peaks",
+                        lambda samples, *a: calls.append(1) or real(samples, *a))
+    ts = study_set_with_failures()
+    kept, _, _ = filter_traces(ts)
+    synchronize(kept, round=10)
+    raw_matrix(kept, round=10)
+    min_traces_search(ts, KEY, step=10)
+    min_traces_search(ts, KEY, step=10, no_sync=True)
+    assert len(calls) == sum(not t.failed for t in ts.traces)
+
+
+def test_other_threshold_detects_afresh():
+    ts = study_set_with_failures()
+    filter_traces(ts)
+    params = FilterParams(threshold_k=2.0)
+    kept, removed, failed = filter_traces(ts, params)
+    fresh_kept, fresh_removed, fresh_failed = filter_traces(
+        study_set_with_failures(), params)
+    default_kept, _, _ = filter_traces(study_set_with_failures())
+    assert kept.traces == fresh_kept.traces
+    assert (removed, failed) == (fresh_removed, fresh_failed)
+    assert kept.traces != default_kept.traces
+
+
+def test_attack_leaves_the_set_equal_and_its_bytes_unchanged(tmp_path):
+    ts = study_set_with_failures()
+    before = tmp_path / "before.bin"
+    write_trace_set(ts, before)
+    min_traces_search(ts, KEY, step=10)
+    assert all(t.peak_memo for t in ts.traces if not t.failed)
+    assert not any(t.peak_memo for t in ts.traces if t.failed)
+    assert ts == study_set_with_failures()
+    assert "peak_memo" not in repr(ts.traces[0])
+    after = tmp_path / "after.bin"
+    write_trace_set(ts, after)
+    assert after.read_bytes() == before.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Config parsing diagnostics and end-to-end command-line behaviour."""
 
 import json
+import struct
 
 import pytest
 
+from clockmux.attack import min_traces_search
 from clockmux.cli import main
 from clockmux.config import (
     ConfigError,
@@ -12,7 +14,7 @@ from clockmux.config import (
     parse_config_text,
 )
 from clockmux.presets import STUDY_SETS
-from clockmux.traces import read_trace_set
+from clockmux.traces import generate_set, read_trace_set, write_trace_set
 
 FULL_CONFIG = """\
 # whole-experiment example
@@ -343,3 +345,74 @@ def test_cli_data_errors_exit_3(tmp_path, capsys):
     assert main(["fft", str(truncated)]) == 3
     err = capsys.readouterr().err
     assert "data error:" in err
+
+
+# Byte offsets in a single-core trace file (see the format in traces.py).
+_SAMPLE_PERIOD_AT = 20
+_OVERSAMPLING_AT = 28
+_LABEL_AT = 58
+
+
+def _corrupt(blob, at, fmt, value):
+    blob[at:at + struct.calcsize(fmt)] = struct.pack(fmt, value)
+
+
+def _label_len(blob):
+    return struct.unpack_from("<H", blob, _LABEL_AT - 2)[0]
+
+
+CORRUPT_HEADERS = {
+    "label not utf-8": lambda b: _corrupt(b, _LABEL_AT, "<B", 0xFF),
+    "negative base_hz": lambda b: _corrupt(b, _LABEL_AT + _label_len(b), "<d", -10e6),
+    "nan fundamental": lambda b: _corrupt(b, _LABEL_AT + _label_len(b) + 8, "<d",
+                                          float("nan")),
+    "zero sample period": lambda b: _corrupt(b, _SAMPLE_PERIOD_AT, "<d", 0.0),
+    "nan sample period": lambda b: _corrupt(b, _SAMPLE_PERIOD_AT, "<d", float("nan")),
+    "zero oversampling": lambda b: _corrupt(b, _OVERSAMPLING_AT, "<I", 0),
+    "sample count past the end": lambda b: _corrupt(
+        b, _LABEL_AT + _label_len(b) + 48 + 33, "<I", 0xFFFFFFFF),
+}
+
+
+@pytest.fixture(scope="module")
+def small_trace_blob(tmp_path_factory):
+    fs = STUDY_SETS[0].fs
+    path = tmp_path_factory.mktemp("blob") / "small.bin"
+    write_trace_set(generate_set(fs, bytes(range(16)), 4, oversampling=8), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_HEADERS))
+def test_cli_corrupt_headers_exit_3(tmp_path, capsys, small_trace_blob, case):
+    blob = bytearray(small_trace_blob)
+    CORRUPT_HEADERS[case](blob)
+    assert blob != small_trace_blob
+    path = tmp_path / "corrupt.bin"
+    path.write_bytes(bytes(blob))
+    assert main(["attack", str(path), "--out", str(tmp_path / "a"),
+                 "--evaluate", bytes(range(16)).hex()]) == 3
+    assert main(["fft", str(path), "--out", str(tmp_path / "f")]) == 3
+    assert "data error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("no_sync", [False, True])
+def test_report_and_cli_agree_on_max_delay(tmp_path, capsys, no_sync):
+    cfg_path = write_config(tmp_path, COMPARE_CONFIG.replace("n_traces = 600",
+                                                             "n_traces = 120"))
+    out = tmp_path / "out"
+    assert main(["gen", "--config", cfg_path, "--out", str(out)]) == 0
+    trace_path = out / "traces_set2.bin"
+    key_hex = bytes(range(16)).hex()
+    argv = ["attack", str(trace_path), "--config", cfg_path, "--out", str(out),
+            "--evaluate", key_hex] + (["--no-sync"] if no_sync else [])
+    assert main(argv) == 0
+    capsys.readouterr()
+    cli_delay = json.loads((out / "attack_report.json").read_text())["max_delay_samples"]
+    cfg = parse_config(cfg_path)
+    report = min_traces_search(read_trace_set(str(trace_path)), bytes(range(16)),
+                               step=cfg.step, round=cfg.attack_round,
+                               no_sync=no_sync,
+                               window_halfwidth=cfg.window_halfwidth,
+                               params=cfg.filter_params())
+    assert report.max_delay_samples == cli_delay
+    assert cli_delay > 0

@@ -1,9 +1,11 @@
 """Golden digests: SHA-256 of every artifact from a tiny fixed config.
 
 A refactor that is meant to keep behaviour must keep these bytes.  The
-single-core config drives ``gen``, ``attack --evaluate``, ``fft``,
-``simulate`` and ``compare``; the dual-core config drives ``gen`` with
-``core_count = 2``, the only byte-level guard on the dual-core generator.
+single-core config drives ``gen``, ``attack --evaluate``, ``attack
+--no-sync --evaluate``, ``attack`` without a key, ``fft``, ``simulate`` and
+``compare``; the dual-core config drives ``gen`` with ``core_count = 2``,
+the only byte-level guard on the dual-core generator, and ``attack
+--evaluate`` on its file.
 If a change alters artifact bytes on purpose, update the digests and say
 so in CHANGES.md.
 """
@@ -58,6 +60,18 @@ GOLDEN = {
         "0f11ec9090c996f4582711d92e964093d5675da54c44cc1c9a0d32aada322afb",
     "attack/attack_report.json":
         "461537aa57ddef09ab980bc03de2c26b7dee08213ab21a52fc96d31dcc2d70de",
+    "attack_dual/attack_report.csv":
+        "091dcb36719a2fa3d0adb198d491c3b1d001171da7407e9463a0f6715bbb173b",
+    "attack_dual/attack_report.json":
+        "cb893fc1ae115d494572048ed46e3898b72e362550bacdcb2965ac0ba413dadc",
+    "attack_noeval/attack_report.csv":
+        "365306249eb39d2d89b1bc656e8fe48ad92e014d8484583fc2448d4291337a37",
+    "attack_noeval/attack_report.json":
+        "0c4559005b6d2f1ef6d5a62a4f5ec291ae93b832659382d09d6af665809fb16f",
+    "attack_nosync/attack_report.csv":
+        "feb70eda7beb54e2e9c83c01a141fb7323702a109b84646232a9cca0d4c13a98",
+    "attack_nosync/attack_report.json":
+        "896c233efbbf3ca32d09fd5c442152bf8d0a36a302aeb066d9ab42c4d39feb6c",
     "compare/compare_ranking.csv":
         "394934c25555fb792ba7aa10b556762165ff0c50488ea90e3a27ecfa5f85603c",
     "compare/histogram_set1.csv":
@@ -93,6 +107,7 @@ def _run_all(root):
     dual = root / "dual.cfg"
     dual.write_text(DUAL_CONFIG)
     trace_file = str(root / "gen" / "traces_set1.bin")
+    dual_file = str(root / "dual" / "traces_set1.bin")
     commands = (
         ["gen", "--config", str(single), "--out", str(root / "gen")],
         ["attack", trace_file, "--config", str(single),
@@ -101,6 +116,12 @@ def _run_all(root):
         ["simulate", "--config", str(single), "--out", str(root / "simulate")],
         ["compare", "--config", str(single), "--out", str(root / "compare")],
         ["gen", "--config", str(dual), "--out", str(root / "dual")],
+        ["attack", trace_file, "--config", str(single),
+         "--out", str(root / "attack_nosync"), "--no-sync", "--evaluate", KEY_HEX],
+        ["attack", trace_file, "--config", str(single),
+         "--out", str(root / "attack_noeval")],
+        ["attack", dual_file, "--config", str(dual),
+         "--out", str(root / "attack_dual"), "--evaluate", KEY_HEX],
     )
     for argv in commands:
         assert main(argv) == 0, argv
