@@ -7,11 +7,12 @@ The pipeline mirrors how captures are processed in practice:
    too close to resolve, under-sampled periods).
 2. ``synchronize`` aligns every kept trace so the peak of the attacked round
    sits in one column.
-3. ``cpa_attack`` correlates last-round register-overwrite hypotheses against
-   the aligned columns and ranks the 256 guesses per key byte.
+3. ``cpa_attack`` ranks the 256 last-round register-overwrite guesses per
+   key byte by their correlation with the aligned columns.
 4. ``min_traces_search`` slides fixed-size segments over the kept traces to
    find the smallest trace count (on a coarse grid) that still recovers the
-   whole key.
+   whole key; it and ``cpa_attack`` score through one Pearson kernel over
+   one-pass sums, ``_max_abs_rho`` (``pearson`` is the two-pass reference).
 
 Every peak-reading pass gets a trace's peaks from ``_peaks``, which detects
 them once per non-failed trace and remembers them on it, so the min-traces
@@ -309,7 +310,7 @@ def raw_matrix(ts: TraceSet, round: int = 10,
 # ---------------------------------------------------------------------------
 
 def pearson(x, y) -> float:
-    """Sample correlation coefficient, written out two-pass.
+    """Sample correlation coefficient, written out two-pass (the reference).
 
     r = sum((x - xbar)(y - ybar)) / sqrt(sum((x - xbar)^2) sum((y - ybar)^2))
 
@@ -341,6 +342,20 @@ def _window_slice(am: AlignedMatrix, window) -> tuple[int, int]:
     return lo, hi
 
 
+def _max_abs_rho(n, sh, shh, sy, syy, shy):
+    """(max |rho| per guess, zero-variance hypothesis mask) from the sums
+    ``sh``, ``shh`` (..., 256), ``sy``, ``syy`` (..., W), ``shy`` (..., 256, W)
+    of h, h^2, y, y^2, h*y over ``n`` traces; leading axes are segments.
+    A cell with zero variance on either side scores 0.
+    """
+    num = n * shy - sh[..., :, None] * sy[..., None, :]
+    varh = n * shh - sh * sh
+    vary = n * syy - sy * sy
+    den = np.sqrt(np.clip(varh[..., :, None] * vary[..., None, :], 0.0, None))
+    rho = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    return np.abs(rho).max(axis=-1), varh == 0
+
+
 def cpa_attack(am: AlignedMatrix, ts: TraceSet,
                window: tuple[int, int] | None = None,
                true_key: bytes | None = None) -> CpaResult:
@@ -348,29 +363,22 @@ def cpa_attack(am: AlignedMatrix, ts: TraceSet,
 
     For every register byte position the 256 last-round hypotheses are
     correlated against every window column; a guess's score is its maximum
-    absolute correlation.  Guesses (or columns) with zero variance score 0
-    and are counted in ``undefined_fraction``.
+    absolute correlation (``_max_abs_rho`` over all rows).  Cells with zero
+    variance score 0; zero-variance guesses count in ``undefined_fraction``.
     """
     if am.rows.shape[0] < 2:
         raise ValueError("need at least 2 traces to correlate")
     lo, hi = _window_slice(am, window)
     cts = ts.ciphertext_matrix()[am.kept_indices]
     y = am.rows[:, lo:hi].astype(np.float64)
-    yc = y - y.mean(axis=0)
-    syy = np.sqrt((yc * yc).sum(axis=0))
-    n = y.shape[0]
+    sy, syy = y.sum(axis=0), (y * y).sum(axis=0)
     scores = np.zeros((16, 256), dtype=np.float64)
     undefined = 0
     for p in range(16):
         h = aes.hypothesis_matrix(cts, p).astype(np.float64)
-        hc = h - h.mean(axis=0)
-        sxx = np.sqrt((hc * hc).sum(axis=0))
-        num = hc.T @ yc
-        denom = sxx[:, None] * syy[None, :]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rho = np.where(denom > 0.0, num / np.where(denom == 0, 1.0, denom), 0.0)
-        undefined += int((sxx == 0.0).sum())
-        scores[p] = np.abs(rho).max(axis=1)
+        scores[p], constant = _max_abs_rho(len(y), h.sum(axis=0), (h * h).sum(axis=0),
+                                           sy, syy, h.T @ y)
+        undefined += int(constant.sum())
     rec_rk = bytearray(16)
     for p in range(16):
         rec_rk[int(aes.SHIFT_ROWS_IMAGE[p])] = int(scores[p].argmax())
@@ -401,10 +409,10 @@ def min_traces_search(ts: TraceSet, true_key: bytes, step: int = DEFAULT_STEP,
     """Smallest segment size (grid of ``step``) whose attack recovers the key.
 
     The kept traces are cut into consecutive blocks of ``step``; every
-    contiguous run of blocks is a candidate segment, so segments slide at
-    grid resolution.  A segment succeeds when all 16 true-key bytes rank
-    first.  Exhaustive over (size, offset): the reported value is exactly
-    the smallest successful size, independent of evaluation order.
+    contiguous run of blocks is a segment, scored by ``_max_abs_rho`` from
+    differences of block prefix sums.  A segment succeeds when all 16
+    true-key bytes rank first.  Exhaustive over (size, offset): the reported
+    value is exactly the smallest successful size, independent of evaluation order.
     """
     if step < 2:
         raise ValueError("step must be at least 2")
@@ -455,19 +463,9 @@ def min_traces_search(ts: TraceSet, true_key: bytes, step: int = DEFAULT_STEP,
             if not live.any():
                 continue
             s = np.arange(nblocks - k + 1)
-            cnt = k * step
-            sh = ph[s + k] - ph[s]
-            shh = phh[s + k] - phh[s]
-            shy = phy[s + k] - phy[s]
-            sy = py[s + k] - py[s]
-            syy = pyy[s + k] - pyy[s]
-            num = cnt * shy - sh[:, :, None] * sy[:, None, :]
-            varh = cnt * shh - sh * sh
-            vary = cnt * syy - sy * sy
-            den = np.sqrt(np.clip(varh[:, :, None] * vary[:, None, :], 0.0, None))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                rho = np.where(den > 0.0, num / np.where(den == 0, 1.0, den), 0.0)
-            sc = np.abs(rho).max(axis=2)
+            sc, _ = _max_abs_rho(k * step, ph[s + k] - ph[s], phh[s + k] - phh[s],
+                                 py[s + k] - py[s], pyy[s + k] - pyy[s],
+                                 phy[s + k] - phy[s])
             success[k - 1] &= sc.argmax(axis=1) == g_true
 
     for k in range(1, nblocks + 1):

@@ -129,8 +129,8 @@ class TraceSet:
         return sum(t.failed for t in self.traces) / len(self.traces)
 
     def ciphertext_matrix(self) -> np.ndarray:
-        return np.array([np.frombuffer(t.ciphertext, np.uint8) for t in self.traces],
-                        dtype=np.uint8).reshape(len(self.traces), 16)
+        joined = bytearray(b"".join(t.ciphertext for t in self.traces))
+        return np.frombuffer(joined, np.uint8).reshape(len(self.traces), 16)
 
     def __eq__(self, other):
         if not isinstance(other, TraceSet):

@@ -1,8 +1,8 @@
 """Attack pipeline: peak detection, filtering, alignment, CPA, spectra.
 
 The minimum-trace search's block statistics are cross-checked against a
-direct per-segment correlation oracle, and the Pearson routine against
-scipy's reference implementation.
+direct per-segment correlation oracle, CPA scores against the two-pass
+Pearson routine, and that routine against scipy's reference implementation.
 """
 
 import numpy as np
@@ -292,6 +292,29 @@ def test_cpa_needs_two_traces_and_valid_window():
         cpa_attack(one, ts)
     with pytest.raises(ValueError):
         cpa_attack(am, ts, window=(5, 99))
+
+
+def test_cpa_scores_match_two_pass_pearson():
+    # an oracle independent of the shared one-pass kernel: the min-traces
+    # oracle below calls cpa_attack, which scores through that kernel
+    ts = generate_set(study_set(1).fs, KEY, 60, oversampling=12, seed=7,
+                      noise_sigma=1.0)
+    kept, _, _ = filter_traces(ts)
+    am = synchronize(kept, round=10, window_halfwidth=6)
+    window = (3, 10)
+    res = cpa_attack(am, kept, window=window)
+    y = am.rows[:, window[0]:window[1]]
+    cts = kept.ciphertext_matrix()[am.kept_indices]
+    for p in range(16):
+        h = aes.hypothesis_matrix(cts, p)
+        ref = np.zeros(256)
+        for g in range(256):
+            for c in range(y.shape[1]):
+                try:
+                    ref[g] = max(ref[g], abs(pearson(h[:, g], y[:, c])))
+                except UndefinedCorrelationError:
+                    pass
+        np.testing.assert_allclose(res.scores[p], ref, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

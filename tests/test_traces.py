@@ -270,6 +270,16 @@ def test_round_trip_empty_set(tmp_path):
     assert len(back) == 0 and back.failed_fraction() == 0.0
 
 
+def test_ciphertext_matrix_stacks_ciphertexts():
+    ts = generate_set(study_set(2).fs, KEY, 6, oversampling=8, seed=9)
+    m = ts.ciphertext_matrix()
+    assert m.dtype == np.uint8 and m.shape == (6, 16)
+    assert [bytes(row) for row in m] == [t.ciphertext for t in ts.traces]
+    empty = TraceSet(traces=[], key=KEY, fs=degenerate(), oversampling=8,
+                     noise_sigma=0.0).ciphertext_matrix()
+    assert empty.dtype == np.uint8 and empty.shape == (0, 16)
+
+
 def test_same_seed_writes_identical_bytes(tmp_path):
     ts1 = generate_set(study_set(4).fs, KEY, 15, oversampling=8, seed=21)
     ts2 = generate_set(study_set(4).fs, KEY, 15, oversampling=8, seed=21)
