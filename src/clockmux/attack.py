@@ -410,7 +410,8 @@ def min_traces_search(ts: TraceSet, true_key: bytes, step: int = DEFAULT_STEP,
 
     The kept traces are cut into consecutive blocks of ``step``; every
     contiguous run of blocks is a segment, scored by ``_max_abs_rho`` from
-    differences of block prefix sums.  A segment succeeds when all 16
+    differences of block prefix sums; each block's h*y sums are one batched
+    matrix product (BLAS).  A segment succeeds when all 16
     true-key bytes rank first.  Exhaustive over (size, offset): the reported
     value is exactly the smallest successful size, independent of evaluation order.
     """
@@ -456,7 +457,7 @@ def min_traces_search(ts: TraceSet, true_key: bytes, step: int = DEFAULT_STEP,
         phy = np.zeros((nblocks + 1, 256, width))
         np.cumsum(hb.sum(axis=1), axis=0, out=ph[1:])
         np.cumsum((hb * hb).sum(axis=1), axis=0, out=phh[1:])
-        np.cumsum(np.einsum("bts,btw->bsw", hb, yb), axis=0, out=phy[1:])
+        np.cumsum(hb.transpose(0, 2, 1) @ yb, axis=0, out=phy[1:])
         g_true = int(true_rk[int(aes.SHIFT_ROWS_IMAGE[p])])
         for k in range(1, nblocks + 1):
             live = success[k - 1]

@@ -18,10 +18,12 @@ Per-trace randomness comes from PCG64 generators seeded by
 (plaintext, dual-core phases, core-1 clock, core-2 clock, failure
 ciphertext, noise) and the noise draw always happens, scaled by
 ``noise_sigma``, so different noise levels reuse identical clocks and
-plaintexts.  A set draws every trace's plaintext first, encrypts them all
-in one AES batch per key, then renders trace by trace; since AES draws
-nothing, each generator's order is the one above, and single- and dual-core
-traces, one at a time or in sets, come from the same render loop.
+plaintexts.  A set draws every trace's plaintext first and encrypts them all
+in one AES batch per key.  It then walks the traces in chunks: the draws
+stay per trace, each from its own generator in the order above, and each
+core's pulses for the whole chunk are rendered by one scatter.  Since AES
+and rendering draw nothing, single- and dual-core traces, one at a time or
+in sets, come out the same from this one path.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ WINDOW_CYCLES_PER_ROUND = 3
 PULSE_HALF_WIDTH_FRACTION = 1.0 / 8.0
 
 PULSE_SHAPES = ("triangular", "rectangular", "raised_cosine")
+
+#: Traces rendered per scatter; bounds the render's working arrays.
+_CHUNK_TRACES = 256
 
 
 class TraceFormatError(Exception):
@@ -78,7 +83,9 @@ class PowerTrace:
     holds the attack's last detected peaks as ((threshold_k,
     detect_separation), peaks); it derives from ``samples`` (treat them as
     read-only once attacked), is never persisted, and is excluded from
-    equality and repr.
+    equality and repr.  The generator's ``samples`` (a float32 row) and
+    ``clock_meta`` arrays are rows of matrices shared by the traces of one
+    render chunk.
     """
 
     samples: np.ndarray
@@ -149,26 +156,37 @@ class TraceSet:
 def _render_pulses(edge_times_s: np.ndarray, amplitudes: np.ndarray,
                    n_samples: int, sample_period_s: float,
                    half_width_s: float, pulse: str) -> np.ndarray:
-    """Deposit one pulse per edge onto a zero-initialized sample grid."""
+    """Deposit one pulse per edge onto zero-initialized sample rows.
+
+    Row i of the (m, edges) ``edge_times_s`` and ``amplitudes`` renders into
+    row i of the (m, n_samples) result.  A pulse covers the grid samples
+    within ``half_width_s`` of its edge; every pulse's samples are computed
+    at once and deposited by one ``np.bincount`` in edge order, so a sample
+    where pulses overlap sums them in edge order.
+    """
     if pulse not in PULSE_SHAPES:
         raise ValueError(f"unknown pulse shape {pulse!r}")
-    out = np.zeros(n_samples, dtype=np.float64)
-    for e, a in zip(edge_times_s, amplitudes):
-        lo = max(0, int(np.ceil((e - half_width_s) / sample_period_s)))
-        hi = min(n_samples - 1, int(np.floor((e + half_width_s) / sample_period_s)))
-        if hi < lo:
-            continue
-        t = np.arange(lo, hi + 1) * sample_period_s
-        delta = np.abs(t - e) / half_width_s
-        if pulse == "triangular":
-            w = 1.0 - delta
-        elif pulse == "rectangular":
-            w = np.ones_like(delta)
-        else:  # raised cosine
-            w = 0.5 * (1.0 + np.cos(np.pi * delta))
-        np.clip(w, 0.0, None, out=w)
-        out[lo:hi + 1] += a * w
-    return out
+    m = len(edge_times_s)
+    lo = np.ceil((edge_times_s - half_width_s) / sample_period_s).astype(np.int64)
+    hi = np.floor((edge_times_s + half_width_s) / sample_period_s).astype(np.int64)
+    width = int((hi - lo).max(initial=-1)) + 1
+    idx = lo[..., None] + np.arange(width)
+    keep = (idx >= 0) & (idx < n_samples) & (idx <= hi[..., None])
+    shape = idx.shape
+    idx = idx[keep]
+    e = np.broadcast_to(edge_times_s[..., None], shape)[keep]
+    a = np.broadcast_to(amplitudes[..., None], shape)[keep]
+    row = np.broadcast_to(np.arange(m)[:, None, None], shape)[keep]
+    delta = np.abs(idx * sample_period_s - e) / half_width_s
+    if pulse == "triangular":
+        w = 1.0 - delta
+    elif pulse == "rectangular":
+        w = np.ones_like(delta)
+    else:  # raised cosine
+        w = 0.5 * (1.0 + np.cos(np.pi * delta))
+    np.clip(w, 0.0, None, out=w)
+    return np.bincount(row * n_samples + idx, weights=a * w,
+                       minlength=m * n_samples).reshape(m, n_samples)
 
 
 def _resolve_grid(fs: FrequencySet, oversampling: int, rounds: int,
@@ -193,8 +211,12 @@ def _generate(cores, plaintexts: list[bytes], rngs, grid, *,
     ``cores`` lists (fs, key, offset) per core, where offset is core 2's
     (base phase, source phases) or None to draw it from each trace's
     generator; core 1 always runs at (0.0, None).  Every key encrypts the
-    whole batch at once.  Each generator then draws, in order: the drawn
-    offsets, each core's clock, the failure ciphertext, and the noise.
+    whole batch at once.  The traces are then taken ``_CHUNK_TRACES`` at a
+    time.  Each generator of a chunk draws, in order: the drawn offsets, each
+    core's clock, the failure ciphertext, and the noise (into its row of the
+    chunk's noise matrix).  Each core's pulses for the chunk are then one
+    ``_render_pulses`` call; its render is rounded to float32 and added to
+    the chunk's clean signal, and the noise is added last.
     """
     if len({fs.base_hz for fs, _, _ in cores}) != len(cores):
         raise ValueError("dual-core base clocks must have distinct frequencies")
@@ -204,33 +226,42 @@ def _generate(cores, plaintexts: list[bytes], rngs, grid, *,
     for _, key, _ in cores:
         states, ct = aes.encrypt_blocks_with_states(key, pts)
         cts.append(ct)
-        dists.append(amplitude * aes.round_distances(states).astype(np.float64))
+        dists.append(amplitude * aes.round_distances(states)[:rounds].astype(np.float64))
     cap = STALL_CAP_CYCLES_PER_EDGE * (rounds + 1)
+    # the failed flag and the stored ciphertext are core 1's
+    threshold = error_threshold_factor * cores[0][0].base_period_s
     traces = []
-    for j, (pt, rng) in enumerate(zip(plaintexts, rngs)):
-        offsets = [off if off is not None else (float(rng.random()), tuple(rng.random(4)))
-                   for _, _, off in cores]
-        clean = np.zeros(n_samples, dtype=np.float64)
-        edges_meta = []
-        for (fs, _, _), (base_phase, source_phases), d in zip(cores, offsets, dists):
-            edges_s = _edges_until(fs, rng, rounds + 1, cap, base_phase=base_phase,
-                                   source_phases=source_phases) * fs.base_period_s
-            render = _render_pulses(edges_s[1:rounds + 1], d[:, j], n_samples,
+    for c0 in range(0, len(plaintexts), _CHUNK_TRACES):
+        chunk = rngs[c0:c0 + _CHUNK_TRACES]
+        edges = [np.empty((len(chunk), rounds + 1)) for _ in cores]
+        noise = np.empty((len(chunk), n_samples))
+        drawn = []
+        for i, rng in enumerate(chunk):
+            offsets = [off if off is not None else (float(rng.random()), tuple(rng.random(4)))
+                       for _, _, off in cores]
+            for (fs, _, _), (base_phase, source_phases), e in zip(cores, offsets, edges):
+                e[i] = _edges_until(fs, rng, rounds + 1, cap, base_phase=base_phase,
+                                    source_phases=source_phases) * fs.base_period_s
+            failed = bool((np.diff(edges[0][i]) < threshold).any())
+            ciphertext = cts[0][c0 + i].tobytes()
+            if failed:
+                ciphertext = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
+            rng.standard_normal(out=noise[i])
+            drawn.append((failed, ciphertext))
+        clean = np.zeros((len(chunk), n_samples))
+        for e, d in zip(edges, dists):
+            amps = d[:, c0:c0 + len(chunk)].T
+            render = _render_pulses(e[:, 1:1 + amps.shape[1]], amps, n_samples,
                                     sp, hw, pulse)
             clean += render.astype(np.float32).astype(np.float64)
-            edges_meta.append(edges_s)
-        # the failed flag and the stored ciphertext are core 1's
-        tb = cores[0][0].base_period_s
-        failed = bool((np.diff(edges_meta[0]) < error_threshold_factor * tb).any())
-        ciphertext = cts[0][j].tobytes()
-        if failed:
-            ciphertext = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-        samples = (clean + noise_sigma * rng.standard_normal(n_samples)).astype(np.float32)
-        traces.append(PowerTrace(
-            samples=samples, sample_period_s=sp, plaintext=pt,
-            ciphertext=ciphertext, failed=failed, core_count=len(cores),
-            ciphertext2=cts[1][j].tobytes() if len(cores) == 2 else None,
-            clock_meta=tuple(edges_meta)))
+        samples = (clean + noise_sigma * noise).astype(np.float32)
+        for i, (failed, ciphertext) in enumerate(drawn):
+            j = c0 + i
+            traces.append(PowerTrace(
+                samples=samples[i], sample_period_s=sp, plaintext=plaintexts[j],
+                ciphertext=ciphertext, failed=failed, core_count=len(cores),
+                ciphertext2=cts[1][j].tobytes() if len(cores) == 2 else None,
+                clock_meta=tuple(e[i] for e in edges)))
     return traces
 
 
@@ -308,9 +339,9 @@ def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
     traces share ``fixed_plaintext``; correlation attacks are then expected
     to fail for lack of hypothesis variance).  Every trace's plaintext is
     drawn first, from its own generator; the set is then encrypted in one
-    batch per key and each trace rendered in turn, so each generator keeps
-    the draw order of ``generate_trace``/``generate_dual_trace`` and the set
-    equals those one-trace calls trace for trace.
+    batch per key and rendered chunk by chunk (see ``_generate``), so each
+    generator keeps the draw order of ``generate_trace``/``generate_dual_trace``
+    and the set equals those one-trace calls trace for trace.
     """
     if n_traces < 0:
         raise ValueError("n_traces must be non-negative")
@@ -385,7 +416,8 @@ def first_round_coincidence_fraction(ts: TraceSet, tol_s: float | None = None) -
 # The reader raises TraceFormatError for anything ``write_trace_set`` cannot
 # produce: a label that is not UTF-8, frequency-set values FrequencySet
 # rejects, a non-finite or non-positive sample period, oversampling below 2,
-# or a sample count running past the end of the file.
+# a trace count whose 37-byte minimum records do not fit in the file (checked
+# before any trace is read), or a sample count running past the end of the file.
 # ---------------------------------------------------------------------------
 
 def _pack_fs(fs: FrequencySet) -> bytes:
@@ -459,6 +491,10 @@ def read_trace_set(path) -> TraceSet:
             key2 = _read_exact(f, 16, "key2")
             fs2 = _unpack_fs(f)
         size = os.fstat(f.fileno()).st_size
+        # a trace takes at least its flag, plaintext, ciphertext and count
+        if 37 * n_traces > size - f.tell():
+            raise TraceTruncatedError(f"header claims {n_traces} traces, more than "
+                                      f"the {size - f.tell()} bytes left can hold")
         traces = []
         for i in range(n_traces):
             (failed,) = struct.unpack("<B", _read_exact(f, 1, f"trace {i} flag"))

@@ -348,6 +348,7 @@ def test_cli_data_errors_exit_3(tmp_path, capsys):
 
 
 # Byte offsets in a single-core trace file (see the format in traces.py).
+_N_TRACES_AT = 16
 _SAMPLE_PERIOD_AT = 20
 _OVERSAMPLING_AT = 28
 _LABEL_AT = 58
@@ -371,6 +372,7 @@ CORRUPT_HEADERS = {
     "zero oversampling": lambda b: _corrupt(b, _OVERSAMPLING_AT, "<I", 0),
     "sample count past the end": lambda b: _corrupt(
         b, _LABEL_AT + _label_len(b) + 48 + 33, "<I", 0xFFFFFFFF),
+    "trace count past the end": lambda b: _corrupt(b, _N_TRACES_AT, "<I", 0xFFFFFFFF),
 }
 
 

@@ -1,7 +1,8 @@
 """Trace synthesis and the binary trace format.
 
 Render positions are checked against hand-computed grids on degenerate
-(fixed-frequency) clocks, dual-core superposition against the sum of two
+(fixed-frequency) clocks, the batched pulse render against a per-edge
+reference loop, dual-core superposition against the sum of two
 single-core renders on a shared grid, and the file format against byte-level
 corruptions.
 """
@@ -13,12 +14,15 @@ from clockmux import aes
 from clockmux.clock import FrequencySet
 from clockmux.presets import doubled_window_pair, dual_reference_pair, study_set
 from clockmux.traces import (
+    PULSE_HALF_WIDTH_FRACTION,
+    PULSE_SHAPES,
     PowerTrace,
     TraceMagicError,
     TraceSet,
     TraceTruncatedError,
     TraceVersionError,
     TraceFormatError,
+    _render_pulses,
     first_round_coincidence_fraction,
     generate_dual_trace,
     generate_set,
@@ -65,6 +69,54 @@ def test_fixed_clock_render_is_exact():
     assert not tr.failed
     assert tr.ciphertext == aes.encrypt(KEY, PT)
     assert tr.sample_period_s == pytest.approx(fs.base_period_s / 8)
+
+
+def _render_per_edge(edge_times_s, amplitudes, n_samples, sample_period_s,
+                     half_width_s, pulse):
+    """Reference render of one trace: one pulse at a time, in edge order."""
+    out = np.zeros(n_samples, dtype=np.float64)
+    for e, a in zip(edge_times_s, amplitudes):
+        lo = max(0, int(np.ceil((e - half_width_s) / sample_period_s)))
+        hi = min(n_samples - 1, int(np.floor((e + half_width_s) / sample_period_s)))
+        if hi < lo:
+            continue
+        t = np.arange(lo, hi + 1) * sample_period_s
+        delta = np.abs(t - e) / half_width_s
+        if pulse == "triangular":
+            w = 1.0 - delta
+        elif pulse == "rectangular":
+            w = np.ones_like(delta)
+        else:  # raised cosine
+            w = 0.5 * (1.0 + np.cos(np.pi * delta))
+        np.clip(w, 0.0, None, out=w)
+        out[lo:hi + 1] += a * w
+    return out
+
+
+@pytest.mark.parametrize("oversampling", [2, 3, 8, 12, 16, 33])
+@pytest.mark.parametrize("pulse", PULSE_SHAPES)
+def test_batched_render_matches_per_edge_loop(pulse, oversampling):
+    # the one-scatter render must give the reference loop's bytes row for
+    # row, including pulses cut by either end of the window and overlaps
+    tb = 1e-7
+    sp, hw = tb / oversampling, tb * PULSE_HALF_WIDTH_FRACTION
+    n_samples = 30 * oversampling
+    end = n_samples * sp
+    rng = np.random.default_rng(oversampling)
+    edges = np.sort(rng.uniform(-2 * tb, 32 * tb, (40, 10)), axis=1)
+    edges[0] = [-3 * hw, -hw / 2, 0.0, 5 * tb + 0.05e-9, 5 * tb + 0.15e-9,
+                5 * tb + 0.25e-9, end - hw / 2, end - sp + hw / 2, end, end + 3 * hw]
+    amps = rng.uniform(0.0, 100.0, edges.shape)
+    got = _render_pulses(edges, amps, n_samples, sp, hw, pulse)
+    assert got.shape == (40, n_samples) and got.dtype == np.float64
+    for row, e, a in zip(got, edges, amps):
+        assert np.array_equal(row, _render_per_edge(e, a, n_samples, sp, hw, pulse))
+    # the special row does exercise both cut ends and three overlapping
+    # pulses (with three, the order of the sum shows in the bytes)
+    one = [_render_per_edge([e], [1.0], n_samples, sp, hw, pulse) for e in edges[0]]
+    assert not one[0].any() and not one[-1].any()
+    assert one[1][0] > 0 and one[7][-1] > 0
+    assert ((one[3] > 0) & (one[4] > 0) & (one[5] > 0)).any()
 
 
 def test_amplitude_scales_pulses():
@@ -206,30 +258,41 @@ def test_first_round_coincidence_fraction():
         first_round_coincidence_fraction(single)
 
 
-@pytest.mark.parametrize("cores", [1, 2])
-def test_set_traces_equal_one_trace_generation(cores):
+def _assert_set_equals_one_trace_path(cores, n_traces, pulse="triangular"):
     # the set path must give, trace by trace, what the one-trace generators
     # give on the same spawned generator and plaintext, failures included
     fs1, fs2 = dual_reference_pair()
     key2 = KEY2 if cores == 2 else None
-    ts = generate_set(fs1, KEY, 30, oversampling=8, seed=9, noise_sigma=0.5,
-                      fs2=fs2 if cores == 2 else None, key2=key2)
+    ts = generate_set(fs1, KEY, n_traces, oversampling=8, seed=9, noise_sigma=0.5,
+                      pulse=pulse, fs2=fs2 if cores == 2 else None, key2=key2)
     rngs = [np.random.Generator(np.random.PCG64(s))
-            for s in np.random.SeedSequence(9).spawn(30)]
+            for s in np.random.SeedSequence(9).spawn(n_traces)]
     assert any(tr.failed for tr in ts.traces)
     for tr, rng in zip(ts.traces, rngs):
         pt = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
         if cores == 1:
             one = generate_trace(fs1, KEY, pt, noise_sigma=0.5, oversampling=8,
-                                 rng=rng)
+                                 pulse=pulse, rng=rng)
         else:
             one = generate_dual_trace(fs1, fs2, KEY, KEY2, pt, noise_sigma=0.5,
-                                      oversampling=8, rng=rng)
+                                      oversampling=8, pulse=pulse, rng=rng)
         assert tr == one
         assert tr.ciphertext2 == one.ciphertext2
         assert len(tr.clock_meta) == len(one.clock_meta) == cores
         for a, b in zip(tr.clock_meta, one.clock_meta):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_set_traces_equal_one_trace_generation(cores):
+    _assert_set_equals_one_trace_path(cores, 30)
+
+
+@pytest.mark.parametrize("cores, pulse", [(1, "triangular"), (2, "raised_cosine")])
+def test_sets_past_one_render_chunk_equal_one_trace_generation(cores, pulse):
+    # 600 traces span three render chunks; traces on either side of each
+    # chunk boundary must still match their one-trace renders
+    _assert_set_equals_one_trace_path(cores, 600, pulse)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +373,12 @@ def test_corrupt_files_raise_specific_errors(tmp_path):
         truncated.write_bytes(blob[:cut])
         with pytest.raises(TraceTruncatedError):
             read_trace_set(truncated)
+
+    # a trace count that cannot fit is refused before any trace is read
+    huge_count = tmp_path / "count.bin"
+    huge_count.write_bytes(blob[:16] + (2**32 - 1).to_bytes(4, "little") + blob[20:])
+    with pytest.raises(TraceTruncatedError, match="header claims 4294967295 traces"):
+        read_trace_set(huge_count)
 
     trailing = tmp_path / "trailing.bin"
     trailing.write_bytes(blob + b"\x00")
