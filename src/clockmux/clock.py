@@ -88,6 +88,8 @@ class FrequencySet:
             raise ValueError("duty_cycle must lie strictly between 0 and 1")
         if len(self.phases) != 4:
             raise ValueError("exactly 4 phases required")
+        if not all(math.isfinite(p) for p in self.phases):
+            raise ValueError("phases must be finite")
         object.__setattr__(self, "fundamentals", tuple(float(f) for f in self.fundamentals))
         object.__setattr__(self, "phases", tuple(float(p) % 1.0 for p in self.phases))
 

@@ -17,28 +17,20 @@ Sections:
     sets are appended after any selected study sets.
 ``[set2]``
     Second-core frequency set, same keys as ``[set]``.  Required when
-    ``core_count = 2``.
-``[run]``
-    ``seed``, ``out_dir``.
-``[simulate]``
-    ``n_base_cycles``, ``n_encryptions``, ``error_threshold_factor``.
-``[traces]``
-    ``n_traces``, ``oversampling``, ``noise_sigma``, ``amplitude``,
-    ``core_count``, ``key``, ``key2`` (hex), ``window_cycles``.
-``[attack]``
-    ``step``, ``round``, ``no_sync``, ``threshold_k``, ``expected_peaks``,
-    ``min_peak_separation``, ``window_halfwidth``, ``nyquist_floor``.
-``[fft]``
-    ``bin_hz``.
+    ``core_count = 2``; its ``base_hz`` must differ from every set's.
+``[run]``, ``[simulate]``, ``[traces]``, ``[attack]``, ``[fft]``
+    One key per ``ExperimentConfig`` parameter, declared beside its field
+    with its type, default and limit; ``key`` and ``key2`` are hex.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from .attack import DEFAULT_STEP, FilterParams
-from .clock import FrequencySet
+from .clock import DEFAULT_ERROR_THRESHOLD_FACTOR, FrequencySet
 from .presets import STUDY_SETS
 
 DEFAULT_KEY = bytes(range(16))
@@ -46,52 +38,122 @@ DEFAULT_KEY = bytes(range(16))
 _SET_KEYS = {"base_hz", "f1", "f2", "f3", "f4", "duty",
              "phase1", "phase2", "phase3", "phase4", "label"}
 
-_KNOWN_KEYS: dict[str, set[str]] = {
-    "sets": {"use"},
-    "set": _SET_KEYS,
-    "set2": _SET_KEYS,
-    "run": {"seed", "out_dir"},
-    "simulate": {"n_base_cycles", "n_encryptions", "error_threshold_factor"},
-    "traces": {"n_traces", "oversampling", "noise_sigma", "amplitude",
-               "core_count", "key", "key2", "window_cycles"},
-    "attack": {"step", "round", "no_sync", "threshold_k", "expected_peaks",
-               "min_peak_separation", "window_halfwidth", "nyquist_floor"},
-    "fft": {"bin_hz"},
-}
-
 
 class ConfigError(ValueError):
     """Raised for malformed, unknown, or inconsistent configuration input."""
 
 
+class _LimitError(ConfigError):
+    """A declared parameter is out of range; ``name`` is its field."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
+def _parser(convert, expected: str):
+    def parse(text: str):
+        try:
+            return convert(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"expected {expected}, got {text!r}") from None
+    return parse
+
+
+_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
+               "false": False, "no": False, "off": False, "0": False}
+_parse_int = _parser(int, "an integer")
+_parse_float = _parser(float, "a number")
+_parse_bool = _parser(lambda text: _BOOL_WORDS[text.lower()], "true/false")
+
+
+def _parse_key(text: str) -> bytes:
+    try:
+        raw = bytes.fromhex(text.replace(" ", ""))
+    except ValueError:
+        raise ValueError("expected 32 hex digits") from None
+    if len(raw) != 16:
+        raise ValueError(f"expected 16 bytes, got {len(raw)}")
+    return raw
+
+
+def _at_least(low: int):
+    return (lambda v: v >= low), f"must be at least {low}"
+
+
+_NON_NEGATIVE = (lambda v: v >= 0), "must not be negative"
+
+
+def _param(section: str, key: str, default, parse, limit=None, digest=True):
+    """Declare one parameter: its ``[section] key``, parser, default and limit.
+
+    ``limit`` is a (predicate, problem) pair; ``digest=False`` leaves the
+    parameter out of ``ExperimentConfig.digest``.
+    """
+    return field(default=default, metadata={
+        "section": section, "key": key, "parse": parse, "limit": limit,
+        "digest": digest})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment parameters shared by all commands."""
+    """Validated experiment parameters shared by all commands.
+
+    Every parameter but ``sets`` and ``fs2`` is declared once, by
+    ``_param``.  The parser, the known-key table and ``digest`` read the
+    declarations, and ``__post_init__`` checks every limit (and that every
+    float is finite), so a config file, a CLI flag through
+    ``dataclasses.replace`` and a library call meet the same limits.
+    """
 
     sets: tuple[FrequencySet, ...] = ()
     fs2: FrequencySet | None = None
-    core_count: int = 1
-    key: bytes = DEFAULT_KEY
-    key2: bytes | None = None
-    seed: int = 1
-    out_dir: str = "."
-    n_base_cycles: int = 32000
-    n_encryptions: int = 200
-    error_threshold_factor: float = 0.25
-    n_traces: int = 1000
-    oversampling: int = 12
-    noise_sigma: float = 0.0
-    amplitude: float = 1.0
-    window_cycles: int | None = None
-    step: int = DEFAULT_STEP
-    attack_round: int = 10
-    no_sync: bool = False
-    threshold_k: float = 3.0
-    expected_peaks: int = 10
-    min_peak_separation: int | None = None
-    window_halfwidth: int | None = None
-    nyquist_floor: float = 2.0
-    fft_bin_hz: float = 1e6
+    key: bytes = _param("traces", "key", DEFAULT_KEY, _parse_key)
+    key2: bytes | None = _param("traces", "key2", None, _parse_key)
+    core_count: int = _param("traces", "core_count", 1, _parse_int,
+                             ((lambda v: v in (1, 2)), "must be 1 or 2"))
+    seed: int = _param("run", "seed", 1, _parse_int, _NON_NEGATIVE)
+    # where the artifacts go, not what they hold: left out of the digest
+    out_dir: str = _param("run", "out_dir", ".", str, digest=False)
+    n_base_cycles: int = _param("simulate", "n_base_cycles", 32000, _parse_int, _at_least(1))
+    n_encryptions: int = _param("simulate", "n_encryptions", 200, _parse_int, _at_least(1))
+    error_threshold_factor: float = _param("simulate", "error_threshold_factor",
+                                           DEFAULT_ERROR_THRESHOLD_FACTOR, _parse_float)
+    n_traces: int = _param("traces", "n_traces", 1000, _parse_int, _at_least(1))
+    oversampling: int = _param("traces", "oversampling", 12, _parse_int, _at_least(2))
+    noise_sigma: float = _param("traces", "noise_sigma", 0.0, _parse_float, _NON_NEGATIVE)
+    amplitude: float = _param("traces", "amplitude", 1.0, _parse_float)
+    window_cycles: int | None = _param("traces", "window_cycles", None, _parse_int,
+                                       _at_least(1))
+    step: int = _param("attack", "step", DEFAULT_STEP, _parse_int, _at_least(2))
+    attack_round: int = _param("attack", "round", 10, _parse_int,
+                               ((lambda v: 1 <= v <= 10), "must be between 1 and 10"))
+    no_sync: bool = _param("attack", "no_sync", False, _parse_bool)
+    threshold_k: float = _param("attack", "threshold_k", FilterParams.threshold_k,
+                                _parse_float)
+    expected_peaks: int = _param("attack", "expected_peaks", FilterParams.expected_peaks,
+                                 _parse_int)
+    min_peak_separation: int | None = _param("attack", "min_peak_separation", None,
+                                             _parse_int)
+    window_halfwidth: int | None = _param("attack", "window_halfwidth", None, _parse_int,
+                                          _NON_NEGATIVE)
+    nyquist_floor: float = _param("attack", "nyquist_floor", FilterParams.nyquist_floor,
+                                  _parse_float)
+    fft_bin_hz: float = _param("fft", "bin_hz", 1e6, _parse_float,
+                               ((lambda v: v > 0), "must be positive"))
+
+    def __post_init__(self):
+        for f in _PARAMS:
+            value = getattr(self, f.name)
+            limit = f.metadata["limit"]
+            if isinstance(value, float) and not math.isfinite(value):
+                problem = "must be finite"
+            elif value is not None and limit and not limit[0](value):
+                problem = limit[1]
+            else:
+                continue
+            raise _LimitError(f.name, f"[{f.metadata['section']}] {f.metadata['key']}: "
+                                      f"{problem}")
 
     def filter_params(self) -> FilterParams:
         return FilterParams(expected_peaks=self.expected_peaks,
@@ -101,21 +163,25 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         """Canonical hash of every parameter, for artifact headers."""
-        parts = []
-        for fs in self.sets:
-            parts.append(_fs_dump(fs))
+        parts = [_fs_dump(fs) for fs in self.sets]
         parts.append(_fs_dump(self.fs2) if self.fs2 else "none")
-        parts.append(self.key.hex())
-        parts.append(self.key2.hex() if self.key2 else "none")
-        for name in ("core_count", "seed", "n_base_cycles", "n_encryptions",
-                     "error_threshold_factor", "n_traces", "oversampling",
-                     "noise_sigma", "amplitude", "window_cycles", "step",
-                     "attack_round", "no_sync", "threshold_k",
-                     "expected_peaks", "min_peak_separation",
-                     "window_halfwidth", "nyquist_floor", "fft_bin_hz"):
-            parts.append(f"{name}={getattr(self, name)!r}")
+        for f in _PARAMS:
+            value = getattr(self, f.name)
+            if f.metadata["parse"] is _parse_key:
+                parts.append(value.hex() if value else "none")
+            elif f.metadata["digest"]:
+                parts.append(f"{f.name}={value!r}")
         blob = "\n".join(parts).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+_PARAMS = tuple(f for f in fields(ExperimentConfig) if f.metadata)
+_PARAM_BY_KEY = {(f.metadata["section"], f.metadata["key"]): f for f in _PARAMS}
+
+_KNOWN_KEYS: dict[str, set[str]] = {"sets": {"use"}, "set": _SET_KEYS,
+                                    "set2": _SET_KEYS}
+for _section, _key in _PARAM_BY_KEY:
+    _KNOWN_KEYS.setdefault(_section, set()).add(_key)
 
 
 def _fs_dump(fs: FrequencySet) -> str:
@@ -140,51 +206,15 @@ class _Section:
         where = f"line {entry.lineno}" if entry else f"line {self.lineno}"
         return ConfigError(f"{where}: [{self.name}] {key}: {problem}")
 
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        entry = self.entries.get(key)
-        return entry.value if entry else default
-
-    def get_int(self, key: str, default: int | None = None) -> int | None:
+    def get(self, key: str, parse=str, default=None):
+        """The key's value through ``parse``, or ``default`` when unset."""
         entry = self.entries.get(key)
         if entry is None:
             return default
         try:
-            return int(entry.value)
-        except ValueError:
-            raise self.fail(key, f"expected an integer, got {entry.value!r}") from None
-
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        entry = self.entries.get(key)
-        if entry is None:
-            return default
-        try:
-            return float(entry.value)
-        except ValueError:
-            raise self.fail(key, f"expected a number, got {entry.value!r}") from None
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        entry = self.entries.get(key)
-        if entry is None:
-            return default
-        text = entry.value.lower()
-        if text in ("true", "yes", "on", "1"):
-            return True
-        if text in ("false", "no", "off", "0"):
-            return False
-        raise self.fail(key, f"expected true/false, got {entry.value!r}")
-
-    def get_key_bytes(self, key: str) -> bytes | None:
-        entry = self.entries.get(key)
-        if entry is None:
-            return None
-        text = entry.value.replace(" ", "")
-        try:
-            raw = bytes.fromhex(text)
-        except ValueError:
-            raise self.fail(key, "expected 32 hex digits") from None
-        if len(raw) != 16:
-            raise self.fail(key, f"expected 16 bytes, got {len(raw)}")
-        return raw
+            return parse(entry.value)
+        except ValueError as exc:
+            raise self.fail(key, str(exc)) from None
 
 
 def _split_sections(text: str) -> list[_Section]:
@@ -217,18 +247,18 @@ def _split_sections(text: str) -> list[_Section]:
 
 
 def _build_set(sec: _Section) -> FrequencySet:
-    base = sec.get_float("base_hz")
+    base = sec.get("base_hz", _parse_float)
     if base is None:
         raise sec.fail("base_hz", "required")
     fundamentals = []
     for i in range(1, 5):
-        f = sec.get_float(f"f{i}")
+        f = sec.get(f"f{i}", _parse_float)
         if f is None:
             raise sec.fail(f"f{i}", "required")
         fundamentals.append(f)
-    duty = sec.get_float("duty", 0.5)
-    phases = tuple(sec.get_float(f"phase{i}", 0.0) for i in range(1, 5))
-    label = sec.get_str("label", "")
+    duty = sec.get("duty", _parse_float, FrequencySet.duty_cycle)
+    phases = tuple(sec.get(f"phase{i}", _parse_float, 0.0) for i in range(1, 5))
+    label = sec.get("label", default="")
     try:
         return FrequencySet(base_hz=base, fundamentals=tuple(fundamentals),
                             duty_cycle=duty, phases=phases, label=label)
@@ -237,7 +267,7 @@ def _build_set(sec: _Section) -> FrequencySet:
 
 
 def _selected_sets(sec: _Section) -> list[FrequencySet]:
-    text = sec.get_str("use")
+    text = sec.get("use")
     if text is None:
         raise sec.fail("use", "required")
     if text.lower() == "all":
@@ -256,13 +286,14 @@ def _selected_sets(sec: _Section) -> list[FrequencySet]:
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse and validate a config document; raise ConfigError with line info."""
-    sections = _split_sections(text)
     seen_single: set[str] = set()
     sets: list[FrequencySet] = []
     explicit: list[FrequencySet] = []
+    set2: _Section | None = None
     fs2: FrequencySet | None = None
-    fields: dict[str, object] = {}
-    for sec in sections:
+    values: dict[str, object] = {}
+    lines: dict[str, int] = {}
+    for sec in _split_sections(text):
         if sec.name != "set":
             if sec.name in seen_single:
                 raise ConfigError(f"line {sec.lineno}: duplicate section [{sec.name}]")
@@ -272,65 +303,25 @@ def parse_config_text(text: str) -> ExperimentConfig:
         elif sec.name == "set":
             explicit.append(_build_set(sec))
         elif sec.name == "set2":
-            fs2 = _build_set(sec)
-        elif sec.name == "run":
-            fields["seed"] = sec.get_int("seed", 1)
-            fields["out_dir"] = sec.get_str("out_dir", ".")
-        elif sec.name == "simulate":
-            fields["n_base_cycles"] = sec.get_int("n_base_cycles", 32000)
-            fields["n_encryptions"] = sec.get_int("n_encryptions", 200)
-            fields["error_threshold_factor"] = sec.get_float("error_threshold_factor", 0.25)
-            if fields["n_base_cycles"] < 1:
-                raise sec.fail("n_base_cycles", "must be at least 1")
-            if fields["n_encryptions"] < 1:
-                raise sec.fail("n_encryptions", "must be at least 1")
-        elif sec.name == "traces":
-            fields["n_traces"] = sec.get_int("n_traces", 1000)
-            fields["oversampling"] = sec.get_int("oversampling", 12)
-            fields["noise_sigma"] = sec.get_float("noise_sigma", 0.0)
-            fields["amplitude"] = sec.get_float("amplitude", 1.0)
-            fields["core_count"] = sec.get_int("core_count", 1)
-            fields["window_cycles"] = sec.get_int("window_cycles", None)
-            key = sec.get_key_bytes("key")
-            if key is not None:
-                fields["key"] = key
-            key2 = sec.get_key_bytes("key2")
-            if key2 is not None:
-                fields["key2"] = key2
-            if fields["n_traces"] < 1:
-                raise sec.fail("n_traces", "must be at least 1")
-            if fields["oversampling"] < 1:
-                raise sec.fail("oversampling", "must be at least 1")
-            if fields["noise_sigma"] < 0:
-                raise sec.fail("noise_sigma", "must not be negative")
-            if fields["core_count"] not in (1, 2):
-                raise sec.fail("core_count", "must be 1 or 2")
-        elif sec.name == "attack":
-            fields["step"] = sec.get_int("step", DEFAULT_STEP)
-            fields["attack_round"] = sec.get_int("round", 10)
-            fields["no_sync"] = sec.get_bool("no_sync", False)
-            fields["threshold_k"] = sec.get_float("threshold_k", 3.0)
-            fields["expected_peaks"] = sec.get_int("expected_peaks", 10)
-            fields["min_peak_separation"] = sec.get_int("min_peak_separation", None)
-            fields["window_halfwidth"] = sec.get_int("window_halfwidth", None)
-            fields["nyquist_floor"] = sec.get_float("nyquist_floor", 2.0)
-            if fields["step"] < 1:
-                raise sec.fail("step", "must be at least 1")
-            if not 1 <= fields["attack_round"] <= 10:
-                raise sec.fail("round", "must be between 1 and 10")
-        elif sec.name == "fft":
-            fields["fft_bin_hz"] = sec.get_float("bin_hz", 1e6)
-            if fields["fft_bin_hz"] <= 0:
-                raise sec.fail("bin_hz", "must be positive")
-    sets.extend(explicit)
-    fields["sets"] = tuple(sets)
-    fields["fs2"] = fs2
-    cfg = ExperimentConfig(**fields)
+            set2, fs2 = sec, _build_set(sec)
+        else:
+            for key, entry in sec.entries.items():
+                f = _PARAM_BY_KEY[sec.name, key]
+                values[f.name] = sec.get(key, f.metadata["parse"])
+                lines[f.name] = entry.lineno
+    try:
+        cfg = ExperimentConfig(sets=tuple(sets + explicit), fs2=fs2, **values)
+    except _LimitError as exc:
+        raise ConfigError(f"line {lines[exc.name]}: {exc}") from None
     if cfg.core_count == 2:
         if cfg.key2 is None:
             raise ConfigError("[traces] core_count = 2 requires key2")
-        if cfg.fs2 is None:
+        if set2 is None:
             raise ConfigError("[traces] core_count = 2 requires a [set2] section")
+        for i, fs in enumerate(cfg.sets, start=1):
+            if fs.base_hz == fs2.base_hz:
+                raise set2.fail("base_hz", f"equals the base_hz of set {i}; "
+                                "the two cores need distinct base clocks")
     return cfg
 
 

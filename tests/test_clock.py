@@ -51,6 +51,12 @@ def test_frequency_set_validation():
         make_fs(10.0, 10.0, 10.0, 10.0, phases=(0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_frequency_set_rejects_non_finite_phases(bad):
+    with pytest.raises(ValueError, match="phases must be finite"):
+        make_fs(10.0, 10.0, 10.0, 10.0, phases=(0.0, bad, 0.0, 0.0))
+
+
 def test_frequency_set_derived_quantities():
     fs = make_fs(20.0, 10.0, 5.0, 2.5)
     assert fs.base_period_s == pytest.approx(1e-7)

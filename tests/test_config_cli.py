@@ -1,5 +1,6 @@
 """Config parsing diagnostics and end-to-end command-line behaviour."""
 
+import dataclasses
 import json
 import struct
 
@@ -8,6 +9,7 @@ import pytest
 from clockmux.attack import min_traces_search
 from clockmux.cli import main
 from clockmux.config import (
+    _KNOWN_KEYS,
     ConfigError,
     ExperimentConfig,
     parse_config,
@@ -15,6 +17,7 @@ from clockmux.config import (
 )
 from clockmux.presets import STUDY_SETS
 from clockmux.traces import generate_set, read_trace_set, write_trace_set
+from test_golden import DUAL_CONFIG
 
 FULL_CONFIG = """\
 # whole-experiment example
@@ -131,16 +134,29 @@ BAD_DOCUMENTS = [
     ("[sets]\nuse = 8\n", "out of range 1..7"),
     ("[traces]\ncore_count = 3\n", "must be 1 or 2"),
     ("[traces]\nn_traces = 0\n", "must be at least 1"),
-    ("[traces]\noversampling = 0\n", "must be at least 1"),
+    ("[traces]\noversampling = 0\n", "oversampling: must be at least 2"),
     ("[traces]\nnoise_sigma = -1\n", "must not be negative"),
     ("[simulate]\nn_base_cycles = 0\n", "must be at least 1"),
-    ("[attack]\nstep = 0\n", "must be at least 1"),
+    ("[attack]\nstep = 0\n", "step: must be at least 2"),
     ("[attack]\nround = 11\n", "between 1 and 10"),
     ("[fft]\nbin_hz = 0\n", "must be positive"),
     ("[set]\nbase_hz = 1e7\nf1 = -1\nf2 = 1e6\nf3 = 1e6\nf4 = 1e6\n", "[set]"),
     ("[traces]\ncore_count = 2\nkey2 = " + "ab" * 16 + "\n", "requires a [set2] section"),
     ("[traces]\ncore_count = 2\n[set2]\nbase_hz = 1e7\nf1 = 1e6\nf2 = 1e6\n"
      "f3 = 1e6\nf4 = 1e6\n", "requires key2"),
+    ("[simulate]\nn_encryptions = 0\n", "must be at least 1"),
+    ("[traces]\nwindow_cycles = 0\n", "must be at least 1"),
+    ("[attack]\nstep = 1\n", "line 2: [attack] step: must be at least 2"),
+    ("[traces]\noversampling = 1\n", "line 2: [traces] oversampling: must be at least 2"),
+    ("[attack]\nwindow_halfwidth = -3\n",
+     "line 2: [attack] window_halfwidth: must not be negative"),
+    ("[traces]\nwindow_cycles = -5\n", "line 2: [traces] window_cycles: must be at least 1"),
+    ("[run]\nseed = -1\n", "line 2: [run] seed: must not be negative"),
+    ("[sets]\nuse = 1\n[traces]\ncore_count = 2\nkey2 = " + "ab" * 16 + "\n[set2]\n"
+     "base_hz = 10e6\nf1 = 1e6\nf2 = 1e6\nf3 = 1e6\nf4 = 1e6\n",
+     "line 7: [set2] base_hz: equals the base_hz of set 1"),
+    ("[set]\nbase_hz = 1e7\nf1 = 1e6\nf2 = 1e6\nf3 = 1e6\nf4 = 1e6\nphase3 = nan\n",
+     "line 1: [set]: phases must be finite"),
 ]
 
 
@@ -150,6 +166,51 @@ def test_parse_rejects_bad_documents(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config_text(text)
     assert fragment in str(err.value)
+
+
+FLOAT_KEYS = [("simulate", "error_threshold_factor"), ("traces", "noise_sigma"),
+              ("traces", "amplitude"), ("attack", "threshold_k"),
+              ("attack", "nyquist_floor"), ("fft", "bin_hz")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS)
+def test_parse_rejects_non_finite_floats(section, key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"# comment\n[{section}]\n{key} = {value}\n")
+    assert str(err.value) == f"line 3: [{section}] {key}: must be finite"
+
+
+def test_config_surface_is_pinned():
+    """Digests and accepted keys recorded before the declarations were merged."""
+    assert parse_config_text(FULL_CONFIG).digest() == "d6ec5be832557428"
+    assert ExperimentConfig().digest() == "e485f8185c06f934"
+    assert parse_config_text(DUAL_CONFIG).digest() == "6a157e3b8cc7413c"
+    set_keys = {"base_hz", "f1", "f2", "f3", "f4", "duty",
+                "phase1", "phase2", "phase3", "phase4", "label"}
+    expected = {
+        "sets": {"use"}, "set": set_keys, "set2": set_keys,
+        "run": {"seed", "out_dir"},
+        "simulate": {"n_base_cycles", "n_encryptions", "error_threshold_factor"},
+        "traces": {"n_traces", "oversampling", "noise_sigma", "amplitude",
+                   "core_count", "key", "key2", "window_cycles"},
+        "attack": {"step", "round", "no_sync", "threshold_k", "expected_peaks",
+                   "min_peak_separation", "window_halfwidth", "nyquist_floor"},
+        "fft": {"bin_hz"},
+    }
+    assert _KNOWN_KEYS == expected
+
+
+def test_replace_checks_the_same_limits():
+    cfg = ExperimentConfig()
+    for name, value, message in [
+            ("seed", -1, "[run] seed: must not be negative"),
+            ("step", 1, "[attack] step: must be at least 2"),
+            ("fft_bin_hz", float("inf"), "[fft] bin_hz: must be finite"),
+            ("fft_bin_hz", -1.0, "[fft] bin_hz: must be positive")]:
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(cfg, **{name: value})
+        assert str(err.value) == message
 
 
 def test_parse_config_missing_file(tmp_path):
@@ -329,6 +390,11 @@ def test_cli_usage_and_config_errors_exit_2(tmp_path, capsys):
     assert main(["compare", "--config", cfg, "--step", "1"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    assert main(["simulate", "--config", cfg, "--seed", "-1"]) == 2
+    assert "error: [run] seed: must not be negative" in capsys.readouterr().err
+    for bad_bin in ("inf", "nan", "0"):
+        assert main(["fft", "x.bin", "--bin", bad_bin]) == 2
+        assert "error: [fft] bin_hz: must be" in capsys.readouterr().err
     assert main(["--help"]) == 0
 
 
