@@ -8,7 +8,7 @@ estimate the traces an attacker needs, and prints one ranked table:
 hardest-to-break first, overhead as the tiebreaker.
 """
 
-from clockmux.attack import min_traces_search
+from clockmux.attack import filter_traces, min_traces_search, synchronize
 from clockmux.clock import overhead_and_error
 from clockmux.presets import STUDY_SETS
 from clockmux.traces import generate_set
@@ -23,8 +23,10 @@ def main() -> None:
                                   seed=9)
         ts = generate_set(entry.fs, KEY, n_traces=4000, seed=17,
                           oversampling=12, noise_sigma=2.0)
-        attack = min_traces_search(ts, KEY, step=500, window_halfwidth=4)
-        rows.append((entry.fs.label, attack.min_traces, cost.mean_overhead,
+        kept, _, _ = filter_traces(ts)
+        aligned = synchronize(kept, round=10, window_halfwidth=4)
+        min_traces = min_traces_search(aligned, kept, KEY, step=500)
+        rows.append((entry.fs.label, min_traces, cost.mean_overhead,
                      cost.worst_overhead, cost.error_risk))
 
     def security(row):

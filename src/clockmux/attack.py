@@ -9,14 +9,17 @@ The pipeline mirrors how captures are processed in practice:
    sits in one column.
 3. ``cpa_attack`` ranks the 256 last-round register-overwrite guesses per
    key byte by their correlation with the aligned columns.
-4. ``min_traces_search`` slides fixed-size segments over the kept traces to
-   find the smallest trace count (on a coarse grid) that still recovers the
-   whole key; it and ``cpa_attack`` score through one Pearson kernel over
-   one-pass sums, ``_max_abs_rho`` (``pearson`` is the two-pass reference).
+4. ``min_traces_search`` slides fixed-size segments over the same aligned
+   matrix to find the smallest trace count (on a coarse grid) that still
+   recovers the whole key; it and ``cpa_attack`` score through one Pearson
+   kernel over one-pass sums, ``_max_abs_rho`` (``pearson`` is the two-pass
+   reference).
 
-Every peak-reading pass gets a trace's peaks from ``_peaks``, which detects
-them once per non-failed trace and remembers them on it, so the min-traces
-search re-filters and re-synchronizes the caller's traces without detecting.
+A set is filtered and aligned once; steps 3 and 4 both take that
+``(AlignedMatrix, kept set)`` pair.  Every peak-reading pass gets a trace's
+peaks from ``_peaks``, which detects them once per non-failed trace and
+remembers them on it, so ``synchronize`` and ``raw_matrix`` reuse the peaks
+``filter_traces`` detected.
 
 ``fft_spectrum`` summarizes sets in the frequency domain and
 ``peak_permutation_bound`` / ``overlap_exploit`` quantify the brute-force
@@ -25,7 +28,7 @@ search left to an attacker facing a duplicated (dual-core) device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import find_peaks
@@ -46,28 +49,24 @@ class FilterParams:
 
     ``min_peak_separation`` (default oversampling // 4) is the resolvability
     floor used to reject traces; detection itself runs with the smaller
-    ``detect_separation`` (default max(2, min_peak_separation // 2)) so that
-    too-close peak pairs are still seen and can trigger the rejection.
+    ``detect_separation`` so that too-close peak pairs are still seen and
+    can trigger the rejection.
     """
 
     expected_peaks: int = 10
     threshold_k: float = 3.0
     min_peak_separation: int | None = None
-    detect_separation: int | None = None
     nyquist_floor: float = 2.0
 
+    @property
+    def detect_separation(self) -> int:
+        """max(2, min_peak_separation // 2); read it on ``resolved`` params."""
+        return max(2, self.min_peak_separation // 2)
+
     def resolved(self, oversampling: int) -> "FilterParams":
-        min_sep = self.min_peak_separation
-        if min_sep is None:
-            min_sep = max(1, oversampling // 4)
-        det = self.detect_separation
-        if det is None:
-            det = max(2, min_sep // 2)
-        return FilterParams(expected_peaks=self.expected_peaks,
-                            threshold_k=self.threshold_k,
-                            min_peak_separation=min_sep,
-                            detect_separation=det,
-                            nyquist_floor=self.nyquist_floor)
+        if self.min_peak_separation is not None:
+            return self
+        return replace(self, min_peak_separation=max(1, oversampling // 4))
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,9 @@ class AlignedMatrix:
 
     @property
     def max_delay_samples(self) -> int:
-        """See ``AttackReport``."""
+        """Spread of the attacked round's peak over the rows: max minus min
+        of the known (non-negative) ``peak_positions``, 0 when none is
+        known.  The CLI reports this number."""
         known = self.peak_positions[self.peak_positions >= 0]
         return int(known.max() - known.min()) if known.size else 0
 
@@ -114,27 +115,6 @@ class CpaResult:
     def broken(self) -> bool:
         return (self.rank_of_true_key is not None
                 and all(r == 1 for r in self.rank_of_true_key))
-
-
-@dataclass(frozen=True)
-class AttackReport:
-    """Outcome of the min-traces search.
-
-    ``max_delay_samples`` is the spread of the attacked round's peak over
-    the aligned traces: max minus min of the known (non-negative) positions
-    in ``AlignedMatrix.peak_positions``, 0 when none is known.  The CLI
-    reports the same number.
-    """
-
-    min_traces: int | None
-    removed_fraction: float
-    failed_fraction: float
-    max_delay_samples: int
-    notes: str = ""
-
-    @property
-    def broken(self) -> bool:
-        return self.min_traces is not None
 
 
 @dataclass(frozen=True)
@@ -192,7 +172,9 @@ def _peaks(tr: PowerTrace, params: FilterParams) -> np.ndarray:
     """``tr``'s detected peaks under resolved ``params``, detected once.
 
     The result is remembered on the trace with its (threshold_k,
-    detect_separation) and returned read-only; other knobs detect afresh.
+    detect_separation) and returned read-only, so ``filter_traces`` detects
+    and ``synchronize``/``raw_matrix`` on its kept set reuse; other knobs
+    detect afresh.
     """
     key = (params.threshold_k, params.detect_separation)
     if tr.peak_memo is None or tr.peak_memo[0] != key:
@@ -401,46 +383,30 @@ def cpa_attack(am: AlignedMatrix, ts: TraceSet,
 # Minimum-traces search
 # ---------------------------------------------------------------------------
 
-def min_traces_search(ts: TraceSet, true_key: bytes, step: int = DEFAULT_STEP,
-                      round: int = 10, no_sync: bool = False,
-                      window: tuple[int, int] | None = None,
-                      window_halfwidth: int | None = None,
-                      params: FilterParams | None = None) -> AttackReport:
+def min_traces_search(am: AlignedMatrix, ts: TraceSet, true_key: bytes,
+                      step: int = DEFAULT_STEP) -> int | None:
     """Smallest segment size (grid of ``step``) whose attack recovers the key.
 
-    The kept traces are cut into consecutive blocks of ``step``; every
-    contiguous run of blocks is a segment, scored by ``_max_abs_rho`` from
-    differences of block prefix sums; each block's h*y sums are one batched
-    matrix product (BLAS).  A segment succeeds when all 16
-    true-key bytes rank first.  Exhaustive over (size, offset): the reported
-    value is exactly the smallest successful size, independent of evaluation order.
+    Scores the rows of ``am`` over its full width, with ``ts`` the set its
+    ``kept_indices`` point into: the pair ``cpa_attack`` takes.  The rows
+    are cut into consecutive blocks of ``step``; every contiguous run of
+    blocks is a segment, scored by ``_max_abs_rho`` from differences of
+    block prefix sums; each block's h*y sums are one batched matrix product
+    (BLAS).  A segment succeeds when all 16 true-key bytes rank first.
+    Exhaustive over (size, offset): the result is exactly the smallest
+    successful size, independent of evaluation order, or None when no
+    segment (or not even one block) recovers the key.
     """
     if step < 2:
         raise ValueError("step must be at least 2")
-    kept, removed_fraction, failed_fraction = filter_traces(ts, params)
-    am = (raw_matrix(kept, round=round, params=params) if no_sync
-          else synchronize(kept, round=round, window_halfwidth=window_halfwidth,
-                           params=params))
-    sync_dropped = len(kept.traces) - am.rows.shape[0]
-    if len(ts.traces):
-        removed_fraction += sync_dropped / len(ts.traces)
-    max_delay = am.max_delay_samples
-    note = "unsynchronized" if no_sync else "synchronized on round %d" % round
-
-    n = am.rows.shape[0]
-    nblocks = n // step
+    nblocks = am.rows.shape[0] // step
     if nblocks == 0:
-        return AttackReport(min_traces=None, removed_fraction=removed_fraction,
-                            failed_fraction=failed_fraction,
-                            max_delay_samples=max_delay,
-                            notes=note + "; too few kept traces for one block")
+        return None
 
-    lo, hi = _window_slice(am, window)
-    y = am.rows[:n, lo:hi].astype(np.float64)
-    cts = kept.ciphertext_matrix()[am.kept_indices]
-    width = hi - lo
+    width = am.rows.shape[1]
     usable = nblocks * step
-    yb = y[:usable].reshape(nblocks, step, width)
+    yb = am.rows[:usable].astype(np.float64).reshape(nblocks, step, width)
+    cts = ts.ciphertext_matrix()[am.kept_indices[:usable]]
     py = np.zeros((nblocks + 1, width))
     pyy = np.zeros((nblocks + 1, width))
     np.cumsum(yb.sum(axis=1), axis=0, out=py[1:])
@@ -450,7 +416,7 @@ def min_traces_search(ts: TraceSet, true_key: bytes, step: int = DEFAULT_STEP,
     # success[k-1][s] == all bytes rank 1 on the segment of k blocks at s
     success = [np.ones(nblocks - k + 1, dtype=bool) for k in range(1, nblocks + 1)]
     for p in range(16):
-        hb = aes.hypothesis_matrix(cts[:usable], p).astype(np.float64)
+        hb = aes.hypothesis_matrix(cts, p).astype(np.float64)
         hb = hb.reshape(nblocks, step, 256)
         ph = np.zeros((nblocks + 1, 256))
         phh = np.zeros((nblocks + 1, 256))
@@ -471,14 +437,8 @@ def min_traces_search(ts: TraceSet, true_key: bytes, step: int = DEFAULT_STEP,
 
     for k in range(1, nblocks + 1):
         if success[k - 1].any():
-            return AttackReport(min_traces=k * step,
-                                removed_fraction=removed_fraction,
-                                failed_fraction=failed_fraction,
-                                max_delay_samples=max_delay, notes=note)
-    return AttackReport(min_traces=None, removed_fraction=removed_fraction,
-                        failed_fraction=failed_fraction,
-                        max_delay_samples=max_delay,
-                        notes=note + "; no segment recovered the key")
+            return k * step
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -238,12 +238,8 @@ def _attack_trace_set(cfg: ExperimentConfig, ts, true_key: bytes | None) -> dict
         cpa = cpa_attack(am, kept, true_key=true_key)
         result["recovered_key"] = cpa.recovered_key.hex()
     if true_key is not None:
-        report = min_traces_search(ts, true_key, step=cfg.step,
-                                   round=cfg.attack_round, no_sync=cfg.no_sync,
-                                   window_halfwidth=cfg.window_halfwidth,
-                                   params=params)
-        result["min_traces"] = report.min_traces
-        result["broken"] = report.broken
+        result["min_traces"] = min_traces_search(am, kept, true_key, step=cfg.step)
+        result["broken"] = result["min_traces"] is not None
     result.update(_overhead(cfg, ts.fs, rounds=cfg.attack_round, seed=cfg.seed))
     return result
 

@@ -82,6 +82,7 @@ def _at_least(low: int):
 
 
 _NON_NEGATIVE = (lambda v: v >= 0), "must not be negative"
+_POSITIVE = (lambda v: v > 0), "must be positive"
 
 
 def _param(section: str, key: str, default, parse, limit=None, digest=True):
@@ -118,11 +119,13 @@ class ExperimentConfig:
     n_base_cycles: int = _param("simulate", "n_base_cycles", 32000, _parse_int, _at_least(1))
     n_encryptions: int = _param("simulate", "n_encryptions", 200, _parse_int, _at_least(1))
     error_threshold_factor: float = _param("simulate", "error_threshold_factor",
-                                           DEFAULT_ERROR_THRESHOLD_FACTOR, _parse_float)
+                                           DEFAULT_ERROR_THRESHOLD_FACTOR, _parse_float,
+                                           ((lambda v: 0 < v < 1),
+                                            "must be between 0 and 1, exclusive"))
     n_traces: int = _param("traces", "n_traces", 1000, _parse_int, _at_least(1))
     oversampling: int = _param("traces", "oversampling", 12, _parse_int, _at_least(2))
     noise_sigma: float = _param("traces", "noise_sigma", 0.0, _parse_float, _NON_NEGATIVE)
-    amplitude: float = _param("traces", "amplitude", 1.0, _parse_float)
+    amplitude: float = _param("traces", "amplitude", 1.0, _parse_float, _POSITIVE)
     window_cycles: int | None = _param("traces", "window_cycles", None, _parse_int,
                                        _at_least(1))
     step: int = _param("attack", "step", DEFAULT_STEP, _parse_int, _at_least(2))
@@ -130,17 +133,16 @@ class ExperimentConfig:
                                ((lambda v: 1 <= v <= 10), "must be between 1 and 10"))
     no_sync: bool = _param("attack", "no_sync", False, _parse_bool)
     threshold_k: float = _param("attack", "threshold_k", FilterParams.threshold_k,
-                                _parse_float)
+                                _parse_float, _NON_NEGATIVE)
     expected_peaks: int = _param("attack", "expected_peaks", FilterParams.expected_peaks,
-                                 _parse_int)
+                                 _parse_int, _at_least(1))
     min_peak_separation: int | None = _param("attack", "min_peak_separation", None,
-                                             _parse_int)
+                                             _parse_int, _at_least(1))
     window_halfwidth: int | None = _param("attack", "window_halfwidth", None, _parse_int,
                                           _NON_NEGATIVE)
     nyquist_floor: float = _param("attack", "nyquist_floor", FilterParams.nyquist_floor,
-                                  _parse_float)
-    fft_bin_hz: float = _param("fft", "bin_hz", 1e6, _parse_float,
-                               ((lambda v: v > 0), "must be positive"))
+                                  _parse_float, _NON_NEGATIVE)
+    fft_bin_hz: float = _param("fft", "bin_hz", 1e6, _parse_float, _POSITIVE)
 
     def __post_init__(self):
         for f in _PARAMS:

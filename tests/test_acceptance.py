@@ -174,9 +174,11 @@ def test_cpa_soundness_on_the_fixed_clock():
     for sigma in (0.0, 1.0, 2.0):
         noisy = generate_set(fixed, KEY, 5000, seed=42, oversampling=8,
                              noise_sigma=sigma, amplitude=1.0)
-        rep = min_traces_search(noisy, KEY, step=250, window_halfwidth=8)
-        assert rep.min_traces is not None, sigma
-        minima.append(rep.min_traces)
+        kept, _, _ = filter_traces(noisy)
+        min_traces = min_traces_search(synchronize(kept, round=10, window_halfwidth=8),
+                                       kept, KEY, step=250)
+        assert min_traces is not None, sigma
+        minima.append(min_traces)
     assert minima[2] <= 5000
     assert minima == sorted(minima)
 
@@ -185,25 +187,34 @@ def test_cpa_soundness_on_the_fixed_clock():
 # 7. The countermeasure's effect on the attack
 # --------------------------------------------------------------------------
 
+def search_synchronized(ts, kept, removed):
+    """The search on ``kept`` synchronized at half-width 4, and the fraction
+    of ``ts`` dropped by the filter (``removed``) or by synchronization."""
+    am = synchronize(kept, round=10, window_halfwidth=4)
+    removed += (len(kept.traces) - am.rows.shape[0]) / len(ts.traces)
+    return min_traces_search(am, kept, KEY, step=250), removed
+
+
 def test_randomized_clock_multiplies_the_attack_cost():
     noise_sigma = 5.0
     baseline_ts = generate_set(fixed_clock_set(), KEY, 6000, seed=SEED,
                                oversampling=12, noise_sigma=noise_sigma)
-    baseline = min_traces_search(baseline_ts, KEY, step=250,
-                                 window_halfwidth=4)
-    assert baseline.min_traces is not None
+    baseline_kept, baseline_removed, _ = filter_traces(baseline_ts)
+    baseline_min, baseline_removed = search_synchronized(baseline_ts, baseline_kept,
+                                                         baseline_removed)
+    assert baseline_min is not None
 
     for i, entry in enumerate(STUDY_SETS, start=1):
         ts = generate_set(entry.fs, KEY, 30000, seed=SEED + i,
                           oversampling=12, noise_sigma=noise_sigma)
-        kept, _, _ = filter_traces(ts)
+        kept, removed, _ = filter_traces(ts)
         unsynced = cpa_attack(raw_matrix(kept, round=10), kept, true_key=KEY)
         assert max(unsynced.rank_of_true_key) > 32, entry.fs.label
 
-        rep = min_traces_search(ts, KEY, step=250, window_halfwidth=4)
-        assert rep.min_traces is not None, entry.fs.label
-        assert rep.min_traces >= 2 * baseline.min_traces, entry.fs.label
-        assert rep.removed_fraction > baseline.removed_fraction, entry.fs.label
+        min_traces, removed = search_synchronized(ts, kept, removed)
+        assert min_traces is not None, entry.fs.label
+        assert min_traces >= 2 * baseline_min, entry.fs.label
+        assert removed > baseline_removed, entry.fs.label
 
 
 # --------------------------------------------------------------------------

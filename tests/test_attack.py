@@ -186,10 +186,8 @@ def test_pipeline_detects_each_trace_once(monkeypatch):
                         lambda samples, *a: calls.append(1) or real(samples, *a))
     ts = study_set_with_failures()
     kept, _, _ = filter_traces(ts)
-    synchronize(kept, round=10)
-    raw_matrix(kept, round=10)
-    min_traces_search(ts, KEY, step=10)
-    min_traces_search(ts, KEY, step=10, no_sync=True)
+    min_traces_search(synchronize(kept, round=10), kept, KEY, step=10)
+    min_traces_search(raw_matrix(kept, round=10), kept, KEY, step=10)
     assert len(calls) == sum(not t.failed for t in ts.traces)
 
 
@@ -210,7 +208,8 @@ def test_attack_leaves_the_set_equal_and_its_bytes_unchanged(tmp_path):
     ts = study_set_with_failures()
     before = tmp_path / "before.bin"
     write_trace_set(ts, before)
-    min_traces_search(ts, KEY, step=10)
+    kept, _, _ = filter_traces(ts)
+    min_traces_search(synchronize(kept, round=10), kept, KEY, step=10)
     assert all(t.peak_memo for t in ts.traces if not t.failed)
     assert not any(t.peak_memo for t in ts.traces if t.failed)
     assert ts == study_set_with_failures()
@@ -321,9 +320,13 @@ def test_cpa_scores_match_two_pass_pearson():
 # Minimum-trace search
 # ---------------------------------------------------------------------------
 
-def direct_min_traces(ts, true_key, step, window_halfwidth):
+def aligned(ts, window_halfwidth):
     kept, _, _ = filter_traces(ts)
-    am = synchronize(kept, round=10, window_halfwidth=window_halfwidth)
+    return synchronize(kept, round=10, window_halfwidth=window_halfwidth), kept
+
+
+def direct_min_traces(ts, true_key, step, window_halfwidth):
+    am, kept = aligned(ts, window_halfwidth)
     true_rk = aes.expand_key(true_key).round_keys[10]
     n = am.rows.shape[0]
     best = None
@@ -344,29 +347,29 @@ def direct_min_traces(ts, true_key, step, window_halfwidth):
 
 def test_min_traces_search_matches_direct_oracle():
     ts = fixed_clock_set(700, seed=13, noise_sigma=2.0)
-    report = min_traces_search(ts, KEY, step=100, window_halfwidth=8)
+    min_traces = min_traces_search(*aligned(ts, 8), KEY, step=100)
     oracle = direct_min_traces(ts, KEY, step=100, window_halfwidth=8)
-    assert report.min_traces == oracle
-    assert report.min_traces is not None
-    assert report.broken
+    assert min_traces == oracle
+    assert min_traces is not None
 
 
 def test_min_traces_search_reports_failure_and_validates_step():
     ts = fixed_clock_set(120, seed=3, noise_sigma=30.0)
-    report = min_traces_search(ts, KEY, step=60, window_halfwidth=8)
-    assert report.min_traces is None
-    assert not report.broken
-    assert "no segment" in report.notes or "too few" in report.notes
+    am, kept = aligned(ts, 8)
+    assert min_traces_search(am, kept, KEY, step=60) is None
+    # two full blocks, neither alone nor together enough to recover the key
+    am, kept = aligned(fixed_clock_set(120, seed=3, noise_sigma=2.0), 8)
+    assert am.rows.shape[0] == 120
+    assert min_traces_search(am, kept, KEY, step=60) is None
     with pytest.raises(ValueError):
-        min_traces_search(ts, KEY, step=1)
+        min_traces_search(am, kept, KEY, step=1)
 
 
 def test_min_traces_monotone_in_noise():
     minima = []
     for sigma in (0.0, 1.0, 2.0):
         ts = fixed_clock_set(700, seed=21, noise_sigma=sigma)
-        minima.append(min_traces_search(ts, KEY, step=100,
-                                        window_halfwidth=8).min_traces)
+        minima.append(min_traces_search(*aligned(ts, 8), KEY, step=100))
     assert all(m is not None for m in minima)
     assert minima == sorted(minima)
 

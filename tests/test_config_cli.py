@@ -6,7 +6,8 @@ import struct
 
 import pytest
 
-from clockmux.attack import min_traces_search
+from clockmux import attack, cli
+from clockmux.attack import filter_traces, raw_matrix, synchronize
 from clockmux.cli import main
 from clockmux.config import (
     _KNOWN_KEYS,
@@ -157,6 +158,17 @@ BAD_DOCUMENTS = [
      "line 7: [set2] base_hz: equals the base_hz of set 1"),
     ("[set]\nbase_hz = 1e7\nf1 = 1e6\nf2 = 1e6\nf3 = 1e6\nf4 = 1e6\nphase3 = nan\n",
      "line 1: [set]: phases must be finite"),
+    ("[attack]\nexpected_peaks = 0\n", "line 2: [attack] expected_peaks: must be at least 1"),
+    ("[attack]\nmin_peak_separation = 0\n",
+     "line 2: [attack] min_peak_separation: must be at least 1"),
+    ("[attack]\nthreshold_k = -1\n", "line 2: [attack] threshold_k: must not be negative"),
+    ("[attack]\nnyquist_floor = -0.5\n",
+     "line 2: [attack] nyquist_floor: must not be negative"),
+    ("[traces]\namplitude = 0\n", "line 2: [traces] amplitude: must be positive"),
+    ("[simulate]\nerror_threshold_factor = 0\n",
+     "line 2: [simulate] error_threshold_factor: must be between 0 and 1, exclusive"),
+    ("[simulate]\nerror_threshold_factor = 1\n",
+     "line 2: [simulate] error_threshold_factor: must be between 0 and 1, exclusive"),
 ]
 
 
@@ -477,10 +489,53 @@ def test_report_and_cli_agree_on_max_delay(tmp_path, capsys, no_sync):
     capsys.readouterr()
     cli_delay = json.loads((out / "attack_report.json").read_text())["max_delay_samples"]
     cfg = parse_config(cfg_path)
-    report = min_traces_search(read_trace_set(str(trace_path)), bytes(range(16)),
-                               step=cfg.step, round=cfg.attack_round,
-                               no_sync=no_sync,
-                               window_halfwidth=cfg.window_halfwidth,
-                               params=cfg.filter_params())
-    assert report.max_delay_samples == cli_delay
+    params = cfg.filter_params()
+    kept, _, _ = filter_traces(read_trace_set(str(trace_path)), params)
+    am = (raw_matrix(kept, round=cfg.attack_round, params=params) if no_sync
+          else synchronize(kept, round=cfg.attack_round,
+                           window_halfwidth=cfg.window_halfwidth, params=params))
+    assert am.max_delay_samples == cli_delay
     assert cli_delay > 0
+
+
+def count_pipeline_calls(monkeypatch):
+    """Count calls of the attack passes through the ``cli`` and ``attack``
+    bindings alike, so a pass is counted whichever module calls it."""
+    calls = {}
+    for name in ("filter_traces", "synchronize", "raw_matrix", "detect_peaks"):
+        real = getattr(attack, name)
+        calls[name] = 0
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (attack, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("no_sync", [False, True])
+def test_attack_and_compare_run_one_pass_per_set(tmp_path, capsys, monkeypatch, no_sync):
+    cfg_path = write_config(tmp_path, COMPARE_CONFIG.replace("n_traces = 600",
+                                                             "n_traces = 120"))
+    out = tmp_path / "out"
+    assert main(["gen", "--config", cfg_path, "--out", str(out)]) == 0
+    trace_path = out / "traces_set2.bin"
+    ts = read_trace_set(str(trace_path))
+    sync_flag = ["--no-sync"] if no_sync else []
+    aligner, unused = (("raw_matrix", "synchronize") if no_sync
+                       else ("synchronize", "raw_matrix"))
+
+    calls = count_pipeline_calls(monkeypatch)
+    assert main(["attack", str(trace_path), "--config", cfg_path, "--out", str(out),
+                 "--step", "30", "--evaluate", bytes(range(16)).hex()] + sync_flag) == 0
+    assert (calls["filter_traces"], calls[aligner], calls[unused]) == (1, 1, 0)
+    assert calls["detect_peaks"] == sum(not t.failed for t in ts.traces)
+
+    calls = count_pipeline_calls(monkeypatch)
+    assert main(["compare", "--config", cfg_path, "--out", str(tmp_path / "cmp"),
+                 "--step", "30"] + sync_flag) == 0
+    capsys.readouterr()
+    assert (calls["filter_traces"], calls[aligner], calls[unused]) == (2, 2, 0)
