@@ -16,10 +16,11 @@ The pipeline mirrors how captures are processed in practice:
    reference).
 
 A set is filtered and aligned once; steps 3 and 4 both take that
-``(AlignedMatrix, kept set)`` pair.  Every peak-reading pass gets a trace's
-peaks from ``_peaks``, which detects them once per non-failed trace and
-remembers them on it, so ``synchronize`` and ``raw_matrix`` reuse the peaks
-``filter_traces`` detected.
+``(AlignedMatrix, kept set)`` pair.  Each pass works on the set's arrays.
+``filter_traces`` detects peaks once per non-failed row and the set it keeps
+carries them, so ``synchronize``, ``raw_matrix`` and ``overlap_exploit``
+with the same (threshold_k, detect_separation) do not detect again; other
+passes detect inside the call and store nothing.
 
 ``fft_spectrum`` summarizes sets in the frequency domain and
 ``peak_permutation_bound`` / ``overlap_exploit`` quantify the brute-force
@@ -34,9 +35,13 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from . import aes
-from .traces import PowerTrace, TraceSet
+from .traces import TraceSet
 
 DEFAULT_STEP = 250
+
+#: A peak above this multiple of the set's median peak amplitude is taken
+#: for two cores' pulses summed on one sample (``overlap_exploit``).
+OVERLAP_AMP_FACTOR = 1.7
 
 
 class UndefinedCorrelationError(ValueError):
@@ -168,63 +173,58 @@ def detect_peaks(samples: np.ndarray, threshold_k: float = 3.0,
     return peaks.astype(np.int64)
 
 
-def _peaks(tr: PowerTrace, params: FilterParams) -> np.ndarray:
-    """``tr``'s detected peaks under resolved ``params``, detected once.
-
-    The result is remembered on the trace with its (threshold_k,
-    detect_separation) and returned read-only, so ``filter_traces`` detects
-    and ``synchronize``/``raw_matrix`` on its kept set reuse; other knobs
-    detect afresh.
-    """
+def _row_peaks(ts: TraceSet, params: FilterParams, rows: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Peaks of ``ts``'s ``rows`` (a mask) under resolved ``params``, as (flat
+    positions, per-row counts): the set's ``peaks`` if detected with the same
+    knobs, else detected here once per row and not stored."""
     key = (params.threshold_k, params.detect_separation)
-    if tr.peak_memo is None or tr.peak_memo[0] != key:
-        peaks = detect_peaks(tr.samples, *key)
-        peaks.flags.writeable = False
-        tr.peak_memo = (key, peaks)
-    return tr.peak_memo[1]
+    if ts.peaks is not None and ts.peaks[0] == key:
+        _, positions, counts = ts.peaks
+        return positions[np.repeat(rows, counts)], counts[rows]
+    found = [detect_peaks(ts.samples[i], *key) for i in np.flatnonzero(rows)]
+    counts = np.array([len(p) for p in found], dtype=np.int64)
+    return np.concatenate([np.empty(0, np.int64), *found]), counts
+
+
+def _round_peaks(ts: TraceSet, params: FilterParams, round: int) -> np.ndarray:
+    """Per row, the position of its ``round``-th detected peak, -1 if none."""
+    positions, counts = _row_peaks(ts, params, np.ones(len(ts), dtype=bool))
+    has = counts >= round
+    out = np.full(len(ts), -1, dtype=np.int64)
+    out[has] = positions[(np.cumsum(counts) - counts)[has] + round - 1]
+    return out
 
 
 def filter_traces(ts: TraceSet, params: FilterParams | None = None
                   ) -> tuple[TraceSet, float, float]:
     """Drop unusable traces; returns (kept, removed_fraction, failed_fraction).
 
-    Removal reasons: (a) failed encryption flag, (b) fewer than
-    ``expected_peaks`` detected peaks (the encryption missed the capture
-    window), (c) adjacent detected peaks closer than ``min_peak_separation``
-    samples, (d) a ground-truth clock period under-sampled below the Nyquist
-    floor (only checkable on generator-fresh traces carrying clock metadata).
-    ``failed_fraction`` counts reason (a); ``removed_fraction`` counts
-    (b)-(d); both are fractions of the input size.  Kept traces are the
-    input's own objects, in input order, so the peaks detected here are
-    reused by later passes with the same threshold and separation.
+    Removal reasons, each a row mask: (a) failed encryption flag, (b) fewer
+    than ``expected_peaks`` detected peaks (the encryption missed the
+    capture window), (c) adjacent detected peaks closer than
+    ``min_peak_separation`` samples, (d) a ground-truth clock period
+    under-sampled below the Nyquist floor (only checkable on generator-fresh
+    sets carrying clock edges).  ``failed_fraction`` counts reason (a);
+    ``removed_fraction`` counts (b)-(d); both are fractions of the input
+    size.  The kept set holds the kept rows in input order and carries the
+    peaks detected here, once per non-failed row.
     """
     params = (params or FilterParams()).resolved(ts.oversampling)
-    kept = []
-    n_failed = 0
-    n_removed = 0
-    for tr in ts.traces:
-        if tr.failed:
-            n_failed += 1
-            continue
-        peaks = _peaks(tr, params)
-        if len(peaks) < params.expected_peaks:
-            n_removed += 1
-            continue
-        if len(peaks) > 1 and (np.diff(peaks) < params.min_peak_separation).any():
-            n_removed += 1
-            continue
-        if tr.clock_meta is not None:
-            min_period = min(float(np.diff(e).min()) for e in tr.clock_meta
-                             if len(e) > 1)
-            if min_period / tr.sample_period_s < params.nyquist_floor:
-                n_removed += 1
-                continue
-        kept.append(tr)
-    n = max(1, len(ts.traces))
-    kept_set = TraceSet(traces=kept, key=ts.key, fs=ts.fs,
-                        oversampling=ts.oversampling,
-                        noise_sigma=ts.noise_sigma, key2=ts.key2, fs2=ts.fs2)
-    return kept_set, n_removed / n, n_failed / n
+    live = ~ts.failed
+    positions, counts = _row_peaks(ts, params, live)
+    row = np.repeat(np.arange(len(counts)), counts)
+    close = (np.diff(positions) < params.min_peak_separation) & (row[1:] == row[:-1])
+    ok = ((counts >= params.expected_peaks)
+          & (np.bincount(row[1:][close], minlength=len(counts)) == 0))
+    if ts.clock_edges is not None:
+        min_period = np.diff(ts.clock_edges[live], axis=-1).min(axis=(1, 2))
+        ok &= ~(min_period / ts.sample_period_s < params.nyquist_floor)
+    kept = ts.take(np.flatnonzero(live)[ok],
+                   peaks=((params.threshold_k, params.detect_separation),
+                          positions[np.repeat(ok, counts)], counts[ok]))
+    n = max(1, len(ts))
+    return kept, (len(counts) - len(kept)) / n, (len(ts) - len(counts)) / n
 
 
 def synchronize(ts: TraceSet, round: int = 10,
@@ -232,59 +232,32 @@ def synchronize(ts: TraceSet, round: int = 10,
                 params: FilterParams | None = None) -> AlignedMatrix:
     """Align kept traces on the attacked round's detected peak.
 
-    Each trace is shifted (by whole samples) so its ``round``-th detected
-    peak lands on the window center; traces whose peak sits too close to a
-    trace edge to fill the window are dropped.  Trace order is preserved.
-    Traces ``filter_traces`` kept are not detected again.
+    Each row is shifted (by whole samples) so its ``round``-th detected peak
+    lands on the window center, all rows in one gather; rows whose peak sits
+    too close to an edge to fill the window are dropped.  Row order is
+    preserved.  A set ``filter_traces`` kept is not detected again.
     """
     if round < 1:
         raise ValueError("round must be at least 1")
     params = (params or FilterParams()).resolved(ts.oversampling)
     w = ts.oversampling if window_halfwidth is None else int(window_halfwidth)
-    rows = []
-    kept_idx = []
-    positions = []
-    for i, tr in enumerate(ts.traces):
-        peaks = _peaks(tr, params)
-        if len(peaks) < round:
-            continue
-        p = int(peaks[round - 1])
-        if p - w < 0 or p + w >= len(tr.samples):
-            continue
-        rows.append(np.asarray(tr.samples[p - w:p + w + 1], dtype=np.float32))
-        kept_idx.append(i)
-        positions.append(p)
-    rows_arr = (np.vstack(rows) if rows
-                else np.empty((0, 2 * w + 1), dtype=np.float32))
-    return AlignedMatrix(rows=rows_arr, round_anchor=w,
-                         kept_indices=np.asarray(kept_idx, dtype=np.int64),
-                         peak_positions=np.asarray(positions, dtype=np.int64))
+    p = _round_peaks(ts, params, round)
+    kept = np.flatnonzero((p - w >= 0) & (p + w < ts.samples.shape[1]))
+    return AlignedMatrix(rows=ts.samples[kept[:, None], p[kept, None] + np.arange(-w, w + 1)],
+                         round_anchor=w, kept_indices=kept, peak_positions=p[kept])
 
 
 def raw_matrix(ts: TraceSet, round: int = 10,
                params: FilterParams | None = None) -> AlignedMatrix:
-    """Unsynchronized counterpart of ``synchronize``: zero-padded raw rows.
+    """Unsynchronized counterpart of ``synchronize``: the set's own rows.
 
     Peak positions for the attacked round are still recorded (where
     detectable) so delay statistics remain available.
     """
     params = (params or FilterParams()).resolved(ts.oversampling)
-    if not ts.traces:
-        return AlignedMatrix(rows=np.empty((0, 0), dtype=np.float32),
-                             round_anchor=None,
-                             kept_indices=np.empty(0, dtype=np.int64),
-                             peak_positions=np.empty(0, dtype=np.int64))
-    width = max(len(t.samples) for t in ts.traces)
-    rows = np.zeros((len(ts.traces), width), dtype=np.float32)
-    positions = np.full(len(ts.traces), -1, dtype=np.int64)
-    for i, tr in enumerate(ts.traces):
-        rows[i, :len(tr.samples)] = tr.samples
-        peaks = _peaks(tr, params)
-        if len(peaks) >= round:
-            positions[i] = int(peaks[round - 1])
-    return AlignedMatrix(rows=rows, round_anchor=None,
-                         kept_indices=np.arange(len(ts.traces), dtype=np.int64),
-                         peak_positions=positions)
+    return AlignedMatrix(rows=ts.samples, round_anchor=None,
+                         kept_indices=np.arange(len(ts), dtype=np.int64),
+                         peak_positions=_round_peaks(ts, params, round))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +324,7 @@ def cpa_attack(am: AlignedMatrix, ts: TraceSet,
     if am.rows.shape[0] < 2:
         raise ValueError("need at least 2 traces to correlate")
     lo, hi = _window_slice(am, window)
-    cts = ts.ciphertext_matrix()[am.kept_indices]
+    cts = ts.ciphertexts[am.kept_indices]
     y = am.rows[:, lo:hi].astype(np.float64)
     sy, syy = y.sum(axis=0), (y * y).sum(axis=0)
     scores = np.zeros((16, 256), dtype=np.float64)
@@ -406,7 +379,7 @@ def min_traces_search(am: AlignedMatrix, ts: TraceSet, true_key: bytes,
     width = am.rows.shape[1]
     usable = nblocks * step
     yb = am.rows[:usable].astype(np.float64).reshape(nblocks, step, width)
-    cts = ts.ciphertext_matrix()[am.kept_indices[:usable]]
+    cts = ts.ciphertexts[am.kept_indices[:usable]]
     py = np.zeros((nblocks + 1, width))
     pyy = np.zeros((nblocks + 1, width))
     np.cumsum(yb.sum(axis=1), axis=0, out=py[1:])
@@ -448,39 +421,37 @@ def min_traces_search(am: AlignedMatrix, ts: TraceSet, true_key: bytes,
 def fft_spectrum(ts: TraceSet, bin_hz: float) -> SpectrumHistogram:
     """Average energy spectrum of a set, folded into bins of ``bin_hz``.
 
-    Each non-failed trace is mean-subtracted, zero-padded to the set's
-    maximum length rounded up to a power of two, and transformed; per-bin
-    energies are averaged over traces.  The normalization keeps Parseval
-    exact: sum(magnitudes**2) equals the mean time-domain energy of the
-    mean-subtracted traces.
+    Each non-failed row is mean-subtracted, zero-padded to its length
+    rounded up to a power of two, and transformed, 256 rows per batched
+    ``rfft``; per-bin energies are summed in row order and averaged.
+    The normalization keeps Parseval exact: sum(magnitudes**2) equals the
+    mean time-domain energy of the mean-subtracted rows.
     """
     if bin_hz <= 0:
         raise ValueError("bin_hz must be positive")
-    traces = [t for t in ts.traces if not t.failed]
-    if not traces:
+    rows = np.flatnonzero(~ts.failed)
+    if not rows.size:
         raise ValueError("no usable traces")
-    sp = traces[0].sample_period_s
-    maxlen = max(len(t.samples) for t in traces)
-    n_fft = 1 << (maxlen - 1).bit_length()
-    rate = 1.0 / sp
+    n_fft = 1 << (ts.samples.shape[1] - 1).bit_length()
+    rate = 1.0 / ts.sample_period_s
     freqs = np.arange(n_fft // 2 + 1) * (rate / n_fft)
     weights = np.full(n_fft // 2 + 1, 2.0)
-    weights[0] = 1.0
-    if n_fft % 2 == 0:
-        weights[-1] = 1.0
+    weights[0] = weights[-1] = 1.0  # n_fft is a power of two: even, or 1
     energy = np.zeros(n_fft // 2 + 1)
-    for t in traces:
-        x = np.asarray(t.samples, dtype=np.float64)
-        x = x - x.mean()
-        spec = np.fft.rfft(x, n_fft)
-        energy += weights * (spec.real ** 2 + spec.imag ** 2) / n_fft
-    energy /= len(traces)
+    for c0 in range(0, rows.size, 256):
+        x = ts.samples[rows[c0:c0 + 256]].astype(np.float64)
+        x -= x.mean(axis=1, keepdims=True)
+        spec = np.fft.rfft(x, n_fft, axis=1)
+        # a sum over axis 0 adds row after row, as a running total would
+        energy = np.vstack([energy[None], weights * (spec.real ** 2 + spec.imag ** 2)
+                            / n_fft]).sum(axis=0)
+    energy /= rows.size
     bins = np.floor(freqs / bin_hz).astype(np.int64)
     mags = np.zeros(int(bins.max()) + 1)
     np.add.at(mags, bins, energy)
     return SpectrumHistogram(bin_hz=float(bin_hz), magnitudes=np.sqrt(mags),
                              n_fft=int(n_fft), sample_rate_hz=rate,
-                             n_traces=len(traces))
+                             n_traces=int(rows.size))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +485,7 @@ def peak_permutation_bound(fs, fs2=None, n_traces: int = 1, rounds: int = 10
 
 
 def overlap_exploit(ts: TraceSet, candidates: int | None = None,
-                    region: str = "last", amp_factor: float = 1.7,
+                    region: str = "last",
                     params: FilterParams | None = None) -> OverlapReport:
     """Find summed-coincidence peaks in dual-core traces and what they buy.
 
@@ -522,13 +493,13 @@ def overlap_exploit(ts: TraceSet, candidates: int | None = None,
     their pulses stack on the same sample, so the summed amplitude rises
     above anything one core can produce alone.  Single-core pulses dominate
     the peak population, so the pooled median peak amplitude across the set
-    estimates the single-pulse scale; a peak above ``amp_factor`` times that
-    scale marks an overlap.  In region "last", an overlap inside (or adjacent
-    to) the last-peak candidate span pins the true final peak to its two
-    flanking slots, cutting the per-trace candidates to 2; region "first"
-    only counts overlaps in the opening three base cycles (useful for
-    filtering).  Returns the fraction of traces with such an overlap and the
-    mean candidate count over the overlapping traces.
+    estimates the single-pulse scale; a peak above ``OVERLAP_AMP_FACTOR``
+    times that scale marks an overlap.  In region "last", an overlap inside
+    (or adjacent to) the last-peak candidate span pins the true final peak
+    to its two flanking slots, cutting the per-trace candidates to 2; region
+    "first" only counts overlaps in the opening three base cycles (useful
+    for filtering).  Returns the fraction of non-failed traces with such an
+    overlap and the mean candidate count over the overlapping traces.
     """
     if ts.core_count != 2:
         raise ValueError("overlap analysis requires a dual-core trace set")
@@ -537,36 +508,25 @@ def overlap_exploit(ts: TraceSet, candidates: int | None = None,
     params = (params or FilterParams()).resolved(ts.oversampling)
     if candidates is None:
         candidates, _ = peak_permutation_bound(ts.fs, ts.fs2)
-    per_trace: list[tuple[np.ndarray, np.ndarray]] = []
-    pooled: list[np.ndarray] = []
-    for tr in ts.traces:
-        if tr.failed:
-            continue
-        peaks = _peaks(tr, params)
-        amps = np.asarray(tr.samples, dtype=np.float64)[peaks]
-        per_trace.append((peaks, amps))
-        pooled.append(amps)
-    n_considered = len(per_trace)
-    all_amps = np.concatenate(pooled) if pooled else np.empty(0)
-    scale = float(np.median(all_amps)) if all_amps.size else 0.0
-    thr = amp_factor * scale
-    n_overlap = 0
-    for peaks, amps in per_trace:
-        if len(peaks) == 0:
-            continue
-        overlap_pos = peaks[amps > thr]
-        if len(overlap_pos) == 0:
-            continue
-        if region == "first":
-            limit = 3 * ts.oversampling
-            hit = bool((overlap_pos < limit).any())
-        else:
-            tail = peaks[-min(int(candidates), len(peaks)):]
-            lo = tail[0] - params.min_peak_separation
-            hi = tail[-1] + params.min_peak_separation
-            hit = bool(((overlap_pos >= lo) & (overlap_pos <= hi)).any())
-        if hit:
-            n_overlap += 1
+    if candidates < 1:
+        raise ValueError("candidates must be at least 1")
+    live = ~ts.failed
+    positions, counts = _row_peaks(ts, params, live)
+    amps = ts.samples[np.repeat(np.flatnonzero(live), counts), positions].astype(np.float64)
+    scale = float(np.median(amps)) if amps.size else 0.0
+    hit = amps > OVERLAP_AMP_FACTOR * scale
+    # rows with no peak own no entry; index the rows that have one
+    counts = counts[counts > 0]
+    row = np.repeat(np.arange(len(counts)), counts)
+    if region == "first":
+        hit &= positions < 3 * ts.oversampling
+    else:
+        ends = np.cumsum(counts)
+        lo = positions[ends - np.minimum(int(candidates), counts)] - params.min_peak_separation
+        hi = positions[ends - 1] + params.min_peak_separation
+        hit &= (positions >= lo[row]) & (positions <= hi[row])
+    n_considered = int(np.count_nonzero(live))
+    n_overlap = len(np.unique(row[hit]))
     frac = n_overlap / n_considered if n_considered else 0.0
     reduced = 2.0 if n_overlap else float(candidates)
     return OverlapReport(overlap_fraction=frac, reduced_candidates=reduced,

@@ -35,6 +35,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 from . import __version__
 from .attack import (
@@ -213,7 +214,7 @@ def cmd_gen(cfg: ExperimentConfig) -> int:
         path = os.path.join(cfg.out_dir, f"traces_set{i}.bin")
         write_trace_set(ts, path)
         print(f"set {i} ({_set_label(fs, i)}): wrote {path} "
-              f"n_traces={len(ts.traces)} "
+              f"n_traces={len(ts)} "
               f"failed_fraction={ts.failed_fraction()!r}")
     return EXIT_OK
 
@@ -411,7 +412,8 @@ def main(argv: list[str] | None = None) -> int:
     except (TraceFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except Exception as exc:  # pragma: no cover - defensive catch-all
+    except Exception as exc:
+        traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

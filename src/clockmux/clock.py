@@ -237,14 +237,14 @@ def simulate_mux_clock(fs: FrequencySet, n_base_cycles: int, seed: int) -> Outpu
 
 
 def _edges_until(fs: FrequencySet, rng: np.random.Generator, n_edges: int,
-                 cycle_cap: int, base_phase: float = 0.0,
+                 base_phase: float = 0.0,
                  source_phases: tuple[float, ...] | None = None) -> np.ndarray:
     """First ``n_edges`` output edge times (base units, offset by base_phase).
 
     Draws selections from ``rng`` in fixed-size chunks until enough edges
-    exist; raises StalledClockError at the cycle cap.  ``base_phase`` shifts
-    the whole base grid (edge k sits at base_phase + k), modelling a core
-    whose clock is not aligned to the capture trigger.
+    exist; raises StalledClockError after ``STALL_CAP_CYCLES_PER_EDGE`` base
+    cycles per edge.  ``base_phase`` shifts the whole base grid (edge k sits
+    at base_phase + k), modelling a core not aligned to the capture trigger.
     """
     ratios = fs.ratios()
     phases = np.asarray(source_phases if source_phases is not None else fs.phases,
@@ -252,6 +252,7 @@ def _edges_until(fs: FrequencySet, rng: np.random.Generator, n_edges: int,
     duty = fs.duty_cycle
     tol = EDGE_COINCIDENCE_TOL_S / fs.base_period_s
     chunk = max(16, n_edges)
+    cycle_cap = STALL_CAP_CYCLES_PER_EDGE * n_edges
     # chunks cover disjoint ascending cycle ranges, so merging after each
     # one equals merging their concatenation
     edges = np.empty(0, dtype=np.float64)
@@ -484,7 +485,6 @@ def overhead_and_error(fs: FrequencySet, rounds: int = 10,
         raise ValueError("rounds must be at least 1")
     if n_encryptions < 1:
         raise ValueError("n_encryptions must be at least 1")
-    cap = STALL_CAP_CYCLES_PER_EDGE * (rounds + 1)
     seeds = np.random.SeedSequence(seed).spawn(n_encryptions)
     tb = fs.base_period_s
     completions = np.empty(n_encryptions, dtype=np.float64)
@@ -493,7 +493,7 @@ def overhead_and_error(fs: FrequencySet, rounds: int = 10,
     threshold = error_threshold_factor  # base units
     for i, ss in enumerate(seeds):
         rng = np.random.Generator(np.random.PCG64(ss))
-        edges = _edges_until(fs, rng, rounds + 1, cap)
+        edges = _edges_until(fs, rng, rounds + 1)
         completions[i] = edges[rounds]
         periods = np.diff(edges)
         short += int((periods < threshold).sum())

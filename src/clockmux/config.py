@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .attack import DEFAULT_STEP, FilterParams
 from .clock import DEFAULT_ERROR_THRESHOLD_FACTOR, FrequencySet
@@ -35,8 +35,12 @@ from .presets import STUDY_SETS
 
 DEFAULT_KEY = bytes(range(16))
 
-_SET_KEYS = {"base_hz", "f1", "f2", "f3", "f4", "duty",
-             "phase1", "phase2", "phase3", "phase4", "label"}
+#: The FrequencySet field, and the index into it, behind each numeric set key.
+_SET_FIELDS = {"base_hz": ("base_hz", None),
+               **{f"f{i}": ("fundamentals", i - 1) for i in range(1, 5)},
+               "duty": ("duty_cycle", None),
+               **{f"phase{i}": ("phases", i - 1) for i in range(1, 5)}}
+_SET_KEYS = {*_SET_FIELDS, "label"}
 
 
 class ConfigError(ValueError):
@@ -249,23 +253,25 @@ def _split_sections(text: str) -> list[_Section]:
 
 
 def _build_set(sec: _Section) -> FrequencySet:
-    base = sec.get("base_hz", _parse_float)
-    if base is None:
-        raise sec.fail("base_hz", "required")
-    fundamentals = []
-    for i in range(1, 5):
-        f = sec.get(f"f{i}", _parse_float)
-        if f is None:
-            raise sec.fail(f"f{i}", "required")
-        fundamentals.append(f)
-    duty = sec.get("duty", _parse_float, FrequencySet.duty_cycle)
-    phases = tuple(sec.get(f"phase{i}", _parse_float, 0.0) for i in range(1, 5))
-    label = sec.get("label", default="")
-    try:
-        return FrequencySet(base_hz=base, fundamentals=tuple(fundamentals),
-                            duty_cycle=duty, phases=phases, label=label)
-    except ValueError as exc:
-        raise ConfigError(f"line {sec.lineno}: [{sec.name}]: {exc}") from None
+    """The section's set, its entries applied one at a time to a valid set,
+    so that a value FrequencySet rejects is reported at its own line."""
+    fs = FrequencySet(base_hz=1.0, fundamentals=(1.0,) * 4,
+                      label=sec.get("label", default=""))
+    given = {"fundamentals": list(fs.fundamentals), "phases": list(fs.phases)}
+    for key, (name, index) in _SET_FIELDS.items():
+        value = sec.get(key, _parse_float)
+        if value is None:
+            if name in ("base_hz", "fundamentals"):
+                raise sec.fail(key, "required")
+            continue
+        if index is not None:
+            given[name][index] = value
+            value = tuple(given[name])
+        try:
+            fs = replace(fs, **{name: value})
+        except ValueError as exc:
+            raise sec.fail(key, str(exc)) from None
+    return fs
 
 
 def _selected_sets(sec: _Section) -> list[FrequencySet]:

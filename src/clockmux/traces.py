@@ -2,42 +2,37 @@
 
 A trace is a fixed capture window sampled at ``base_period / oversampling``.
 The first output edge of the (randomized) clock loads the state; each of the
-following ``rounds`` edges clocks one AES round and deposits a pulse whose
-amplitude is ``amplitude * HD(state[k-1], state[k])`` over the full 128-bit
-state.  Gaussian noise is added on top.  Encryptions whose clock produced a
-period below the error threshold are marked failed and report a uniformly
-random ciphertext, mimicking a core that violated its timing margin.
+following ``aes.ROUNDS`` edges clocks one AES round and deposits a pulse
+whose amplitude is ``amplitude * HD(state[k-1], state[k])`` over the full
+128-bit state.  Gaussian noise is added on top.  Encryptions whose clock
+produced a period below the error threshold are marked failed and report a
+uniformly random ciphertext, mimicking a core that violated its timing margin.
 
 Dual-core traces superpose two such renders on one sample grid: core 1 is
 trigger-aligned (phase 0), core 2 runs its own base frequency (required to
 be distinct) and, by default, a per-trace random base/source phase, as two
-free-running clock domains would.  The stored ciphertext is core 1's.
+free-running clock domains would.  The stored ciphertext is core 1's.  A
+``TraceSet`` holds one row per trace; a ``PowerTrace`` is one row on its own.
 
 Per-trace randomness comes from PCG64 generators seeded by
 ``SeedSequence(seed).spawn(n)``; within a trace the draw order is fixed
 (plaintext, dual-core phases, core-1 clock, core-2 clock, failure
 ciphertext, noise) and the noise draw always happens, scaled by
 ``noise_sigma``, so different noise levels reuse identical clocks and
-plaintexts.  A set draws every trace's plaintext first and encrypts them all
-in one AES batch per key.  It then walks the traces in chunks: the draws
-stay per trace, each from its own generator in the order above, and each
-core's pulses for the whole chunk are rendered by one scatter.  Since AES
-and rendering draw nothing, single- and dual-core traces, one at a time or
-in sets, come out the same from this one path.
+plaintexts.  One trace or a set, single- or dual-core, all go through
+``_generate``, so they come out the same.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import aes
-from .clock import (DEFAULT_ERROR_THRESHOLD_FACTOR, FrequencySet,
-                    STALL_CAP_CYCLES_PER_EDGE, _edges_until)
+from .clock import DEFAULT_ERROR_THRESHOLD_FACTOR, FrequencySet, _edges_until
 
 TRACE_MAGIC = b"CLKBTRC1"
 TRACE_FORMAT_VERSION = 1
@@ -76,16 +71,9 @@ class TraceTruncatedError(TraceFormatError):
 class PowerTrace:
     """One capture: samples plus the encryption it observed.
 
-    ``clock_meta`` holds the per-core round edge times in seconds (load edge
-    plus one per round) when the trace came from the generator; it is not
-    persisted and is excluded from equality, as is ``ciphertext2`` (the dummy
-    core's result, recomputable from key2 and the plaintext).  ``peak_memo``
-    holds the attack's last detected peaks as ((threshold_k,
-    detect_separation), peaks); it derives from ``samples`` (treat them as
-    read-only once attacked), is never persisted, and is excluded from
-    equality and repr.  The generator's ``samples`` (a float32 row) and
-    ``clock_meta`` arrays are rows of matrices shared by the traces of one
-    render chunk.
+    From the generator, ``clock_meta`` holds the round edge times in seconds,
+    one row per core, and ``ciphertext2`` the dummy core's result; neither is
+    persisted or compared.  A row of a set shares the set's arrays.
     """
 
     samples: np.ndarray
@@ -95,58 +83,114 @@ class PowerTrace:
     failed: bool
     core_count: int = 1
     ciphertext2: bytes | None = None
-    clock_meta: tuple[np.ndarray, ...] | None = None
-    peak_memo: tuple | None = field(default=None, init=False, repr=False,
-                                    compare=False)
+    clock_meta: np.ndarray | None = None
 
     def __eq__(self, other):
         if not isinstance(other, PowerTrace):
             return NotImplemented
-        return (self.sample_period_s == other.sample_period_s
-                and self.plaintext == other.plaintext
-                and self.ciphertext == other.ciphertext
-                and self.failed == other.failed
-                and self.core_count == other.core_count
-                and self.samples.dtype == other.samples.dtype
-                and np.array_equal(self.samples, other.samples))
+        def key(t):
+            return (t.sample_period_s, t.plaintext, t.ciphertext, t.failed,
+                    t.core_count, t.samples.dtype)
+        return key(self) == key(other) and np.array_equal(self.samples, other.samples)
+
+
+#: A set's per-row arrays; the first four are persisted and compared.
+_ROW_FIELDS = ("samples", "plaintexts", "ciphertexts", "failed", "ciphertexts2",
+               "clock_edges")
+
+
+def _blocks(blobs, n: int) -> np.ndarray:
+    return np.frombuffer(bytearray(b"".join(blobs)), np.uint8).reshape(n, 16)
 
 
 @dataclass
 class TraceSet:
-    """A batch of traces captured under one configuration."""
+    """A batch of traces captured under one configuration, one row each.
 
-    traces: list[PowerTrace]
+    Row i of ``samples`` (n, S) float32, ``plaintexts``/``ciphertexts``
+    (n, 16) uint8 and ``failed`` (n,) bool is trace i.  Generator-fresh sets
+    also carry ``clock_edges``, the (n, cores, aes.ROUNDS + 1) round edge
+    times in seconds, and ``ciphertexts2`` with two cores; neither is
+    persisted or compared.  ``attack.filter_traces`` sets ``peaks`` on the
+    set it keeps: ((threshold_k, detect_separation), flat positions row after
+    row, per-row counts).  It derives from ``samples``: treat them as read-only.
+    """
+
+    samples: np.ndarray
+    plaintexts: np.ndarray
+    ciphertexts: np.ndarray
+    failed: np.ndarray
+    sample_period_s: float
     key: bytes
     fs: FrequencySet
     oversampling: int
     noise_sigma: float
     key2: bytes | None = None
     fs2: FrequencySet | None = None
+    ciphertexts2: np.ndarray | None = None
+    clock_edges: np.ndarray | None = None
+    peaks: tuple | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_traces(cls, traces, **meta) -> "TraceSet":
+        """Stack hand-built rows into a set; ``meta`` gives the set's key, fs,
+        oversampling, noise_sigma (and key2, fs2).  The rows must share one
+        sample count and one sample period, and carry clock metadata on all
+        rows or none; their ``ciphertext2`` is dropped."""
+        traces = list(traces)
+        widths = {len(t.samples) for t in traces} or {0}
+        periods = ({t.sample_period_s for t in traces}
+                   or {meta["fs"].base_period_s / meta["oversampling"]})
+        metas = [t.clock_meta for t in traces]
+        for problem, bad in (("unequal sample counts", len(widths) > 1),
+                             ("unequal sample periods", len(periods) > 1),
+                             ("clock metadata on some rows only",
+                              len({m is None for m in metas}) > 1)):
+            if bad:
+                raise ValueError(f"rows have {problem}")
+        n = len(traces)
+        return cls(samples=np.array([t.samples for t in traces], np.float32)
+                   .reshape(n, widths.pop()),
+                   plaintexts=_blocks((t.plaintext for t in traces), n),
+                   ciphertexts=_blocks((t.ciphertext for t in traces), n),
+                   failed=np.array([t.failed for t in traces], bool),
+                   sample_period_s=periods.pop(), clock_edges=np.array(metas, np.float64)
+                   if n and metas[0] is not None else None, **meta)
 
     def __len__(self):
-        return len(self.traces)
+        return len(self.failed)
 
     @property
     def core_count(self) -> int:
         return 2 if self.fs2 is not None else 1
 
-    def failed_fraction(self) -> float:
-        if not self.traces:
-            return 0.0
-        return sum(t.failed for t in self.traces) / len(self.traces)
+    @property
+    def traces(self) -> list[PowerTrace]:
+        """The rows as ``PowerTrace`` views onto this set's arrays."""
+        none = [None] * len(self)
+        return [PowerTrace(s, self.sample_period_s, pt.tobytes(), ct.tobytes(), bool(f),
+                           self.core_count, None if c2 is None else c2.tobytes(), e)
+                for s, pt, ct, f, c2, e in zip(
+                    self.samples, self.plaintexts, self.ciphertexts, self.failed,
+                    none if self.ciphertexts2 is None else self.ciphertexts2,
+                    none if self.clock_edges is None else self.clock_edges)]
 
-    def ciphertext_matrix(self) -> np.ndarray:
-        joined = bytearray(b"".join(t.ciphertext for t in self.traces))
-        return np.frombuffer(joined, np.uint8).reshape(len(self.traces), 16)
+    def take(self, rows, peaks: tuple | None = None) -> "TraceSet":
+        """The set of ``rows`` (indices or a mask), carrying ``peaks``."""
+        return replace(self, peaks=peaks, **{a: getattr(self, a)[rows] for a in _ROW_FIELDS
+                                             if getattr(self, a) is not None})
+
+    def failed_fraction(self) -> float:
+        return np.count_nonzero(self.failed) / len(self) if len(self) else 0.0
 
     def __eq__(self, other):
         if not isinstance(other, TraceSet):
             return NotImplemented
-        return (self.key == other.key and self.key2 == other.key2
-                and self.fs == other.fs and self.fs2 == other.fs2
-                and self.oversampling == other.oversampling
-                and self.noise_sigma == other.noise_sigma
-                and self.traces == other.traces)
+        same = ("key", "key2", "fs", "fs2", "oversampling", "noise_sigma", "sample_period_s")
+        return (all(getattr(self, a) == getattr(other, a) for a in same)
+                and self.samples.dtype == other.samples.dtype
+                and all(np.array_equal(getattr(self, a), getattr(other, a))
+                        for a in _ROW_FIELDS[:4]))
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +233,13 @@ def _render_pulses(edge_times_s: np.ndarray, amplitudes: np.ndarray,
                        minlength=m * n_samples).reshape(m, n_samples)
 
 
-def _resolve_grid(fs: FrequencySet, oversampling: int, rounds: int,
+def _resolve_grid(fs: FrequencySet, oversampling: int,
                   window_cycles: int | None, sample_period_s: float | None,
                   pulse_half_width_s: float | None):
     if oversampling < 2:
         raise ValueError("oversampling must be at least 2 (Nyquist floor)")
     if window_cycles is None:
-        window_cycles = WINDOW_CYCLES_PER_ROUND * rounds
+        window_cycles = WINDOW_CYCLES_PER_ROUND * aes.ROUNDS
     sp = fs.base_period_s / oversampling if sample_period_s is None else float(sample_period_s)
     hw = fs.base_period_s * PULSE_HALF_WIDTH_FRACTION if pulse_half_width_s is None \
         else float(pulse_half_width_s)
@@ -203,72 +247,68 @@ def _resolve_grid(fs: FrequencySet, oversampling: int, rounds: int,
     return sp, hw, n_samples
 
 
-def _generate(cores, plaintexts: list[bytes], rngs, grid, *,
-              noise_sigma: float, rounds: int, amplitude: float,
-              error_threshold_factor: float, pulse: str) -> list[PowerTrace]:
-    """Render one trace per (plaintext, generator) pair.
+def _generate(cores, plaintexts: np.ndarray, rngs, grid, *, oversampling: int,
+              noise_sigma: float, amplitude: float,
+              error_threshold_factor: float, pulse: str) -> TraceSet:
+    """Render one trace per (plaintext row, generator) pair into one set.
 
     ``cores`` lists (fs, key, offset) per core, where offset is core 2's
     (base phase, source phases) or None to draw it from each trace's
     generator; core 1 always runs at (0.0, None).  Every key encrypts the
-    whole batch at once.  The traces are then taken ``_CHUNK_TRACES`` at a
-    time.  Each generator of a chunk draws, in order: the drawn offsets, each
-    core's clock, the failure ciphertext, and the noise (into its row of the
-    chunk's noise matrix).  Each core's pulses for the chunk are then one
-    ``_render_pulses`` call; its render is rounded to float32 and added to
-    the chunk's clean signal, and the noise is added last.
+    whole batch at once; the set's arrays are then filled ``_CHUNK_TRACES``
+    rows at a time.  Each generator draws its offsets, clocks, failure
+    ciphertext and noise row, in that order; each core's pulses for the chunk
+    are one ``_render_pulses`` call, rounded to float32 and summed, and the
+    noise is added last.
     """
     if len({fs.base_hz for fs, _, _ in cores}) != len(cores):
         raise ValueError("dual-core base clocks must have distinct frequencies")
     sp, hw, n_samples = grid
-    pts = np.frombuffer(b"".join(plaintexts), np.uint8).reshape(len(plaintexts), 16)
+    n = len(plaintexts)
     cts, dists = [], []
     for _, key, _ in cores:
-        states, ct = aes.encrypt_blocks_with_states(key, pts)
+        states, ct = aes.encrypt_blocks_with_states(key, plaintexts)
         cts.append(ct)
-        dists.append(amplitude * aes.round_distances(states)[:rounds].astype(np.float64))
-    cap = STALL_CAP_CYCLES_PER_EDGE * (rounds + 1)
+        dists.append(amplitude * aes.round_distances(states).T.astype(np.float64))
+    samples = np.empty((n, n_samples), np.float32)
+    edges = np.empty((n, len(cores), aes.ROUNDS + 1))
+    failed = np.empty(n, bool)
     # the failed flag and the stored ciphertext are core 1's
+    ciphertexts = cts[0].copy()
     threshold = error_threshold_factor * cores[0][0].base_period_s
-    traces = []
-    for c0 in range(0, len(plaintexts), _CHUNK_TRACES):
-        chunk = rngs[c0:c0 + _CHUNK_TRACES]
-        edges = [np.empty((len(chunk), rounds + 1)) for _ in cores]
-        noise = np.empty((len(chunk), n_samples))
-        drawn = []
-        for i, rng in enumerate(chunk):
+    for c0 in range(0, n, _CHUNK_TRACES):
+        c1 = min(c0 + _CHUNK_TRACES, n)
+        noise = np.empty((c1 - c0, n_samples))
+        for i in range(c0, c1):
+            rng = rngs[i]
             offsets = [off if off is not None else (float(rng.random()), tuple(rng.random(4)))
                        for _, _, off in cores]
-            for (fs, _, _), (base_phase, source_phases), e in zip(cores, offsets, edges):
-                e[i] = _edges_until(fs, rng, rounds + 1, cap, base_phase=base_phase,
-                                    source_phases=source_phases) * fs.base_period_s
-            failed = bool((np.diff(edges[0][i]) < threshold).any())
-            ciphertext = cts[0][c0 + i].tobytes()
-            if failed:
-                ciphertext = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-            rng.standard_normal(out=noise[i])
-            drawn.append((failed, ciphertext))
-        clean = np.zeros((len(chunk), n_samples))
-        for e, d in zip(edges, dists):
-            amps = d[:, c0:c0 + len(chunk)].T
-            render = _render_pulses(e[:, 1:1 + amps.shape[1]], amps, n_samples,
+            for c, ((fs, _, _), (base_phase, source_phases)) in enumerate(zip(cores, offsets)):
+                edges[i, c] = _edges_until(fs, rng, aes.ROUNDS + 1, base_phase=base_phase,
+                                           source_phases=source_phases) * fs.base_period_s
+            failed[i] = (np.diff(edges[i, 0]) < threshold).any()
+            if failed[i]:
+                ciphertexts[i] = rng.integers(0, 256, 16, dtype=np.uint8)
+            rng.standard_normal(out=noise[i - c0])
+        clean = np.zeros((c1 - c0, n_samples))
+        for c, d in enumerate(dists):
+            render = _render_pulses(edges[c0:c1, c, 1:], d[c0:c1], n_samples,
                                     sp, hw, pulse)
             clean += render.astype(np.float32).astype(np.float64)
-        samples = (clean + noise_sigma * noise).astype(np.float32)
-        for i, (failed, ciphertext) in enumerate(drawn):
-            j = c0 + i
-            traces.append(PowerTrace(
-                samples=samples[i], sample_period_s=sp, plaintext=plaintexts[j],
-                ciphertext=ciphertext, failed=failed, core_count=len(cores),
-                ciphertext2=cts[1][j].tobytes() if len(cores) == 2 else None,
-                clock_meta=tuple(e[i] for e in edges)))
-    return traces
+        samples[c0:c1] = clean + noise_sigma * noise
+    (fs, key, _), *dual = cores
+    fs2, key2 = (dual[0][0], bytes(dual[0][1])) if dual else (None, None)
+    return TraceSet(samples=samples, plaintexts=plaintexts, ciphertexts=ciphertexts,
+                    failed=failed, sample_period_s=sp, key=bytes(key), fs=fs,
+                    oversampling=int(oversampling), noise_sigma=float(noise_sigma),
+                    key2=key2, fs2=fs2, clock_edges=edges,
+                    ciphertexts2=cts[1].copy() if dual else None)
 
 
 def generate_trace(fs: FrequencySet, key: bytes, plaintext: bytes, *,
                    noise_sigma: float = 0.0, oversampling: int = 16,
                    seed: int = 0, rng: np.random.Generator | None = None,
-                   rounds: int = 10, amplitude: float = 1.0,
+                   amplitude: float = 1.0,
                    error_threshold_factor: float = DEFAULT_ERROR_THRESHOLD_FACTOR,
                    window_cycles: int | None = None,
                    pulse: str = "triangular",
@@ -276,59 +316,54 @@ def generate_trace(fs: FrequencySet, key: bytes, plaintext: bytes, *,
                    sample_period_s: float | None = None) -> PowerTrace:
     """Generate a single-core trace for one (key, plaintext) encryption.
 
-    ``rng`` overrides ``seed`` when supplied (the caller owns the stream;
-    generate_set uses this to hand each trace its spawned generator).
+    ``rng`` overrides ``seed`` when supplied (the caller owns the stream).
     The grid overrides (``sample_period_s``, ``pulse_half_width_s``,
     ``window_cycles``) exist so renders from different frequency sets can be
     composed on a common grid.
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(seed))
-    grid = _resolve_grid(fs, oversampling, rounds, window_cycles,
-                         sample_period_s, pulse_half_width_s)
-    return _generate([(fs, key, (0.0, None))], [bytes(plaintext)], [rng], grid,
-                     noise_sigma=noise_sigma, rounds=rounds, amplitude=amplitude,
-                     error_threshold_factor=error_threshold_factor, pulse=pulse)[0]
+    rng = rng if rng is not None else np.random.Generator(np.random.PCG64(seed))
+    grid = _resolve_grid(fs, oversampling, window_cycles, sample_period_s,
+                         pulse_half_width_s)
+    return _generate([(fs, key, (0.0, None))], _blocks([bytes(plaintext)], 1), [rng],
+                     grid, oversampling=oversampling, noise_sigma=noise_sigma,
+                     amplitude=amplitude, error_threshold_factor=error_threshold_factor,
+                     pulse=pulse).traces[0]
 
 
 def generate_dual_trace(fs: FrequencySet, fs2: FrequencySet, key: bytes,
                         key2: bytes, plaintext: bytes, *,
                         noise_sigma: float = 0.0, oversampling: int = 16,
                         seed: int = 0, rng: np.random.Generator | None = None,
-                        rounds: int = 10, amplitude: float = 1.0,
+                        amplitude: float = 1.0,
                         error_threshold_factor: float = DEFAULT_ERROR_THRESHOLD_FACTOR,
                         window_cycles: int | None = None,
                         pulse: str = "triangular",
                         pulse_half_width_s: float | None = None,
-                        randomize_core2_phase: bool = True,
-                        core2_base_phase: float = 0.0,
-                        core2_source_phases: tuple[float, float, float, float] | None = None,
-                        ) -> PowerTrace:
+                        randomize_core2_phase: bool = True) -> PowerTrace:
     """Generate a dual-core trace: both cores encrypt the same plaintext.
 
     The two base clocks must differ; the sample grid, capture window, and
     pulse width follow core 1.  With ``randomize_core2_phase`` (default) core
     2 gets a uniform base-phase offset and uniform source phases per trace;
-    pass False plus explicit offsets for constructed scenarios.  The failed
-    flag reflects core 1 only (the dummy core's output is discarded anyway);
-    its ciphertext is kept in ``ciphertext2`` for bookkeeping.
+    with False it runs at base phase 0 and ``fs2``'s own source phases.  The
+    failed flag reflects core 1 only (the dummy core's output is discarded
+    anyway); its ciphertext is kept in ``ciphertext2`` for bookkeeping.
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(seed))
-    grid = _resolve_grid(fs, oversampling, rounds, window_cycles,
-                         None, pulse_half_width_s)
-    offset2 = None if randomize_core2_phase else (core2_base_phase, core2_source_phases)
+    rng = rng if rng is not None else np.random.Generator(np.random.PCG64(seed))
+    grid = _resolve_grid(fs, oversampling, window_cycles, None, pulse_half_width_s)
+    offset2 = None if randomize_core2_phase else (0.0, None)
     return _generate([(fs, key, (0.0, None)), (fs2, key2, offset2)],
-                     [bytes(plaintext)], [rng], grid,
-                     noise_sigma=noise_sigma, rounds=rounds, amplitude=amplitude,
-                     error_threshold_factor=error_threshold_factor, pulse=pulse)[0]
+                     _blocks([bytes(plaintext)], 1), [rng], grid,
+                     oversampling=oversampling, noise_sigma=noise_sigma,
+                     amplitude=amplitude, error_threshold_factor=error_threshold_factor,
+                     pulse=pulse).traces[0]
 
 
 def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
                  plaintext_mode: str = "random",
                  fixed_plaintext: bytes | None = None,
                  noise_sigma: float = 0.0, oversampling: int = 16,
-                 seed: int = 0, rounds: int = 10, amplitude: float = 1.0,
+                 seed: int = 0, amplitude: float = 1.0,
                  error_threshold_factor: float = DEFAULT_ERROR_THRESHOLD_FACTOR,
                  window_cycles: int | None = None, pulse: str = "triangular",
                  fs2: FrequencySet | None = None, key2: bytes | None = None,
@@ -353,45 +388,32 @@ def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
         raise ValueError("dual-core generation needs both fs2 and key2")
     rngs = [np.random.Generator(np.random.PCG64(s))
             for s in np.random.SeedSequence(seed).spawn(n_traces)]
-    plaintexts = [rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-                  if plaintext_mode == "random" else bytes(fixed_plaintext)
-                  for rng in rngs]
+    plaintexts = _blocks([rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
+                          if plaintext_mode == "random" else bytes(fixed_plaintext)
+                          for rng in rngs], n_traces)
     cores = [(fs, key, (0.0, None))]
     if fs2 is not None:
         cores.append((fs2, key2, None))
-    grid = _resolve_grid(fs, oversampling, rounds, window_cycles, None, None)
-    traces = _generate(cores, plaintexts, rngs, grid, noise_sigma=noise_sigma,
-                       rounds=rounds, amplitude=amplitude,
-                       error_threshold_factor=error_threshold_factor, pulse=pulse)
-    return TraceSet(traces=traces, key=bytes(key), fs=fs,
-                    oversampling=int(oversampling),
-                    noise_sigma=float(noise_sigma),
-                    key2=None if key2 is None else bytes(key2), fs2=fs2)
+    grid = _resolve_grid(fs, oversampling, window_cycles, None, None)
+    return _generate(cores, plaintexts, rngs, grid, oversampling=oversampling,
+                     noise_sigma=noise_sigma, amplitude=amplitude,
+                     error_threshold_factor=error_threshold_factor, pulse=pulse)
 
 
-def first_round_coincidence_fraction(ts: TraceSet, tol_s: float | None = None) -> float:
+def first_round_coincidence_fraction(ts: TraceSet) -> float:
     """Fraction of dual-core traces whose first-round pulses coincide.
 
-    Ground truth straight from generation metadata: the two cores' first
-    round edges (index 1; index 0 is the load edge) closer than ``tol_s``,
-    default half a sample period (closer than that, the two pulses land on
-    the same sample and are indistinguishable).  Only generator-fresh traces
-    carry the metadata; file round-trips lose it.
+    Ground truth from the clock edges: the two cores' first round edges
+    (index 1; index 0 is the load edge) closer than half a sample period, so
+    that their pulses land on the same sample.  Only generator-fresh sets
+    carry the edges; file round-trips lose them.
     """
     if ts.core_count != 2:
         raise ValueError("coincidence is defined for dual-core sets")
-    considered = 0
-    hits = 0
-    for tr in ts.traces:
-        if tr.clock_meta is None or len(tr.clock_meta) != 2:
-            continue
-        considered += 1
-        tol = tol_s if tol_s is not None else tr.sample_period_s / 2
-        if abs(float(tr.clock_meta[0][1]) - float(tr.clock_meta[1][1])) < tol:
-            hits += 1
-    if considered == 0:
+    if ts.clock_edges is None or not len(ts):
         raise ValueError("no traces carry clock metadata")
-    return hits / considered
+    gap = np.abs(ts.clock_edges[:, 0, 1] - ts.clock_edges[:, 1, 1])
+    return np.count_nonzero(gap < ts.sample_period_s / 2) / len(ts)
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +434,21 @@ def first_round_coincidence_fraction(ts: TraceSet, tol_s: float | None = None) -
 #   per trace: u8 failed, 16s plaintext, 16s ciphertext, u32 n_samples,
 #              n_samples x f32 samples
 #
+# The traces of a set share n_samples: they are one ``_record_dtype`` array.
 # Source phases, generation metadata and detected peaks are not persisted.
 # The reader raises TraceFormatError for anything ``write_trace_set`` cannot
 # produce: a label that is not UTF-8, frequency-set values FrequencySet
 # rejects, a non-finite or non-positive sample period, oversampling below 2,
 # a trace count whose 37-byte minimum records do not fit in the file (checked
-# before any trace is read), or a sample count running past the end of the file.
+# before any record is parsed), a sample count past the end of the file, or
+# traces with unequal sample counts.
 # ---------------------------------------------------------------------------
+
+def _record_dtype(n_samples: int) -> np.dtype:
+    return np.dtype([("failed", "u1"), ("plaintext", "u1", 16),
+                     ("ciphertext", "u1", 16), ("n_samples", "<u4"),
+                     ("samples", "<f4", (n_samples,))])
+
 
 def _pack_fs(fs: FrequencySet) -> bytes:
     label = fs.label.encode("utf-8")
@@ -427,25 +457,20 @@ def _pack_fs(fs: FrequencySet) -> bytes:
 
 
 def write_trace_set(ts: TraceSet, path) -> None:
+    records = np.empty(len(ts), _record_dtype(ts.samples.shape[1]))
+    for name, column in zip(records.dtype.names, (ts.failed, ts.plaintexts, ts.ciphertexts,
+                                                  ts.samples.shape[1], ts.samples)):
+        records[name] = column
     with open(path, "wb") as f:
         f.write(TRACE_MAGIC)
-        f.write(struct.pack("<III", TRACE_FORMAT_VERSION, ts.core_count,
-                            len(ts.traces)))
-        sp = (ts.traces[0].sample_period_s if ts.traces
-              else ts.fs.base_period_s / ts.oversampling)
-        f.write(struct.pack("<dId", sp, ts.oversampling, ts.noise_sigma))
+        f.write(struct.pack("<III", TRACE_FORMAT_VERSION, ts.core_count, len(ts)))
+        f.write(struct.pack("<dId", ts.sample_period_s, ts.oversampling, ts.noise_sigma))
         f.write(ts.key)
         f.write(_pack_fs(ts.fs))
         if ts.core_count == 2:
             f.write(ts.key2)
             f.write(_pack_fs(ts.fs2))
-        for tr in ts.traces:
-            samples = np.ascontiguousarray(tr.samples, dtype="<f4")
-            f.write(struct.pack("<B", 1 if tr.failed else 0))
-            f.write(tr.plaintext)
-            f.write(tr.ciphertext)
-            f.write(struct.pack("<I", len(samples)))
-            f.write(samples.tobytes())
+        f.write(records.tobytes())
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -490,27 +515,33 @@ def read_trace_set(path) -> TraceSet:
         if core_count == 2:
             key2 = _read_exact(f, 16, "key2")
             fs2 = _unpack_fs(f)
-        size = os.fstat(f.fileno()).st_size
-        # a trace takes at least its flag, plaintext, ciphertext and count
-        if 37 * n_traces > size - f.tell():
-            raise TraceTruncatedError(f"header claims {n_traces} traces, more than "
-                                      f"the {size - f.tell()} bytes left can hold")
-        traces = []
-        for i in range(n_traces):
-            (failed,) = struct.unpack("<B", _read_exact(f, 1, f"trace {i} flag"))
-            pt = _read_exact(f, 16, f"trace {i} plaintext")
-            ct = _read_exact(f, 16, f"trace {i} ciphertext")
-            (n_samples,) = struct.unpack("<I", _read_exact(f, 4, f"trace {i} count"))
-            if 4 * n_samples > size - f.tell():
-                raise TraceTruncatedError(f"trace {i} claims {n_samples} samples, "
-                                          f"past the end of the file")
-            raw = _read_exact(f, 4 * n_samples, f"trace {i} samples")
-            samples = np.frombuffer(raw, dtype="<f4").copy()
-            traces.append(PowerTrace(
-                samples=samples, sample_period_s=sp, plaintext=pt,
-                ciphertext=ct, failed=bool(failed), core_count=core_count))
-        extra = f.read(1)
-        if extra:
-            raise TraceFormatError("trailing bytes after final trace")
-    return TraceSet(traces=traces, key=key, fs=fs, oversampling=oversampling,
+        data = f.read()
+    # a trace takes at least its flag, plaintext, ciphertext and count
+    if 37 * n_traces > len(data):
+        raise TraceTruncatedError(f"header claims {n_traces} traces, more than "
+                                  f"the {len(data)} bytes left can hold")
+    n_samples = struct.unpack_from("<I", data, 33)[0] if n_traces else 0
+    if n_traces and 37 + 4 * n_samples > len(data):
+        raise TraceTruncatedError(f"trace 0 claims {n_samples} samples, "
+                                  f"past the end of the file")
+    dtype = _record_dtype(n_samples)
+    size = n_traces * dtype.itemsize
+    # the count field of every record whose header is in the file
+    counts = np.ndarray((min(n_traces, (len(data) - 37) // dtype.itemsize + 1),),
+                        "<u4", memoryview(data)[33:], strides=(dtype.itemsize,))
+    bad = np.flatnonzero(counts != n_samples)
+    if bad.size:
+        raise TraceFormatError(f"trace {bad[0]} has {counts[bad[0]]} samples and "
+                               f"trace 0 {n_samples}; a set's traces must have "
+                               f"equal counts")
+    if len(data) < size:
+        raise TraceTruncatedError(f"truncated while reading trace samples "
+                                  f"(wanted {size} bytes, got {len(data)})")
+    if len(data) > size:
+        raise TraceFormatError("trailing bytes after final trace")
+    records = np.frombuffer(data, dtype)
+    return TraceSet(samples=records["samples"].astype(np.float32),
+                    plaintexts=records["plaintext"].copy(),
+                    ciphertexts=records["ciphertext"].copy(), failed=records["failed"] != 0,
+                    sample_period_s=sp, key=key, fs=fs, oversampling=oversampling,
                     noise_sigma=noise_sigma, key2=key2, fs2=fs2)

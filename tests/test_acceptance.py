@@ -357,8 +357,8 @@ def test_candidate_bounds_overlap_rate_and_exploit_gain():
     traces = [PowerTrace(samples=samples, sample_period_s=12.5e-9,
                          plaintext=bytes(16), ciphertext=bytes(16),
                          failed=False, core_count=2) for _ in range(8)]
-    pair = TraceSet(traces=traces, key=KEY, fs=fs1, oversampling=8,
-                    noise_sigma=0.0, key2=KEY2, fs2=fs2)
+    pair = TraceSet.from_traces(traces, key=KEY, fs=fs1, oversampling=8,
+                                noise_sigma=0.0, key2=KEY2, fs2=fs2)
     rep = overlap_exploit(pair, candidates=5, region="last")
     assert 1.0 / rep.candidates == pytest.approx(0.2)
     assert 1.0 / rep.reduced_candidates == pytest.approx(0.5)

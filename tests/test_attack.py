@@ -82,8 +82,8 @@ def hand_trace(samples, sample_period_s, meta=None, failed=False):
 
 def hand_set(traces, fs=None, oversampling=8):
     fs = fs or degenerate()
-    return TraceSet(traces=traces, key=KEY, fs=fs,
-                    oversampling=oversampling, noise_sigma=0.0)
+    return TraceSet.from_traces(traces, key=KEY, fs=fs,
+                                oversampling=oversampling, noise_sigma=0.0)
 
 
 def clean_samples(n=240, spacing=16, count=12, amp=60.0):
@@ -104,7 +104,8 @@ def test_filter_removes_failed_low_peak_and_close_peak_traces():
     ts = hand_set([good, failed, sparse, crowded], oversampling=16)
     params = FilterParams(expected_peaks=10, min_peak_separation=4)
     kept, removed, failed_frac = filter_traces(ts, params)
-    assert [t is good for t in kept.traces] == [True]
+    assert kept.traces == [good]
+    assert np.array_equal(kept.samples, ts.samples[[0]])
     assert failed_frac == pytest.approx(1 / 4)
     assert removed == pytest.approx(2 / 4)
 
@@ -117,7 +118,7 @@ def test_filter_rejects_undersampled_clock_metadata():
                         meta=(np.array([0.0, 10e-9] + list(np.arange(2, 11) * 100e-9)),))
     ts = hand_set([fine, coarse])
     kept, removed, failed_frac = filter_traces(ts)
-    assert len(kept.traces) == 1 and kept.traces[0] is fine
+    assert len(kept) == 1 and np.array_equal(kept.clock_edges, ts.clock_edges[[0]])
     assert removed == pytest.approx(0.5) and failed_frac == 0.0
 
 
@@ -204,16 +205,26 @@ def test_other_threshold_detects_afresh():
     assert kept.traces != default_kept.traces
 
 
-def test_attack_leaves_the_set_equal_and_its_bytes_unchanged(tmp_path):
+def test_attack_leaves_the_set_equal_and_its_bytes_unchanged(tmp_path, monkeypatch):
+    calls = []
+    real = attack.detect_peaks
+    monkeypatch.setattr(attack, "detect_peaks",
+                        lambda samples, *a: calls.append(1) or real(samples, *a))
     ts = study_set_with_failures()
     before = tmp_path / "before.bin"
     write_trace_set(ts, before)
     kept, _, _ = filter_traces(ts)
     min_traces_search(synchronize(kept, round=10), kept, KEY, step=10)
-    assert all(t.peak_memo for t in ts.traces if not t.failed)
-    assert not any(t.peak_memo for t in ts.traces if t.failed)
+    assert len(calls) == np.count_nonzero(~ts.failed)
+    # the kept set carries each kept row's peaks; the input set is not written to
+    key, positions, counts = kept.peaks
+    params = FilterParams().resolved(ts.oversampling)
+    assert key == (params.threshold_k, params.detect_separation)
+    found = [real(row, *key) for row in kept.samples]
+    assert counts.tolist() == [len(p) for p in found]
+    assert np.array_equal(positions, np.concatenate(found))
+    assert ts.peaks is None
     assert ts == study_set_with_failures()
-    assert "peak_memo" not in repr(ts.traces[0])
     after = tmp_path / "after.bin"
     write_trace_set(ts, after)
     assert after.read_bytes() == before.read_bytes()
@@ -260,9 +271,7 @@ def test_cpa_recovers_key_on_noiseless_fixed_clock():
 
 def test_cpa_fails_on_mismatched_ciphertexts():
     ts = fixed_clock_set(600)
-    rolled = TraceSet(traces=list(ts.traces[1:]) + [ts.traces[0]], key=KEY,
-                      fs=ts.fs, oversampling=ts.oversampling,
-                      noise_sigma=ts.noise_sigma)
+    rolled = ts.take(np.roll(np.arange(len(ts)), -1))
     am = synchronize(ts, round=10, window_halfwidth=8)
     # correlate trace i's samples against trace i+1's ciphertext
     res = cpa_attack(am, rolled, true_key=KEY)
@@ -303,7 +312,7 @@ def test_cpa_scores_match_two_pass_pearson():
     window = (3, 10)
     res = cpa_attack(am, kept, window=window)
     y = am.rows[:, window[0]:window[1]]
-    cts = kept.ciphertext_matrix()[am.kept_indices]
+    cts = kept.ciphertexts[am.kept_indices]
     for p in range(16):
         h = aes.hypothesis_matrix(cts, p)
         ref = np.zeros(256)
@@ -457,8 +466,8 @@ def dual_hand_set(trace_samples, sp=12.5e-9):
                          sample_period_s=sp, plaintext=bytes(16),
                          ciphertext=bytes(16), failed=False, core_count=2)
               for s in trace_samples]
-    return TraceSet(traces=traces, key=KEY, fs=fs1, oversampling=8,
-                    noise_sigma=0.0, key2=KEY2, fs2=fs2)
+    return TraceSet.from_traces(traces, key=KEY, fs=fs1, oversampling=8,
+                                noise_sigma=0.0, key2=KEY2, fs2=fs2)
 
 
 def test_overlap_exploit_no_coincidence_scores_zero():
@@ -489,6 +498,8 @@ def test_overlap_regions_are_distinct():
     assert overlap_exploit(ts, candidates=5, region="last").overlap_fraction == 0.0
     with pytest.raises(ValueError):
         overlap_exploit(ts, region="middle")
+    with pytest.raises(ValueError, match="candidates must be at least 1"):
+        overlap_exploit(ts, candidates=0)
     single = fixed_clock_set(3)
     with pytest.raises(ValueError):
         overlap_exploit(single)

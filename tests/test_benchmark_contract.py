@@ -1,0 +1,57 @@
+"""The benchmark's tracer, loaded read-only, against this package.
+
+``perfbench/tracer.py`` wraps the package's functions by module and name,
+and takes work counters from their arguments (by parameter name) and
+results.  The benchmark's own tests live under ``perfbench/``, outside this
+suite, so a renamed function or parameter would first show up in a
+benchmark run.  These tests load the tracer file as it is, without writing
+a bytecode cache next to it, and check what it relies on.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import clockmux.aes  # noqa: F401  (the tracer wraps every loaded module)
+import clockmux.cli  # noqa: F401
+import clockmux.clock  # noqa: F401
+from clockmux import attack
+from clockmux.presets import study_set
+from clockmux.traces import generate_set
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves_on_the_package(tracer):
+    for module, name in tracer.TARGETS:
+        fn = getattr(importlib.import_module(f"clockmux.{module}"), name, None)
+        assert callable(fn), f"clockmux.{module}.{name}"
+
+
+def test_filter_counters_evaluate_on_a_generated_set(tracer):
+    ts = generate_set(study_set(1).fs, bytes(range(16)), 60, oversampling=12,
+                      seed=5, noise_sigma=0.5)
+    assert ts.failed.any()
+    with tracer.Tracer() as t:
+        kept, _, _ = attack.filter_traces(ts)
+        attack.synchronize(kept, round=10)
+    assert not hasattr(attack.filter_traces, "__wrapped__")
+    stats = t.stats
+    assert stats["attack.filter_traces"].counts == {"seen": len(ts), "kept": len(kept)}
+    assert 0 < len(kept) < len(ts)
+    assert stats["attack.detect_peaks"].calls == np.count_nonzero(~ts.failed)
+    assert stats["attack.synchronize"].counts["rows"] <= len(kept)

@@ -17,7 +17,8 @@ from clockmux.config import (
     parse_config_text,
 )
 from clockmux.presets import STUDY_SETS
-from clockmux.traces import generate_set, read_trace_set, write_trace_set
+from clockmux.traces import (TraceFormatError, generate_set, read_trace_set,
+                             write_trace_set)
 from test_golden import DUAL_CONFIG
 
 FULL_CONFIG = """\
@@ -157,7 +158,11 @@ BAD_DOCUMENTS = [
      "base_hz = 10e6\nf1 = 1e6\nf2 = 1e6\nf3 = 1e6\nf4 = 1e6\n",
      "line 7: [set2] base_hz: equals the base_hz of set 1"),
     ("[set]\nbase_hz = 1e7\nf1 = 1e6\nf2 = 1e6\nf3 = 1e6\nf4 = 1e6\nphase3 = nan\n",
-     "line 1: [set]: phases must be finite"),
+     "line 7: [set] phase3: phases must be finite"),
+    ("[set]\nbase_hz = 1e7\nf1 = 1e6\nf2 = -1\nf3 = 1e6\nf4 = 1e6\n",
+     "line 4: [set] f2: fundamentals must be positive finite frequencies"),
+    ("[set]\nbase_hz = 1e7\nf1 = 1e6\nf2 = 1e6\nf3 = 1e6\nf4 = 1e6\nduty = 1.5\n",
+     "line 7: [set] duty: duty_cycle must lie strictly between 0 and 1"),
     ("[attack]\nexpected_peaks = 0\n", "line 2: [attack] expected_peaks: must be at least 1"),
     ("[attack]\nmin_peak_separation = 0\n",
      "line 2: [attack] min_peak_separation: must be at least 1"),
@@ -473,6 +478,43 @@ def test_cli_corrupt_headers_exit_3(tmp_path, capsys, small_trace_blob, case):
                  "--evaluate", bytes(range(16)).hex()]) == 3
     assert main(["fft", str(path), "--out", str(tmp_path / "f")]) == 3
     assert "data error:" in capsys.readouterr().err
+
+
+def _resized_trace(blob, index, delta, n_traces=4):
+    """``blob`` with trace ``index`` given ``delta`` more (zero) samples."""
+    header = _LABEL_AT + _label_len(blob) + 48
+    item = (len(blob) - header) // n_traces
+    at = header + index * item
+    record = bytearray(blob[at:at + item])
+    struct.pack_into("<I", record, 33, struct.unpack_from("<I", record, 33)[0] + delta)
+    record = record[:item + 4 * delta] if delta < 0 else record + bytes(4 * delta)
+    return blob[:at] + bytes(record) + blob[at + item:]
+
+
+@pytest.mark.parametrize("index, delta", [(3, -5), (1, -5), (0, 5)])
+def test_unequal_sample_counts_are_a_data_error(tmp_path, capsys, small_trace_blob,
+                                                index, delta):
+    # version 1 allows a count per trace, but a set's rows share one length
+    path = tmp_path / "unequal.bin"
+    path.write_bytes(_resized_trace(small_trace_blob, index, delta))
+    with pytest.raises(TraceFormatError, match="must have equal counts"):
+        read_trace_set(str(path))
+    assert main(["attack", str(path), "--out", str(tmp_path / "a"),
+                 "--evaluate", bytes(range(16)).hex()]) == 3
+    assert main(["fft", str(path), "--out", str(tmp_path / "f")]) == 3
+    assert "data error:" in capsys.readouterr().err
+
+
+def test_internal_error_prints_traceback_and_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_simulate", broken)
+    cfg = write_config(tmp_path, CLI_CONFIG)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert err.rstrip().splitlines()[-1] == "internal error: RuntimeError: boom"
 
 
 @pytest.mark.parametrize("no_sync", [False, True])

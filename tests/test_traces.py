@@ -240,19 +240,18 @@ def test_first_round_coincidence_fraction():
     fs1 = degenerate(10e6)
     near = degenerate(10e6 + 1.0)
     far = degenerate(20e6)
-    hit = generate_set(fs1, KEY, 8, oversampling=8, seed=5, fs2=near, key2=KEY2)
-    # defeat the random core-2 phase: rebuild with deterministic phases
-    hit.traces = [generate_dual_trace(fs1, near, KEY, KEY2, tr.plaintext,
-                                      oversampling=8, seed=5,
-                                      randomize_core2_phase=False)
-                  for tr in hit.traces]
-    assert first_round_coincidence_fraction(hit) == 1.0
-    miss = generate_set(fs1, KEY, 8, oversampling=8, seed=5, fs2=far, key2=KEY2)
-    miss.traces = [generate_dual_trace(fs1, far, KEY, KEY2, tr.plaintext,
-                                       oversampling=8, seed=5,
-                                       randomize_core2_phase=False)
-                   for tr in miss.traces]
-    assert first_round_coincidence_fraction(miss) == 0.0
+
+    def fixed_phase_set(fs2):
+        # defeat the random core-2 phase: rebuild with deterministic phases
+        ts = generate_set(fs1, KEY, 8, oversampling=8, seed=5, fs2=fs2, key2=KEY2)
+        return TraceSet.from_traces(
+            [generate_dual_trace(fs1, fs2, KEY, KEY2, tr.plaintext, oversampling=8,
+                                 seed=5, randomize_core2_phase=False)
+             for tr in ts.traces],
+            key=KEY, fs=fs1, oversampling=8, noise_sigma=0.0, key2=KEY2, fs2=fs2)
+
+    assert first_round_coincidence_fraction(fixed_phase_set(near)) == 1.0
+    assert first_round_coincidence_fraction(fixed_phase_set(far)) == 0.0
     single = generate_set(fs1, KEY, 3, oversampling=8, seed=5)
     with pytest.raises(ValueError):
         first_round_coincidence_fraction(single)
@@ -325,8 +324,8 @@ def test_round_trip_dual_core(tmp_path):
 
 
 def test_round_trip_empty_set(tmp_path):
-    ts = TraceSet(traces=[], key=KEY, fs=degenerate(), oversampling=8,
-                  noise_sigma=0.0)
+    ts = TraceSet.from_traces([], key=KEY, fs=degenerate(), oversampling=8,
+                              noise_sigma=0.0)
     path = tmp_path / "empty.bin"
     write_trace_set(ts, path)
     back = read_trace_set(path)
@@ -335,11 +334,11 @@ def test_round_trip_empty_set(tmp_path):
 
 def test_ciphertext_matrix_stacks_ciphertexts():
     ts = generate_set(study_set(2).fs, KEY, 6, oversampling=8, seed=9)
-    m = ts.ciphertext_matrix()
+    m = ts.ciphertexts
     assert m.dtype == np.uint8 and m.shape == (6, 16)
     assert [bytes(row) for row in m] == [t.ciphertext for t in ts.traces]
-    empty = TraceSet(traces=[], key=KEY, fs=degenerate(), oversampling=8,
-                     noise_sigma=0.0).ciphertext_matrix()
+    empty = TraceSet.from_traces([], key=KEY, fs=degenerate(), oversampling=8,
+                                 noise_sigma=0.0).ciphertexts
     assert empty.dtype == np.uint8 and empty.shape == (0, 16)
 
 
@@ -384,6 +383,27 @@ def test_corrupt_files_raise_specific_errors(tmp_path):
     trailing.write_bytes(blob + b"\x00")
     with pytest.raises(TraceFormatError):
         read_trace_set(trailing)
+
+
+def test_from_traces_rejects_rows_that_do_not_stack():
+    tr = generate_trace(degenerate(), KEY, PT, oversampling=8, seed=1)
+    kw = dict(key=KEY, fs=degenerate(), oversampling=8, noise_sigma=0.0)
+    bare = PowerTrace(samples=tr.samples, sample_period_s=tr.sample_period_s,
+                      plaintext=PT, ciphertext=tr.ciphertext, failed=False)
+    short = PowerTrace(samples=tr.samples[:-1], sample_period_s=tr.sample_period_s,
+                       plaintext=PT, ciphertext=tr.ciphertext, failed=False)
+    slow = PowerTrace(samples=tr.samples, sample_period_s=2 * tr.sample_period_s,
+                      plaintext=PT, ciphertext=tr.ciphertext, failed=False)
+    with pytest.raises(ValueError, match="unequal sample counts"):
+        TraceSet.from_traces([bare, short], **kw)
+    with pytest.raises(ValueError, match="unequal sample periods"):
+        TraceSet.from_traces([bare, slow], **kw)
+    with pytest.raises(ValueError, match="clock metadata on some rows only"):
+        TraceSet.from_traces([tr, bare], **kw)
+    ts = TraceSet.from_traces([bare, bare], **kw)
+    assert ts.samples.shape == (2, 240) and ts.clock_edges is None
+    assert ts.traces == [tr, tr]
+    assert TraceSet.from_traces([tr, tr], **kw).clock_edges.shape == (2, 1, 11)
 
 
 def test_equality_ignores_generation_metadata():
