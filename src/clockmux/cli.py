@@ -22,8 +22,8 @@ Subcommands:
 Every artifact starts with a header (JSON: a ``meta`` object) recording the
 tool version, the canonical config digest, and the seed, and every command
 is deterministic given those: rerunning writes byte-identical files.  Exit
-codes: 0 success, 2 usage or config error, 3 unreadable or corrupt data,
-4 internal error.
+codes: 0 success, 2 usage or config error (a set whose clock stalls too), 3
+unreadable or corrupt data (or such a set in a trace file), 4 internal error.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .attack import (
     synchronize,
 )
 from .clock import (
+    StalledClockError,
     double_edge_probability,
     extract_periods,
     overhead_and_error,
@@ -412,6 +413,10 @@ def main(argv: list[str] | None = None) -> int:
     except (TraceFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except StalledClockError as exc:  # bad input: under attack, the trace file's
+        data = args.command == "attack"
+        print(f"{'data error' if data else 'error'}: stalled clock: {exc}", file=sys.stderr)
+        return EXIT_DATA if data else EXIT_USAGE
     except Exception as exc:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -21,7 +21,8 @@ time ``t`` (base units) iff ``frac(t / rho_i - phase_i) < duty_cycle``; its
 rising edges sit at ``(m + phase_i) * rho_i``.
 
 Randomness comes from numpy's PCG64 generator; a fixed (frequency set, cycle
-count, seed) triple always reproduces the same waveform bit for bit.
+count, seed) triple always reproduces the same waveform bit for bit.  Runs
+are rows, one per generator, each drawing its selections in chunks until full.
 """
 
 from __future__ import annotations
@@ -158,62 +159,68 @@ class OverheadReport:
 # Waveform simulation
 # ---------------------------------------------------------------------------
 
+def _compact(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Each row's masked ``values`` in order, nan-padded to the longest row."""
+    count = np.count_nonzero(mask, axis=1)
+    out = np.full((len(mask), count.max(initial=0)), np.nan)
+    out[np.arange(out.shape[1]) < count[:, None]] = values[mask]
+    return out
+
+
 def _mux_edges(ratios: np.ndarray, duty: float, phases: np.ndarray,
                selections: np.ndarray, first_cycle: int,
-               prev_selection: int | None) -> np.ndarray:
-    """Rising-edge times (base units, sorted, unmerged) for a run of cycles.
+               prev_selection: np.ndarray) -> np.ndarray:
+    """Rising-edge times (base units, unmerged) of runs of cycles, one per row.
 
-    ``selections[j]`` is the source chosen at base edge ``first_cycle + j``;
-    ``prev_selection`` is the source active just before the first of those
-    edges (None means the output was held low, i.e. power-on).
+    Row r selects source ``selections[r, j]`` at base edge ``first_cycle + j``
+    under source phases ``phases[r]``; ``prev_selection[r]`` was active just
+    before (-1: output held low, i.e. power-on).  Rows come back sorted, nan-padded.
     """
-    n = len(selections)
+    m, n = selections.shape
+    rows = np.arange(m)[:, None]
     k = np.arange(first_cycle, first_cycle + n, dtype=np.float64)
     src = np.asarray(selections, dtype=np.intp)
 
     # Edges on the base boundary: output switches from the previous source's
     # level (limit from the left) to the new source's level.
-    r_new = np.mod(k / ratios[src] - phases[src], 1.0)
+    r_new = np.mod(k / ratios[src] - phases[rows, src], 1.0)
     new_high = r_new < duty
-    prev_src = np.concatenate(([prev_selection if prev_selection is not None else -1],
-                               src[:-1]))
+    prev_src = np.concatenate((prev_selection[:, None], src[:, :-1]), axis=1)
     valid_prev = prev_src >= 0
     safe_prev = np.where(valid_prev, prev_src, 0)
-    r_prev = np.mod(k / ratios[safe_prev] - phases[safe_prev], 1.0)
+    r_prev = np.mod(k / ratios[safe_prev] - phases[rows, safe_prev], 1.0)
     # Left limit of a square wave: high on (0, duty], low at exactly 0 (the
     # tail of the previous period) and on (duty, 1).
     prev_high = (r_prev > 0.0) & (r_prev <= duty) & valid_prev
-    parts = [k[new_high & ~prev_high]]
+    parts = [_compact(np.broadcast_to(k, (m, n)), new_high & ~prev_high)]
 
     # Edges strictly inside a cycle: the selected source's own rising edges.
     t_lo = float(first_cycle)
     t_hi = float(first_cycle + n)
     for i in range(4):
         rho = float(ratios[i])
-        m_lo = math.floor(t_lo / rho - phases[i]) - 1
-        m_hi = math.ceil(t_hi / rho - phases[i]) + 1
-        m = np.arange(m_lo, m_hi + 1, dtype=np.float64)
-        e = (m + phases[i]) * rho
+        m_lo = np.floor(t_lo / rho - phases[:, i]) - 1
+        m_hi = np.ceil(t_hi / rho - phases[:, i]) + 1
+        grid = m_lo[:, None] + np.arange(int((m_hi - m_lo).max(initial=0)) + 1)
+        e = (grid + phases[:, i, None]) * rho
         cyc = np.floor(e)
         ok = (e > cyc) & (cyc >= t_lo) & (cyc < t_hi)
-        e = e[ok]
-        cyc_idx = cyc[ok].astype(np.intp) - first_cycle
-        parts.append(e[src[cyc_idx] == i])
-
-    edges = np.concatenate(parts)
-    edges.sort(kind="stable")
-    return edges
+        cyc_idx = np.where(ok, cyc, t_lo).astype(np.intp) - first_cycle
+        ok &= src[rows, cyc_idx] == i
+        parts.append(_compact(e, ok))
+    return np.sort(np.concatenate(parts, axis=1), axis=1)
 
 
 def _merge_close(edges: np.ndarray, tol: float) -> np.ndarray:
-    """Greedily drop edges within ``tol`` of the previously kept one."""
-    if len(edges) < 2 or not (np.diff(edges) < tol).any():
-        return edges
-    kept = [edges[0]]
-    for e in edges[1:]:
-        if e - kept[-1] >= tol:
-            kept.append(e)
-    return np.asarray(kept)
+    """Greedily drop edges within ``tol`` of the previously kept one, in place,
+    on each sorted, nan-padded row that holds a close pair."""
+    for r in np.flatnonzero((np.diff(edges, axis=1) < tol).any(axis=1)):
+        kept = [edges[r, 0]]
+        for e in edges[r, 1:]:
+            if e - kept[-1] >= tol:
+                kept.append(e)
+        edges[r] = kept + [np.nan] * (edges.shape[1] - len(kept))
+    return edges
 
 
 def simulate_mux_clock(fs: FrequencySet, n_base_cycles: int, seed: int) -> OutputWaveform:
@@ -227,49 +234,47 @@ def simulate_mux_clock(fs: FrequencySet, n_base_cycles: int, seed: int) -> Outpu
         raise ValueError("n_base_cycles must be at least 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     sel = rng.integers(0, 4, size=n_base_cycles, dtype=np.int8)
-    edges = _mux_edges(fs.ratios(), fs.duty_cycle,
-                       np.asarray(fs.phases, dtype=np.float64),
-                       sel, 0, None)
+    edges = _mux_edges(fs.ratios(), fs.duty_cycle, np.array([fs.phases]), sel[None], 0,
+                       np.array([-1]))
     tb = fs.base_period_s
-    edges = _merge_close(edges, EDGE_COINCIDENCE_TOL_S / tb)
-    return OutputWaveform(edges_s=edges * tb, source_per_cycle=sel,
+    edges = _merge_close(edges, EDGE_COINCIDENCE_TOL_S / tb)[0]
+    return OutputWaveform(edges_s=edges[~np.isnan(edges)] * tb, source_per_cycle=sel,
                           n_base_cycles=int(n_base_cycles), base_period_s=tb)
 
 
-def _edges_until(fs: FrequencySet, rng: np.random.Generator, n_edges: int,
-                 base_phase: float = 0.0,
-                 source_phases: tuple[float, ...] | None = None) -> np.ndarray:
-    """First ``n_edges`` output edge times (base units, offset by base_phase).
+def _edges_until(fs: FrequencySet, rngs, n_edges: int, base_phases=0.0,
+                 source_phases=None) -> np.ndarray:
+    """First ``n_edges`` output edge times (base units), one row per generator.
 
-    Draws selections from ``rng`` in fixed-size chunks until enough edges
-    exist; raises StalledClockError after ``STALL_CAP_CYCLES_PER_EDGE`` base
-    cycles per edge.  ``base_phase`` shifts the whole base grid (edge k sits
-    at base_phase + k), modelling a core not aligned to the capture trigger.
+    Row r is the run ``rngs[r]`` drives under ``source_phases[r]`` (default
+    ``fs.phases``), its base edge k at ``base_phases[r] + k`` (a core not
+    aligned to the capture trigger).  Each pass draws a chunk of selections from
+    every generator whose row is still short; a row still short after
+    ``STALL_CAP_CYCLES_PER_EDGE`` cycles per edge raises StalledClockError.
     """
-    ratios = fs.ratios()
-    phases = np.asarray(source_phases if source_phases is not None else fs.phases,
-                        dtype=np.float64)
-    duty = fs.duty_cycle
+    phases = np.broadcast_to(fs.phases if source_phases is None else source_phases,
+                             (len(rngs), 4))
     tol = EDGE_COINCIDENCE_TOL_S / fs.base_period_s
-    chunk = max(16, n_edges)
     cycle_cap = STALL_CAP_CYCLES_PER_EDGE * n_edges
-    # chunks cover disjoint ascending cycle ranges, so merging after each
-    # one equals merging their concatenation
-    edges = np.empty(0, dtype=np.float64)
+    # a short row holds all its edges; chunks cover disjoint ascending cycle
+    # ranges, so merging after each one equals merging their concatenation
+    edges = np.full((len(rngs), n_edges), np.nan)
+    prev = np.full(len(rngs), -1)
+    short = np.arange(len(rngs))
     first_cycle = 0
-    prev_sel: int | None = None
-    while len(edges) < n_edges:
+    while len(short):
         if first_cycle >= cycle_cap:
-            raise StalledClockError(
-                f"only {len(edges)} edges after {first_cycle} base cycles "
-                f"(needed {n_edges})")
-        size = min(chunk, cycle_cap - first_cycle)
-        sel = rng.integers(0, 4, size=size, dtype=np.int8)
-        part = _mux_edges(ratios, duty, phases, sel, first_cycle, prev_sel)
-        edges = _merge_close(np.concatenate([edges, part]), tol)
+            raise StalledClockError(f"only {np.isfinite(edges[short[0]]).sum()} edges after "
+                                    f"{first_cycle} base cycles (needed {n_edges})")
+        size = min(max(16, n_edges), cycle_cap - first_cycle)
+        sel = np.array([rngs[r].integers(0, 4, size=size, dtype=np.int8) for r in short])
+        part = _mux_edges(fs.ratios(), fs.duty_cycle, phases[short], sel, first_cycle,
+                          prev[short])
+        run = _merge_close(np.sort(np.concatenate((edges[short], part), axis=1), axis=1), tol)
+        edges[short], prev[short] = run[:, :n_edges], sel[:, -1]
+        short = short[np.isnan(run[:, n_edges - 1])]
         first_cycle += size
-        prev_sel = int(sel[-1])
-    return edges[:n_edges] + base_phase
+    return edges + np.reshape(base_phases, (-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -485,19 +490,12 @@ def overhead_and_error(fs: FrequencySet, rounds: int = 10,
         raise ValueError("rounds must be at least 1")
     if n_encryptions < 1:
         raise ValueError("n_encryptions must be at least 1")
-    seeds = np.random.SeedSequence(seed).spawn(n_encryptions)
+    rngs = list(map(np.random.default_rng, np.random.SeedSequence(seed).spawn(n_encryptions)))
     tb = fs.base_period_s
-    completions = np.empty(n_encryptions, dtype=np.float64)
-    short = 0
-    total_periods = 0
     threshold = error_threshold_factor  # base units
-    for i, ss in enumerate(seeds):
-        rng = np.random.Generator(np.random.PCG64(ss))
-        edges = _edges_until(fs, rng, rounds + 1)
-        completions[i] = edges[rounds]
-        periods = np.diff(edges)
-        short += int((periods < threshold).sum())
-        total_periods += len(periods)
+    edges = _edges_until(fs, rngs, rounds + 1)
+    completions = edges[:, rounds]
+    periods = np.diff(edges, axis=1)
     nominal = float(rounds)
     mean_overhead = float(completions.mean() / nominal - 1.0)
     worst_overhead = float(completions.max() / nominal - 1.0)
@@ -505,7 +503,7 @@ def overhead_and_error(fs: FrequencySet, rounds: int = 10,
         mean_overhead=mean_overhead,
         worst_overhead=worst_overhead,
         max_delay_s=float(completions.max() * tb),
-        error_risk=short / total_periods,
+        error_risk=int(np.count_nonzero(periods < threshold)) / periods.size,
         rounds=int(rounds),
         n_encryptions=int(n_encryptions),
         error_threshold_s=float(threshold * tb),

@@ -15,12 +15,12 @@ free-running clock domains would.  The stored ciphertext is core 1's.  A
 ``TraceSet`` holds one row per trace; a ``PowerTrace`` is one row on its own.
 
 Per-trace randomness comes from PCG64 generators seeded by
-``SeedSequence(seed).spawn(n)``; within a trace the draw order is fixed
-(plaintext, dual-core phases, core-1 clock, core-2 clock, failure
-ciphertext, noise) and the noise draw always happens, scaled by
-``noise_sigma``, so different noise levels reuse identical clocks and
-plaintexts.  One trace or a set, single- or dual-core, all go through
-``_generate``, so they come out the same.
+``SeedSequence(seed).spawn(n)``; each generator draws in a fixed order
+(plaintext, dual-core phases, core-1 clock, core-2 clock, failure ciphertext,
+noise), also where a set draws each step for many traces at once.  The noise
+draw always happens, scaled by ``noise_sigma``, so different noise levels
+reuse identical clocks and plaintexts.  One trace or a set, single- or
+dual-core, all go through ``_generate``, so they come out the same.
 """
 
 from __future__ import annotations
@@ -256,10 +256,10 @@ def _generate(cores, plaintexts: np.ndarray, rngs, grid, *, oversampling: int,
     (base phase, source phases) or None to draw it from each trace's
     generator; core 1 always runs at (0.0, None).  Every key encrypts the
     whole batch at once; the set's arrays are then filled ``_CHUNK_TRACES``
-    rows at a time.  Each generator draws its offsets, clocks, failure
-    ciphertext and noise row, in that order; each core's pulses for the chunk
-    are one ``_render_pulses`` call, rounded to float32 and summed, and the
-    noise is added last.
+    rows at a time, one phase at a time: core-2 offsets (``random(5)`` is
+    ``random()`` then ``random(4)``), one ``_edges_until`` call per core, failed
+    rows' ciphertexts, noise.  Each core's pulses are one ``_render_pulses``
+    call, rounded to float32 and summed, and the noise is added last.
     """
     if len({fs.base_hz for fs, _, _ in cores}) != len(cores):
         raise ValueError("dual-core base clocks must have distinct frequencies")
@@ -278,18 +278,15 @@ def _generate(cores, plaintexts: np.ndarray, rngs, grid, *, oversampling: int,
     threshold = error_threshold_factor * cores[0][0].base_period_s
     for c0 in range(0, n, _CHUNK_TRACES):
         c1 = min(c0 + _CHUNK_TRACES, n)
-        noise = np.empty((c1 - c0, n_samples))
-        for i in range(c0, c1):
-            rng = rngs[i]
-            offsets = [off if off is not None else (float(rng.random()), tuple(rng.random(4)))
-                       for _, _, off in cores]
-            for c, ((fs, _, _), (base_phase, source_phases)) in enumerate(zip(cores, offsets)):
-                edges[i, c] = _edges_until(fs, rng, aes.ROUNDS + 1, base_phase=base_phase,
-                                           source_phases=source_phases) * fs.base_period_s
-            failed[i] = (np.diff(edges[i, 0]) < threshold).any()
-            if failed[i]:
-                ciphertexts[i] = rng.integers(0, 256, 16, dtype=np.uint8)
-            rng.standard_normal(out=noise[i - c0])
+        chunk = rngs[c0:c1]
+        offsets = [np.split(np.array([rng.random(5) for rng in chunk]), [1], axis=1)
+                   if off is None else off for _, _, off in cores]
+        for c, ((fs, _, _), offset) in enumerate(zip(cores, offsets)):
+            edges[c0:c1, c] = _edges_until(fs, chunk, aes.ROUNDS + 1, *offset) * fs.base_period_s
+        failed[c0:c1] = (np.diff(edges[c0:c1, 0], axis=1) < threshold).any(axis=1)
+        for i in np.flatnonzero(failed[c0:c1]) + c0:
+            ciphertexts[i] = rngs[i].integers(0, 256, 16, dtype=np.uint8)
+        noise = np.array([rng.standard_normal(n_samples) for rng in chunk])
         clean = np.zeros((c1 - c0, n_samples))
         for c, d in enumerate(dists):
             render = _render_pulses(edges[c0:c1, c, 1:], d[c0:c1], n_samples,

@@ -18,8 +18,7 @@ import pytest
 
 import clockmux.aes  # noqa: F401  (the tracer wraps every loaded module)
 import clockmux.cli  # noqa: F401
-import clockmux.clock  # noqa: F401
-from clockmux import attack
+from clockmux import attack, clock, traces
 from clockmux.presets import study_set
 from clockmux.traces import generate_set
 
@@ -55,3 +54,19 @@ def test_filter_counters_evaluate_on_a_generated_set(tracer):
     assert 0 < len(kept) < len(ts)
     assert stats["attack.detect_peaks"].calls == np.count_nonzero(~ts.failed)
     assert stats["attack.synchronize"].counts["rows"] <= len(kept)
+
+
+def test_clock_and_generation_counters_evaluate_on_small_calls(tracer):
+    # called as the command line calls them, so a renamed parameter fails here
+    fs = study_set(2).fs
+    with tracer.Tracer() as t:
+        clock.overhead_and_error(fs, rounds=10, n_encryptions=7, seed=1)
+        clock.simulate_mux_clock(fs, 300, 1)
+        traces.generate_set(fs, bytes(range(16)), 5, oversampling=4, seed=1)
+    stats = t.stats
+    assert stats["clock.overhead_and_error"].counts == {"encryptions": 7}
+    assert stats["clock.simulate_mux_clock"].counts == {"cycles": 300}
+    assert stats["traces.generate_set"].counts == {"traces": 5}
+    for name in ("clock.overhead_and_error", "clock.simulate_mux_clock",
+                 "traces.generate_set"):
+        assert stats[name].calls == 1

@@ -2,11 +2,14 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from clockmux.clock import (
+    EDGE_COINCIDENCE_TOL_S,
+    STALL_CAP_CYCLES_PER_EDGE,
     ClampedProbabilityWarning,
     FrequencySet,
     StalledClockError,
@@ -24,8 +27,12 @@ from clockmux.clock import (
     simulate_mux_clock,
     simulated_edge_count_distribution,
     source_edge_counts,
+    _edges_until,
+    _merge_close,
+    _mux_edges,
 )
-from clockmux.presets import STUDY_SETS, fixed_clock_set
+from clockmux.presets import STUDY_SETS, dual_reference_pair, fixed_clock_set, study_set
+from clockmux.traces import generate_set
 
 MHZ = 1e6
 
@@ -115,10 +122,9 @@ def test_switch_between_high_sources_creates_no_boundary_edge():
 
 def _forced_selection_wave(fs, selections):
     """Run the edge extraction with a fixed selection sequence (seconds)."""
-    from clockmux.clock import _merge_close, _mux_edges, EDGE_COINCIDENCE_TOL_S
-    edges = _mux_edges(fs.ratios(), fs.duty_cycle,
-                       np.asarray(fs.phases), np.asarray(selections), 0, None)
-    edges = _merge_close(edges, EDGE_COINCIDENCE_TOL_S / fs.base_period_s)
+    edges = _mux_edges(fs.ratios(), fs.duty_cycle, np.asarray([fs.phases]),
+                       np.asarray([selections]), 0, np.array([-1]))
+    edges = _merge_close(edges, EDGE_COINCIDENCE_TOL_S / fs.base_period_s)[0]
     return edges * fs.base_period_s
 
 
@@ -148,6 +154,173 @@ def test_simulation_is_deterministic_in_the_seed():
 def test_rejects_nonpositive_cycle_count():
     with pytest.raises(ValueError):
         simulate_mux_clock(fixed_clock_set(), 0, seed=1)
+
+
+# ---------------------------------------------------------------------
+# Batched clock runs against a one-generator reference
+
+def _serial_mux_edges(ratios, duty, phases, selections, first_cycle, prev_selection):
+    """Reference edge extraction for one run of cycles (None: power-on)."""
+    n = len(selections)
+    k = np.arange(first_cycle, first_cycle + n, dtype=np.float64)
+    src = np.asarray(selections, dtype=np.intp)
+    r_new = np.mod(k / ratios[src] - phases[src], 1.0)
+    new_high = r_new < duty
+    prev_src = np.concatenate(([prev_selection if prev_selection is not None else -1],
+                               src[:-1]))
+    valid_prev = prev_src >= 0
+    safe_prev = np.where(valid_prev, prev_src, 0)
+    r_prev = np.mod(k / ratios[safe_prev] - phases[safe_prev], 1.0)
+    prev_high = (r_prev > 0.0) & (r_prev <= duty) & valid_prev
+    parts = [k[new_high & ~prev_high]]
+    t_lo = float(first_cycle)
+    t_hi = float(first_cycle + n)
+    for i in range(4):
+        rho = float(ratios[i])
+        m_lo = math.floor(t_lo / rho - phases[i]) - 1
+        m_hi = math.ceil(t_hi / rho - phases[i]) + 1
+        m = np.arange(m_lo, m_hi + 1, dtype=np.float64)
+        e = (m + phases[i]) * rho
+        cyc = np.floor(e)
+        ok = (e > cyc) & (cyc >= t_lo) & (cyc < t_hi)
+        e = e[ok]
+        cyc_idx = cyc[ok].astype(np.intp) - first_cycle
+        parts.append(e[src[cyc_idx] == i])
+    edges = np.concatenate(parts)
+    edges.sort(kind="stable")
+    return edges
+
+
+def _serial_merge_close(edges, tol):
+    """Reference greedy merge of one run's sorted edges."""
+    if len(edges) < 2 or not (np.diff(edges) < tol).any():
+        return edges
+    kept = [edges[0]]
+    for e in edges[1:]:
+        if e - kept[-1] >= tol:
+            kept.append(e)
+    return np.asarray(kept)
+
+
+def _serial_edges_until(fs, rng, n_edges, base_phase=0.0, source_phases=None):
+    """Reference run of one generator: chunks drawn until ``n_edges`` edges."""
+    ratios = fs.ratios()
+    phases = np.asarray(source_phases if source_phases is not None else fs.phases,
+                        dtype=np.float64)
+    tol = EDGE_COINCIDENCE_TOL_S / fs.base_period_s
+    chunk = max(16, n_edges)
+    cycle_cap = STALL_CAP_CYCLES_PER_EDGE * n_edges
+    edges = np.empty(0, dtype=np.float64)
+    first_cycle = 0
+    prev_sel = None
+    while len(edges) < n_edges:
+        if first_cycle >= cycle_cap:
+            raise StalledClockError(
+                f"only {len(edges)} edges after {first_cycle} base cycles "
+                f"(needed {n_edges})")
+        size = min(chunk, cycle_cap - first_cycle)
+        sel = rng.integers(0, 4, size=size, dtype=np.int8)
+        part = _serial_mux_edges(ratios, fs.duty_cycle, phases, sel, first_cycle, prev_sel)
+        edges = _serial_merge_close(np.concatenate([edges, part]), tol)
+        first_cycle += size
+        prev_sel = int(sel[-1])
+    return edges[:n_edges] + base_phase
+
+
+def _generators(seed, n):
+    return [np.random.Generator(np.random.PCG64(s))
+            for s in np.random.SeedSequence(seed).spawn(n)]
+
+
+def _assert_batch_matches_serial(fs, seed, n_rows, n_edges, base_phases=None,
+                                 source_phases=None):
+    """Compare one batched call with a serial run per generator; return how
+    many rows drew more than one chunk."""
+    batch, serial, one_chunk = (_generators(seed, n_rows) for _ in range(3))
+    if base_phases is None:
+        got = _edges_until(fs, batch, n_edges)
+        want = [_serial_edges_until(fs, rng, n_edges) for rng in serial]
+    else:
+        got = _edges_until(fs, batch, n_edges, base_phases, source_phases)
+        want = [_serial_edges_until(fs, rng, n_edges, float(b), tuple(p))
+                for rng, b, p in zip(serial, base_phases, source_phases)]
+    assert got.shape == (n_rows, n_edges)
+    for row, ref in zip(got, want):
+        assert np.array_equal(row, ref)
+    # each generator stopped drawing where its serial run did
+    for a, b in zip(batch, serial):
+        assert a.bit_generator.state == b.bit_generator.state
+    for rng in one_chunk:
+        rng.integers(0, 4, size=max(16, n_edges), dtype=np.int8)
+    return sum(a.bit_generator.state != b.bit_generator.state
+               for a, b in zip(serial, one_chunk))
+
+
+@pytest.mark.parametrize("index, seed", [(2, 6), (3, 1), (7, 2)])
+def test_batched_edges_match_serial_runs_with_second_chunks(index, seed):
+    assert _assert_batch_matches_serial(study_set(index).fs, seed, 100, 11) >= 1
+
+
+@pytest.mark.parametrize("n_edges", [3, 11, 20])
+def test_batched_edges_match_serial_runs_with_row_phases(n_edges):
+    rng = np.random.default_rng(n_edges)
+    base_phases, source_phases = rng.random(150), rng.random((150, 4))
+    for index in (1, 3, 7):
+        _assert_batch_matches_serial(study_set(index).fs, n_edges, 150, n_edges,
+                                     base_phases, source_phases)
+
+
+def test_batch_with_one_stalling_row_raises():
+    # sources 100x slower than the base: phase 0 rises at cycles 0 and 100,
+    # phase 0.5 only at 50 within the 128-cycle cap for two edges
+    crawl = make_fs(0.1, 0.1, 0.1, 0.1)
+    phases = np.zeros((6, 4))
+    phases[4] = 0.5
+    message = "only 1 edges after 128 base cycles (needed 2)"
+    with pytest.raises(StalledClockError, match=re.escape(message)):
+        _serial_edges_until(crawl, _generators(0, 1)[0], 2, source_phases=phases[4])
+    with pytest.raises(StalledClockError, match=re.escape(message)):
+        _edges_until(crawl, _generators(0, 6), 2, source_phases=phases)
+    ok = _edges_until(crawl, _generators(0, 4), 2, source_phases=phases[:4])
+    np.testing.assert_array_equal(ok, [[0.0, 100.0]] * 4)
+
+
+def test_dual_core_set_matches_serial_runs_per_generator():
+    fs, fs2 = dual_reference_pair()
+    key = bytes(range(16))
+    ts = generate_set(fs, key, 300, oversampling=4, seed=11, fs2=fs2, key2=key[::-1])
+    threshold = 0.25 * fs.base_period_s
+    for i, rng in enumerate(_generators(11, 300)):
+        rng.integers(0, 256, 16, dtype=np.uint8)  # plaintext
+        base_phase, source_phases = float(rng.random()), tuple(rng.random(4))
+        e1 = _serial_edges_until(fs, rng, 11) * fs.base_period_s
+        e2 = _serial_edges_until(fs2, rng, 11, base_phase, source_phases) * fs2.base_period_s
+        assert np.array_equal(ts.clock_edges[i], [e1, e2])
+        failed = bool((np.diff(e1) < threshold).any())
+        assert ts.failed[i] == failed
+        if failed:
+            assert ts.ciphertexts[i].tobytes() == rng.integers(0, 256, 16, np.uint8).tobytes()
+    assert ts.failed.any()
+
+
+def test_merge_close_on_hand_made_rows():
+    tol = 1e-5
+    nan = np.nan
+    rows = np.array([[0.0, 0.5 * tol, 3.0, nan],       # one close pair
+                     [0.0, 0.6 * tol, 1.2 * tol, 2.0],  # chain: keep 1st and 3rd
+                     [0.0, 1.0, 2.0, nan],              # nothing close
+                     [1.0, nan, nan, nan]])
+    want = np.array([[0.0, 3.0, nan, nan],
+                     [0.0, 1.2 * tol, 2.0, nan],
+                     [0.0, 1.0, 2.0, nan],
+                     [1.0, nan, nan, nan]])
+    for row in rows:
+        ref = _serial_merge_close(row[~np.isnan(row)], tol)
+        assert np.array_equal(_merge_close(row[None].copy(), tol)[0, :len(ref)], ref)
+    untouched = rows[2:].copy()
+    got = _merge_close(rows, tol)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(got[2:], untouched, equal_nan=True)
 
 
 # ---------------------------------------------------------------------

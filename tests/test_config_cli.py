@@ -505,6 +505,52 @@ def test_unequal_sample_counts_are_a_data_error(tmp_path, capsys, small_trace_bl
     assert "data error:" in capsys.readouterr().err
 
 
+STALL_CONFIG = """\
+[sets]
+use = 1
+
+[set]
+base_hz = 10e6
+f1 = 0.1e6
+f2 = 0.1e6
+f3 = 0.1e6
+f4 = 0.1e6
+
+[simulate]
+n_base_cycles = 1000
+n_encryptions = 20
+
+[traces]
+n_traces = 64
+oversampling = 4
+
+[attack]
+step = 16
+"""
+
+STALL_MESSAGE = "stalled clock: only 8 edges after 704 base cycles (needed 11)"
+
+
+@pytest.mark.parametrize("command", ["simulate", "gen", "compare"])
+def test_stalling_config_set_exits_2(tmp_path, capsys, command):
+    # sources 100x slower than the base cannot clock eleven edges in time
+    cfg = write_config(tmp_path, STALL_CONFIG)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().splitlines() == [f"error: {STALL_MESSAGE}"]
+
+
+def test_stalling_trace_file_set_exits_3(tmp_path, capsys, small_trace_blob):
+    blob = bytearray(small_trace_blob)
+    for i in range(4):
+        _corrupt(blob, _LABEL_AT + _label_len(blob) + 8 * (i + 1), "<d", 0.1e6)
+    path = tmp_path / "crawl.bin"
+    path.write_bytes(bytes(blob))
+    assert read_trace_set(str(path)).fs.fundamentals == (0.1e6,) * 4
+    assert main(["attack", str(path), "--out", str(tmp_path / "a")]) == 3
+    assert capsys.readouterr().err.rstrip().splitlines() == [f"data error: {STALL_MESSAGE}"]
+
+
 def test_internal_error_prints_traceback_and_exits_4(tmp_path, capsys, monkeypatch):
     def broken(cfg):
         raise RuntimeError("boom")
