@@ -51,6 +51,8 @@ XTIME = np.array([((v << 1) ^ 0x1B) & 0xFF if v & 0x80 else v << 1
 
 # Hamming weight of every byte value.
 HW8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+# INV_SBOX[a ^ g] at [a, g] (64 KB): a trace's 256 guesses are one row gather.
+_INV_SBOX_XOR = INV_SBOX[np.bitwise_xor.outer(np.arange(256), np.arange(256))]
 
 # ShiftRows on flat column-major indices.  SHIFT_ROWS_SRC[j] is the index
 # whose byte lands at position j; SHIFT_ROWS_IMAGE[i] is where position i's
@@ -251,12 +253,16 @@ def hypothesis_matrix(ciphertexts: np.ndarray, byte_pos: int) -> np.ndarray:
 
     Column g holds ``last_round_hypothesis(ct, byte_pos, g)`` for each trace.
     The guess indexes the final round key byte at position
-    ``SHIFT_ROWS_IMAGE[byte_pos]``.
+    ``SHIFT_ROWS_IMAGE[byte_pos]``.  Each row is one gather from
+    ``_INV_SBOX_XOR``; the Hamming weights are counted 8 bytes at a time
+    (a gather from ``HW8`` would first widen every index to intp).
     """
     cts = np.asarray(ciphertexts, dtype=np.uint8)
     if cts.ndim != 2 or cts.shape[1] != 16:
         raise ValueError("ciphertexts must have shape (n, 16)")
     j = int(SHIFT_ROWS_IMAGE[byte_pos])
-    guesses = np.arange(256, dtype=np.uint8)
-    prior = INV_SBOX[cts[:, j, None] ^ guesses[None, :]]
-    return HW8[prior ^ cts[:, byte_pos, None]]
+    h = (_INV_SBOX_XOR.take(cts[:, j], axis=0) ^ cts[:, byte_pos, None]).view(np.uint64)
+    # per-byte popcount; no sum crosses a byte, so the byte order does not matter
+    h -= (h >> 1) & 0x5555555555555555
+    h = (h & 0x3333333333333333) + ((h >> 2) & 0x3333333333333333)
+    return ((h + (h >> 4)) & 0x0F0F0F0F0F0F0F0F).view(np.uint8)

@@ -17,10 +17,12 @@ The pipeline mirrors how captures are processed in practice:
 
 A set is filtered and aligned once; steps 3 and 4 both take that
 ``(AlignedMatrix, kept set)`` pair.  Each pass works on the set's arrays.
-``filter_traces`` detects peaks once per non-failed row and the set it keeps
-carries them, so ``synchronize``, ``raw_matrix`` and ``overlap_exploit``
-with the same (threshold_k, detect_separation) do not detect again; other
-passes detect inside the call and store nothing.
+``filter_traces`` detects peaks in one ``detect_peaks`` pass over the
+non-failed rows (a matrix pass; scipy's ``find_peaks`` only for rows with a
+plateau or too-close maxima) and the set it keeps carries them, so
+``synchronize``, ``raw_matrix`` and ``overlap_exploit`` with the same
+(threshold_k, detect_separation) do not detect again; other passes detect
+inside the call and store nothing.
 
 ``fft_spectrum`` summarizes sets in the frequency domain and
 ``peak_permutation_bound`` / ``overlap_exploit`` quantify the brute-force
@@ -157,34 +159,53 @@ class OverlapReport:
 # Peak detection and filtering
 # ---------------------------------------------------------------------------
 
-def detect_peaks(samples: np.ndarray, threshold_k: float = 3.0,
-                 min_separation: int = 2) -> np.ndarray:
-    """Local maxima above mean + k * std, greedily separated.
+def detect_peaks(rows: np.ndarray, threshold_k: float = 3.0,
+                 min_separation: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's local maxima at or above its mean + k * std, greedily
+    separated; returns (flat positions, per-row counts) for an (n, S) matrix.
 
-    Separation keeps the tallest peak of any cluster (standard
-    non-maximum suppression).  Indices are ascending.
+    The peaks are scipy ``find_peaks``'s with that height and a distance of
+    ``min_separation`` (which keeps the tallest peak of any cluster).  256
+    float64 rows at a time, a peak is a strict local maximum at or above the
+    height.  Only a row with a plateau at or above its height, or with two
+    such maxima closer than ``min_separation``, goes to ``find_peaks``: a
+    plateau below the height fails its height filter too, and strict maxima
+    are never adjacent, so a distance of 2 suppresses none.  Positions are
+    ascending within a row, rows in order.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size < 3:
-        return np.empty(0, dtype=np.int64)
-    height = samples.mean() + threshold_k * samples.std()
-    peaks, _ = find_peaks(samples, height=height,
-                          distance=max(1, int(min_separation)))
-    return peaks.astype(np.int64)
+    rows = np.asarray(rows)
+    n, width = rows.shape
+    distance = max(1, int(min_separation))
+    found_rows, found_pos = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for c0 in range(0, n if width >= 3 else 0, 256):
+        x = rows[c0:c0 + 256].astype(np.float64)
+        height = (x.mean(axis=1) + threshold_k * x.std(axis=1))[:, None]
+        mid = x[:, 1:-1]
+        r, p = np.nonzero((mid > x[:, :-2]) & (mid > x[:, 2:]) & (mid >= height))
+        slow = ((x[:, 1:] == x[:, :-1]) & (x[:, 1:] >= height)).any(axis=1)
+        slow[r[1:][(np.diff(p) < distance) & (r[1:] == r[:-1])]] = True
+        fast = ~slow[r]
+        found_rows.append(r[fast] + c0)
+        found_pos.append(p[fast] + 1)
+        for i in np.flatnonzero(slow):
+            peaks, _ = find_peaks(x[i], height=height[i, 0], distance=distance)
+            found_rows.append(np.full(len(peaks), c0 + i))
+            found_pos.append(peaks)
+    r = np.concatenate(found_rows)
+    order = np.argsort(r, kind="stable")
+    return np.concatenate(found_pos)[order].astype(np.int64), np.bincount(r, minlength=n)
 
 
 def _row_peaks(ts: TraceSet, params: FilterParams, rows: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Peaks of ``ts``'s ``rows`` (a mask) under resolved ``params``, as (flat
     positions, per-row counts): the set's ``peaks`` if detected with the same
-    knobs, else detected here once per row and not stored."""
+    knobs, else one ``detect_peaks`` pass over those rows, not stored."""
     key = (params.threshold_k, params.detect_separation)
     if ts.peaks is not None and ts.peaks[0] == key:
         _, positions, counts = ts.peaks
         return positions[np.repeat(rows, counts)], counts[rows]
-    found = [detect_peaks(ts.samples[i], *key) for i in np.flatnonzero(rows)]
-    counts = np.array([len(p) for p in found], dtype=np.int64)
-    return np.concatenate([np.empty(0, np.int64), *found]), counts
+    return detect_peaks(ts.samples[rows], *key)
 
 
 def _round_peaks(ts: TraceSet, params: FilterParams, round: int) -> np.ndarray:
@@ -208,7 +229,8 @@ def filter_traces(ts: TraceSet, params: FilterParams | None = None
     sets carrying clock edges).  ``failed_fraction`` counts reason (a);
     ``removed_fraction`` counts (b)-(d); both are fractions of the input
     size.  The kept set holds the kept rows in input order and carries the
-    peaks detected here, once per non-failed row.
+    peaks detected here, in one ``detect_peaks`` pass over the non-failed
+    rows.
     """
     params = (params or FilterParams()).resolved(ts.oversampling)
     live = ~ts.failed
@@ -365,7 +387,8 @@ def min_traces_search(am: AlignedMatrix, ts: TraceSet, true_key: bytes,
     are cut into consecutive blocks of ``step``; every contiguous run of
     blocks is a segment, scored by ``_max_abs_rho`` from differences of
     block prefix sums; each block's h*y sums are one batched matrix product
-    (BLAS).  A segment succeeds when all 16 true-key bytes rank first.
+    (BLAS).  A segment succeeds when all 16 true-key bytes rank first, so
+    each byte scores only the segments every earlier byte ranked first.
     Exhaustive over (size, offset): the result is exactly the smallest
     successful size, independent of evaluation order, or None when no
     segment (or not even one block) recovers the key.
@@ -399,14 +422,11 @@ def min_traces_search(am: AlignedMatrix, ts: TraceSet, true_key: bytes,
         np.cumsum(hb.transpose(0, 2, 1) @ yb, axis=0, out=phy[1:])
         g_true = int(true_rk[int(aes.SHIFT_ROWS_IMAGE[p])])
         for k in range(1, nblocks + 1):
-            live = success[k - 1]
-            if not live.any():
-                continue
-            s = np.arange(nblocks - k + 1)
+            s = np.flatnonzero(success[k - 1])
             sc, _ = _max_abs_rho(k * step, ph[s + k] - ph[s], phh[s + k] - phh[s],
                                  py[s + k] - py[s], pyy[s + k] - pyy[s],
                                  phy[s + k] - phy[s])
-            success[k - 1] &= sc.argmax(axis=1) == g_true
+            success[k - 1][s] = sc.argmax(axis=1) == g_true
 
     for k in range(1, nblocks + 1):
         if success[k - 1].any():

@@ -181,7 +181,7 @@ class TraceSet:
                                              if getattr(self, a) is not None})
 
     def failed_fraction(self) -> float:
-        return np.count_nonzero(self.failed) / len(self) if len(self) else 0.0
+        return int(np.count_nonzero(self.failed)) / len(self) if len(self) else 0.0
 
     def __eq__(self, other):
         if not isinstance(other, TraceSet):

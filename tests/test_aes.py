@@ -152,15 +152,16 @@ def test_hypothesis_range_and_bad_args():
 
 
 def test_hypothesis_matrix_matches_scalar_path():
+    # every column a permutation of 0..255: for each position, both bytes it
+    # reads take every value; every (trace, position, guess) cell is checked
     rng = np.random.Generator(np.random.PCG64(29))
-    cts = rng.integers(0, 256, size=(32, 16), dtype=np.uint8)
-    for p in (0, 5, 15):
+    cts = np.stack([rng.permutation(256) for _ in range(16)], axis=1).astype(np.uint8)
+    blocks = [ct.tobytes() for ct in cts]
+    for p in range(16):
         m = aes.hypothesis_matrix(cts, p)
-        assert m.shape == (32, 256)
-        for t in (0, 17, 31):
-            for g in (0, 128, 255):
-                assert m[t, g] == aes.last_round_hypothesis(
-                    cts[t].tobytes(), p, g)
+        assert m.dtype == np.uint8 and m.shape == (256, 256)
+        ref = [[aes.last_round_hypothesis(b, p, g) for g in range(256)] for b in blocks]
+        assert np.array_equal(m, ref)
 
 
 def test_round_distances_shapes_and_values():

@@ -8,6 +8,7 @@ Pearson routine, and that routine against scipy's reference implementation.
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.signal import find_peaks
 
 from clockmux import aes, attack
 from clockmux.attack import (
@@ -27,7 +28,13 @@ from clockmux.attack import (
 )
 from clockmux.clock import FrequencySet
 from clockmux.presets import STUDY_SETS, dual_reference_pair, study_set
-from clockmux.traces import PowerTrace, TraceSet, generate_set, write_trace_set
+from clockmux.traces import (
+    PULSE_SHAPES,
+    PowerTrace,
+    TraceSet,
+    generate_set,
+    write_trace_set,
+)
 
 KEY = bytes(range(16))
 KEY2 = bytes(range(16, 32))
@@ -50,8 +57,8 @@ def test_detect_peaks_finds_constructed_peaks():
     samples = np.zeros(120)
     for pos, amp in ((20, 10.0), (50, 8.0), (83, 12.0)):
         samples[pos] = amp
-    peaks = detect_peaks(samples, threshold_k=3.0, min_separation=2)
-    assert peaks.tolist() == [20, 50, 83]
+    peaks, counts = detect_peaks(samples[None], threshold_k=3.0, min_separation=2)
+    assert peaks.tolist() == [20, 50, 83] and counts.tolist() == [3]
 
 
 def test_detect_peaks_suppresses_close_cluster():
@@ -59,9 +66,51 @@ def test_detect_peaks_suppresses_close_cluster():
     samples[40] = 10.0
     samples[42] = 8.0
     samples[80] = 9.0
-    peaks = detect_peaks(samples, threshold_k=2.0, min_separation=4)
+    peaks, _ = detect_peaks(samples[None], threshold_k=2.0, min_separation=4)
     assert peaks.tolist() == [40, 80]
-    assert detect_peaks(np.zeros(2)).size == 0
+    assert detect_peaks(np.zeros((1, 2)))[0].size == 0
+
+
+def test_detect_peaks_matches_find_peaks_row_for_row(monkeypatch):
+    sent = set()
+    real = attack.find_peaks
+    monkeypatch.setattr(attack, "find_peaks",
+                        lambda x, **kw: sent.add(x.tobytes()) or real(x, **kw))
+    odd = np.zeros((3, 90), dtype=np.float32)
+    odd[0, 40] = np.nan
+    odd[2, 10::20] = 1.0
+    # mean 2, std 1: at k = 1 both peaks sit exactly at the height
+    at_height = np.array([[1, 3] * 3], dtype=np.float32)
+    corpus = [(odd, 3.0, 2), (at_height, 1.0, 2), (np.ones((4, 2), dtype=np.float32), 3.0, 2),
+              (np.zeros((0, 50), dtype=np.float32), 3.0, 2)]
+    for pulse in PULSE_SHAPES:
+        for sigma in (0.0, 0.5, 5.0):
+            for ov in (12, 24, 32):
+                ts = generate_set(study_set(1).fs, KEY, 24, oversampling=ov, seed=3,
+                                  noise_sigma=sigma, pulse=pulse)
+                own = FilterParams().resolved(ov).detect_separation
+                corpus += [(ts.samples, 3.0, own), (ts.samples, 2.0, 4),
+                           (ts.samples, 1.0, 6)]
+    plateau, close = [], []
+    for rows, k, sep in corpus:
+        positions, counts = detect_peaks(rows, k, sep)
+        ref = []
+        for row in rows.astype(np.float64):
+            if row.size < 3:
+                ref.append(np.empty(0, np.int64))
+                continue
+            height = row.mean() + k * row.std()
+            ref.append(find_peaks(row, height=height, distance=sep)[0])
+            raw, props = find_peaks(row, height=height, plateau_size=1)
+            if (props["plateau_sizes"] > 1).any():
+                plateau.append(row.tobytes())
+            elif (np.diff(raw) < sep).any():
+                close.append(row.tobytes())
+        assert np.array_equal(counts, [len(p) for p in ref])
+        assert np.array_equal(positions, np.concatenate([np.empty(0, np.int64), *ref]))
+    # both rows the strict-maximum mask cannot answer occur and go to scipy
+    assert plateau and close
+    assert set(plateau) <= sent and set(close) <= sent
 
 
 def test_filter_params_resolution():
@@ -184,12 +233,14 @@ def test_pipeline_detects_each_trace_once(monkeypatch):
     calls = []
     real = attack.detect_peaks
     monkeypatch.setattr(attack, "detect_peaks",
-                        lambda samples, *a: calls.append(1) or real(samples, *a))
+                        lambda rows, *a: calls.append(rows.copy()) or real(rows, *a))
     ts = study_set_with_failures()
     kept, _, _ = filter_traces(ts)
     min_traces_search(synchronize(kept, round=10), kept, KEY, step=10)
     min_traces_search(raw_matrix(kept, round=10), kept, KEY, step=10)
-    assert len(calls) == sum(not t.failed for t in ts.traces)
+    # one pass, in filter_traces, over exactly the non-failed rows
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], ts.samples[~ts.failed])
 
 
 def test_other_threshold_detects_afresh():
@@ -209,18 +260,19 @@ def test_attack_leaves_the_set_equal_and_its_bytes_unchanged(tmp_path, monkeypat
     calls = []
     real = attack.detect_peaks
     monkeypatch.setattr(attack, "detect_peaks",
-                        lambda samples, *a: calls.append(1) or real(samples, *a))
+                        lambda rows, *a: calls.append(rows.copy()) or real(rows, *a))
     ts = study_set_with_failures()
     before = tmp_path / "before.bin"
     write_trace_set(ts, before)
     kept, _, _ = filter_traces(ts)
     min_traces_search(synchronize(kept, round=10), kept, KEY, step=10)
-    assert len(calls) == np.count_nonzero(~ts.failed)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], ts.samples[~ts.failed])
     # the kept set carries each kept row's peaks; the input set is not written to
     key, positions, counts = kept.peaks
     params = FilterParams().resolved(ts.oversampling)
     assert key == (params.threshold_k, params.detect_separation)
-    found = [real(row, *key) for row in kept.samples]
+    found = [real(row[None], *key)[0] for row in kept.samples]
     assert counts.tolist() == [len(p) for p in found]
     assert np.array_equal(positions, np.concatenate(found))
     assert ts.peaks is None

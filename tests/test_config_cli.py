@@ -4,6 +4,7 @@ import dataclasses
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from clockmux import attack, cli
@@ -323,6 +324,21 @@ def test_cli_simulate_writes_histograms_and_summary(tmp_path, capsys):
     assert "fixed probe" in capsys.readouterr().out
 
 
+def test_gen_prints_failed_fraction_as_a_plain_float(tmp_path, capsys):
+    # study set 1 fails some encryptions; the fixed probe fails none
+    cfg = write_config(tmp_path, "[sets]\nuse = 1\n\n"
+                       + CLI_CONFIG.replace("n_traces = 600", "n_traces = 64"))
+    out = tmp_path / "out"
+    assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
+    printed = [line.rsplit("failed_fraction=", 1)[1]
+               for line in capsys.readouterr().out.splitlines()]
+    fractions = [read_trace_set(str(out / f"traces_set{i}.bin")).failed_fraction()
+                 for i in (1, 2)]
+    assert all(type(f) is float for f in fractions)
+    assert fractions[0] > 0 and fractions[1] == 0
+    assert printed == [repr(f) for f in fractions] == [str(f) for f in fractions]
+
+
 def test_cli_gen_attack_fft_round_trip(tmp_path, capsys):
     cfg = write_config(tmp_path, CLI_CONFIG)
     out = tmp_path / "out"
@@ -596,6 +612,8 @@ def count_pipeline_calls(monkeypatch):
 
         def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
+            if _name == "detect_peaks":
+                calls["detected_rows"] = args[0].copy()
             return _real(*args, **kwargs)
 
         for module in (attack, cli):
@@ -620,10 +638,13 @@ def test_attack_and_compare_run_one_pass_per_set(tmp_path, capsys, monkeypatch, 
     assert main(["attack", str(trace_path), "--config", cfg_path, "--out", str(out),
                  "--step", "30", "--evaluate", bytes(range(16)).hex()] + sync_flag) == 0
     assert (calls["filter_traces"], calls[aligner], calls[unused]) == (1, 1, 0)
-    assert calls["detect_peaks"] == sum(not t.failed for t in ts.traces)
+    # one detection pass, over exactly the set's non-failed rows
+    assert calls["detect_peaks"] == 1
+    assert np.array_equal(calls["detected_rows"], ts.samples[~ts.failed])
 
     calls = count_pipeline_calls(monkeypatch)
     assert main(["compare", "--config", cfg_path, "--out", str(tmp_path / "cmp"),
                  "--step", "30"] + sync_flag) == 0
     capsys.readouterr()
     assert (calls["filter_traces"], calls[aligner], calls[unused]) == (2, 2, 0)
+    assert calls["detect_peaks"] == 2
