@@ -12,17 +12,17 @@ The pipeline mirrors how captures are processed in practice:
 4. ``min_traces_search`` slides fixed-size segments over the same aligned
    matrix to find the smallest trace count (on a coarse grid) that still
    recovers the whole key; it and ``cpa_attack`` score through one Pearson
-   kernel over one-pass sums, ``_max_abs_rho`` (``pearson`` is the two-pass
-   reference).
+   kernel over one-pass sums, ``_max_abs_rho``, and both count a byte as
+   recovered only when its true guess ranks 1 (``_rank``; a tie fails).
 
 A set is filtered and aligned once; steps 3 and 4 both take that
 ``(AlignedMatrix, kept set)`` pair.  Each pass works on the set's arrays.
 ``filter_traces`` detects peaks in one ``detect_peaks`` pass over the
-non-failed rows (a matrix pass; scipy's ``find_peaks`` only for rows with a
-plateau or too-close maxima) and the set it keeps carries them, so
-``synchronize``, ``raw_matrix`` and ``overlap_exploit`` with the same
-(threshold_k, detect_separation) do not detect again; other passes detect
-inside the call and store nothing.
+non-failed rows (a matrix pass; ``_find_peaks_row``, an exact numpy port of
+scipy's ``find_peaks``, only for rows with a plateau or too-close maxima)
+and the set it keeps carries them, so ``synchronize``, ``raw_matrix`` and
+``overlap_exploit`` with the same (threshold_k, detect_separation) do not
+detect again; other passes detect inside the call and store nothing.
 
 ``fft_spectrum`` summarizes sets in the frequency domain and
 ``peak_permutation_bound`` / ``overlap_exploit`` quantify the brute-force
@@ -31,10 +31,10 @@ search left to an attacker facing a duplicated (dual-core) device.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import aes
 from .traces import TraceSet
@@ -44,10 +44,6 @@ DEFAULT_STEP = 250
 #: A peak above this multiple of the set's median peak amplitude is taken
 #: for two cores' pulses summed on one sample (``overlap_exploit``).
 OVERLAP_AMP_FACTOR = 1.7
-
-
-class UndefinedCorrelationError(ValueError):
-    """Pearson correlation is undefined (a constant input)."""
 
 
 @dataclass(frozen=True)
@@ -159,21 +155,52 @@ class OverlapReport:
 # Peak detection and filtering
 # ---------------------------------------------------------------------------
 
-def detect_peaks(rows: np.ndarray, threshold_k: float = 3.0,
+def _find_peaks_row(x: np.ndarray, height: float, distance: float) -> np.ndarray:
+    """scipy's ``find_peaks(x, height=height, distance=distance)[0]`` for a
+    1-D float64 row, in numpy alone.
+
+    A candidate is a run of equal samples that touches neither end of the
+    row and whose two neighbours are both lower; its peak is the run's
+    midpoint, rounded down.  NaN equals nothing, so it breaks a run, and is
+    never lower.  Peaks below ``height`` go.  Then, tallest first in reverse
+    ``np.argsort`` order (scipy's order, ties included), each peak still
+    kept removes every other peak closer than ceil(distance).
+    """
+    n = x.size
+    if n < 3:
+        return np.empty(0, np.int64)
+    left = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    right = np.r_[left[1:], n] - 1
+    inner = (left >= 1) & (right <= n - 2)
+    left, right = left[inner], right[inner]
+    peaks = ((left + right) // 2)[(x[left - 1] < x[left]) & (x[right + 1] < x[right])]
+    peaks = peaks[x[peaks] >= height]
+    d = math.ceil(distance)
+    keep = np.ones(len(peaks), dtype=bool)
+    for j in np.argsort(x[peaks])[::-1]:
+        if keep[j]:
+            keep[np.abs(peaks - peaks[j]) < d] = False
+            keep[j] = True
+    return peaks[keep]
+
+
+def detect_peaks(rows, threshold_k: float = 3.0,
                  min_separation: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Each row's local maxima at or above its mean + k * std, greedily
-    separated; returns (flat positions, per-row counts) for an (n, S) matrix.
+    separated; returns (flat positions, per-row counts) for an (n, S) matrix,
+    or for any ``rows`` with that ``shape`` whose slices ``rows[a:b]`` are
+    arrays (``_row_peaks`` passes a ``_RowGather``).
 
     The peaks are scipy ``find_peaks``'s with that height and a distance of
     ``min_separation`` (which keeps the tallest peak of any cluster).  256
     float64 rows at a time, a peak is a strict local maximum at or above the
     height.  Only a row with a plateau at or above its height, or with two
-    such maxima closer than ``min_separation``, goes to ``find_peaks``: a
-    plateau below the height fails its height filter too, and strict maxima
-    are never adjacent, so a distance of 2 suppresses none.  Positions are
-    ascending within a row, rows in order.
+    such maxima closer than ``min_separation``, goes to ``_find_peaks_row``,
+    the exact port of ``find_peaks``: a plateau below the height fails its
+    height filter too, and strict maxima are never adjacent, so a distance
+    of 2 suppresses none.  Positions are ascending within a row, rows in
+    order.
     """
-    rows = np.asarray(rows)
     n, width = rows.shape
     distance = max(1, int(min_separation))
     found_rows, found_pos = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
@@ -188,12 +215,25 @@ def detect_peaks(rows: np.ndarray, threshold_k: float = 3.0,
         found_rows.append(r[fast] + c0)
         found_pos.append(p[fast] + 1)
         for i in np.flatnonzero(slow):
-            peaks, _ = find_peaks(x[i], height=height[i, 0], distance=distance)
+            peaks = _find_peaks_row(x[i], height=height[i, 0], distance=distance)
             found_rows.append(np.full(len(peaks), c0 + i))
             found_pos.append(peaks)
     r = np.concatenate(found_rows)
     order = np.argsort(r, kind="stable")
     return np.concatenate(found_pos)[order].astype(np.int64), np.bincount(r, minlength=n)
+
+
+class _RowGather:
+    """Rows ``index`` of ``samples`` as ``detect_peaks`` reads them: a shape
+    and row slices, each gathered when sliced, so the rows are never copied
+    whole."""
+
+    def __init__(self, samples: np.ndarray, index: np.ndarray):
+        self.samples, self.index = samples, index
+        self.shape = (len(index), samples.shape[1])
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.samples[self.index[rows]]
 
 
 def _row_peaks(ts: TraceSet, params: FilterParams, rows: np.ndarray
@@ -205,7 +245,7 @@ def _row_peaks(ts: TraceSet, params: FilterParams, rows: np.ndarray
     if ts.peaks is not None and ts.peaks[0] == key:
         _, positions, counts = ts.peaks
         return positions[np.repeat(rows, counts)], counts[rows]
-    return detect_peaks(ts.samples[rows], *key)
+    return detect_peaks(_RowGather(ts.samples, np.flatnonzero(rows)), *key)
 
 
 def _round_peaks(ts: TraceSet, params: FilterParams, round: int) -> np.ndarray:
@@ -286,29 +326,6 @@ def raw_matrix(ts: TraceSet, round: int = 10,
 # Correlation
 # ---------------------------------------------------------------------------
 
-def pearson(x, y) -> float:
-    """Sample correlation coefficient, written out two-pass (the reference).
-
-    r = sum((x - xbar)(y - ybar)) / sqrt(sum((x - xbar)^2) sum((y - ybar)^2))
-
-    Raises UndefinedCorrelationError when either input is constant (callers
-    in the attack path treat that as score 0 and flag it).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-        raise ValueError("pearson expects two 1-D arrays of equal length")
-    if x.size < 2:
-        raise ValueError("pearson needs at least 2 points")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise UndefinedCorrelationError("constant input")
-    return float((dx @ dy) / np.sqrt(sxx * syy))
-
-
 def _window_slice(am: AlignedMatrix, window) -> tuple[int, int]:
     width = am.rows.shape[1]
     if window is None:
@@ -331,6 +348,13 @@ def _max_abs_rho(n, sh, shh, sy, syy, shy):
     den = np.sqrt(np.clip(varh[..., :, None] * vary[..., None, :], 0.0, None))
     rho = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
     return np.abs(rho).max(axis=-1), varh == 0
+
+
+def _rank(scores: np.ndarray, guess: int) -> np.ndarray:
+    """Rank of ``guess`` in ``scores[..., 256]``: the guesses scoring at
+    least as high, itself included, so only a unique maximum ranks 1 and a
+    tie (e.g. a byte scoring uniformly 0) counts against the attacker."""
+    return (scores >= scores[..., guess, None]).sum(axis=-1)
 
 
 def cpa_attack(am: AlignedMatrix, ts: TraceSet,
@@ -362,12 +386,8 @@ def cpa_attack(am: AlignedMatrix, ts: TraceSet,
     ranks = None
     if true_key is not None:
         true_rk = aes.expand_key(true_key).round_keys[10]
-        # >= counts the true guess itself, so a unique maximum ranks 1 and
-        # ties (e.g. an all-undefined byte scoring uniformly 0) count against
-        # the attacker instead of faking a recovery
-        ranks = tuple(
-            int((scores[p] >= scores[p, true_rk[int(aes.SHIFT_ROWS_IMAGE[p])]]).sum())
-            for p in range(16))
+        ranks = tuple(int(_rank(scores[p], true_rk[int(aes.SHIFT_ROWS_IMAGE[p])]))
+                      for p in range(16))
     return CpaResult(scores=scores, recovered_key=aes.key_from_last_round_key(bytes(rec_rk)),
                      recovered_round_key=bytes(rec_rk),
                      rank_of_true_key=ranks,
@@ -387,7 +407,8 @@ def min_traces_search(am: AlignedMatrix, ts: TraceSet, true_key: bytes,
     are cut into consecutive blocks of ``step``; every contiguous run of
     blocks is a segment, scored by ``_max_abs_rho`` from differences of
     block prefix sums; each block's h*y sums are one batched matrix product
-    (BLAS).  A segment succeeds when all 16 true-key bytes rank first, so
+    (BLAS).  A segment succeeds when all 16 true-key bytes rank 1 as in
+    ``CpaResult.broken`` (``_rank``: a tie for first fails), so
     each byte scores only the segments every earlier byte ranked first.
     Exhaustive over (size, offset): the result is exactly the smallest
     successful size, independent of evaluation order, or None when no
@@ -426,7 +447,7 @@ def min_traces_search(am: AlignedMatrix, ts: TraceSet, true_key: bytes,
             sc, _ = _max_abs_rho(k * step, ph[s + k] - ph[s], phh[s + k] - phh[s],
                                  py[s + k] - py[s], pyy[s + k] - pyy[s],
                                  phy[s + k] - phy[s])
-            success[k - 1][s] = sc.argmax(axis=1) == g_true
+            success[k - 1][s] = _rank(sc, g_true) == 1
 
     for k in range(1, nblocks + 1):
         if success[k - 1].any():

@@ -1,8 +1,9 @@
 """Attack pipeline: peak detection, filtering, alignment, CPA, spectra.
 
 The minimum-trace search's block statistics are cross-checked against a
-direct per-segment correlation oracle, CPA scores against the two-pass
-Pearson routine, and that routine against scipy's reference implementation.
+direct per-segment correlation oracle, CPA scores against a two-pass
+Pearson routine written out here, and that routine, like the in-module
+port of ``find_peaks``, against scipy's reference implementation.
 """
 
 import numpy as np
@@ -14,7 +15,6 @@ from clockmux import aes, attack
 from clockmux.attack import (
     AlignedMatrix,
     FilterParams,
-    UndefinedCorrelationError,
     cpa_attack,
     detect_peaks,
     fft_spectrum,
@@ -22,7 +22,6 @@ from clockmux.attack import (
     min_traces_search,
     overlap_exploit,
     peak_permutation_bound,
-    pearson,
     raw_matrix,
     synchronize,
 )
@@ -73,8 +72,8 @@ def test_detect_peaks_suppresses_close_cluster():
 
 def test_detect_peaks_matches_find_peaks_row_for_row(monkeypatch):
     sent = set()
-    real = attack.find_peaks
-    monkeypatch.setattr(attack, "find_peaks",
+    real = attack._find_peaks_row
+    monkeypatch.setattr(attack, "_find_peaks_row",
                         lambda x, **kw: sent.add(x.tobytes()) or real(x, **kw))
     odd = np.zeros((3, 90), dtype=np.float32)
     odd[0, 40] = np.nan
@@ -108,9 +107,63 @@ def test_detect_peaks_matches_find_peaks_row_for_row(monkeypatch):
                 close.append(row.tobytes())
         assert np.array_equal(counts, [len(p) for p in ref])
         assert np.array_equal(positions, np.concatenate([np.empty(0, np.int64), *ref]))
-    # both rows the strict-maximum mask cannot answer occur and go to scipy
+    # both rows the strict-maximum mask cannot answer occur and go to the port
     assert plateau and close
     assert set(plateau) <= sent and set(close) <= sent
+
+
+# 28 peaks two samples apart, of two heights: at a distance of 3, which of
+# two equal neighbours survives follows np.argsort's (unstable) tie order
+TIED_HEIGHTS = [2, 2, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 2, 2, 1, 1, 2, 2, 1, 2]
+
+FIND_PEAKS_EDGES = [
+    # (row, height, distance, peaks); the peaks are also checked against scipy
+    ([0, 1, 2, 2, 2], 0.0, 1, []),                   # plateau reaching the last sample
+    ([2, 2, 1, 3, 3, 3], 0.0, 1, []),                # ... and the first
+    ([0, 2, 2, 1], 0.0, 1, [1]),                     # even width: midpoint rounds down
+    ([0, 3, 3, 3, 3, 0, 1, 1, 0], 0.0, 1, [2, 6]),
+    ([0, 3, 3, 0, 2.5, 0], 3.0, 1, [1]),             # plateau exactly at the height
+    ([0, 5, 0, 5, 0, 5, 0], 0.0, 3, None),           # equal heights, too close
+    ([v for h in TIED_HEIGHTS for v in (0, h)] + [0], 0.0, 3, None),  # argsort's tie order
+    ([0, 1, 0, 4, 0, 2, 1, 3, 0], 0.0, 2.5, None),   # distance rounds up
+    ([0, 1, 0, 4, 0, 2, 1, 3, 0, 3.5, 0], 0.0, 50, [3]),  # distance past the row
+    ([0, np.nan, 0, 2, 0], 0.0, 1, [3]),             # NaN is never a peak
+    ([0, 2, 2, np.nan, 2, 2, 0], 0.0, 1, []),        # NaN breaks a plateau
+    ([0, 2, np.nan, 3, 1], 0.0, 1, []),              # a NaN neighbour is never lower
+    ([np.nan] * 5, 0.0, 1, []),
+    ([0, 2, 0, 3, 0], np.nan, 1, []),                # NaN height keeps nothing
+    ([], 0.0, 1, []),                                # shorter than 3 samples
+    ([1.0], 0.0, 1, []),
+    ([1.0, 2.0], 0.0, 1, []),
+]
+
+
+@pytest.mark.parametrize("row, height, distance, expected", FIND_PEAKS_EDGES)
+def test_find_peaks_row_edge_cases(row, height, distance, expected):
+    x = np.asarray(row, dtype=np.float64)
+    peaks = attack._find_peaks_row(x, height=height, distance=distance)
+    assert np.array_equal(peaks, find_peaks(x, height=height, distance=distance)[0])
+    assert peaks.dtype == np.int64
+    if expected is not None:
+        assert peaks.tolist() == expected
+
+
+def test_find_peaks_row_matches_scipy_on_small_integer_rows():
+    # small integers make plateaus and equal heights common
+    rng = np.random.default_rng(11)
+    plateaus = ties = 0
+    for _ in range(2000):
+        x = rng.integers(0, 5, int(rng.integers(0, 40))).astype(np.float64)
+        if x.size and rng.random() < 0.2:
+            x[rng.integers(0, x.size, 2)] = np.nan
+        height, distance = float(rng.integers(-1, 5)), int(rng.integers(1, 8))
+        ref = find_peaks(x, height=height, distance=distance)[0]
+        assert np.array_equal(attack._find_peaks_row(x, height=height,
+                                                     distance=distance), ref)
+        raw, props = find_peaks(x, height=height, plateau_size=1)
+        plateaus += int((props["plateau_sizes"] > 1).any())
+        ties += int(len(raw) > len(ref) and len(np.unique(x[raw])) < len(raw))
+    assert plateaus > 200 and ties > 200
 
 
 def test_filter_params_resolution():
@@ -233,7 +286,7 @@ def test_pipeline_detects_each_trace_once(monkeypatch):
     calls = []
     real = attack.detect_peaks
     monkeypatch.setattr(attack, "detect_peaks",
-                        lambda rows, *a: calls.append(rows.copy()) or real(rows, *a))
+                        lambda rows, *a: calls.append(rows[:]) or real(rows, *a))
     ts = study_set_with_failures()
     kept, _, _ = filter_traces(ts)
     min_traces_search(synchronize(kept, round=10), kept, KEY, step=10)
@@ -260,7 +313,7 @@ def test_attack_leaves_the_set_equal_and_its_bytes_unchanged(tmp_path, monkeypat
     calls = []
     real = attack.detect_peaks
     monkeypatch.setattr(attack, "detect_peaks",
-                        lambda rows, *a: calls.append(rows.copy()) or real(rows, *a))
+                        lambda rows, *a: calls.append(rows[:]) or real(rows, *a))
     ts = study_set_with_failures()
     before = tmp_path / "before.bin"
     write_trace_set(ts, before)
@@ -285,6 +338,33 @@ def test_attack_leaves_the_set_equal_and_its_bytes_unchanged(tmp_path, monkeypat
 # ---------------------------------------------------------------------------
 # Correlation
 # ---------------------------------------------------------------------------
+
+class UndefinedCorrelationError(ValueError):
+    """Pearson correlation is undefined (a constant input)."""
+
+
+def pearson(x, y) -> float:
+    """Sample correlation coefficient, written out two-pass (the reference).
+
+    r = sum((x - xbar)(y - ybar)) / sqrt(sum((x - xbar)^2) sum((y - ybar)^2))
+
+    Raises UndefinedCorrelationError when either input is constant (the
+    attack scores such a cell 0 and flags it).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
+        raise ValueError("pearson expects two 1-D arrays of equal length")
+    if x.size < 2:
+        raise ValueError("pearson needs at least 2 points")
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx = float(dx @ dx)
+    syy = float(dy @ dy)
+    if sxx == 0.0 or syy == 0.0:
+        raise UndefinedCorrelationError("constant input")
+    return float((dx @ dy) / np.sqrt(sxx * syy))
+
 
 def test_pearson_matches_scipy():
     rng = np.random.default_rng(5)
@@ -388,7 +468,6 @@ def aligned(ts, window_halfwidth):
 
 def direct_min_traces(ts, true_key, step, window_halfwidth):
     am, kept = aligned(ts, window_halfwidth)
-    true_rk = aes.expand_key(true_key).round_keys[10]
     n = am.rows.shape[0]
     best = None
     for k in range(1, n // step + 1):
@@ -398,7 +477,7 @@ def direct_min_traces(ts, true_key, step, window_halfwidth):
                                 kept_indices=am.kept_indices[start:start + k * step],
                                 peak_positions=am.peak_positions[start:start + k * step])
             res = cpa_attack(sub, kept, true_key=true_key)
-            if res.recovered_round_key == bytes(true_rk):
+            if res.broken:
                 best = k * step
                 break
         if best is not None:
@@ -424,6 +503,38 @@ def test_min_traces_search_reports_failure_and_validates_step():
     assert min_traces_search(am, kept, KEY, step=60) is None
     with pytest.raises(ValueError):
         min_traces_search(am, kept, KEY, step=1)
+
+
+def test_a_tie_for_first_breaks_neither_the_search_nor_cpa():
+    # each window column leaks one byte's true hypothesis; at position 5 every
+    # row also gives a later guess the same hypothesis, so that guess ties
+    true_rk = aes.expand_key(KEY).round_keys[10]
+    g_true = int(true_rk[int(aes.SHIFT_ROWS_IMAGE[5])])
+    cts = np.random.default_rng(4).integers(0, 256, (4000, 16), dtype=np.uint8)
+    h5 = aes.hypothesis_matrix(cts, 5)
+    twin = h5[:, g_true] == h5[:, g_true + 1]
+
+    def leaking_set(cts):
+        y = np.stack([aes.hypothesis_matrix(cts, p)[:, true_rk[int(aes.SHIFT_ROWS_IMAGE[p])]]
+                      for p in range(16)], axis=1).astype(np.float32)
+        n = len(cts)
+        ts = TraceSet(samples=y, plaintexts=np.zeros_like(cts), ciphertexts=cts,
+                      failed=np.zeros(n, dtype=bool), sample_period_s=1e-8, key=KEY,
+                      fs=degenerate(), oversampling=8, noise_sigma=0.0)
+        am = AlignedMatrix(rows=y, round_anchor=None, kept_indices=np.arange(n),
+                           peak_positions=np.full(n, -1))
+        return am, ts
+
+    am, ts = leaking_set(cts[:64])
+    assert cpa_attack(am, ts, true_key=KEY).broken
+    assert min_traces_search(am, ts, KEY, step=64) == 64
+    am, ts = leaking_set(cts[twin][:64])
+    res = cpa_attack(am, ts, true_key=KEY)
+    assert res.rank_of_true_key == (1,) * 5 + (2,) + (1,) * 10
+    assert res.scores[5, g_true] == res.scores[5, g_true + 1]
+    # the first maximum is the true guess, yet a tie does not rank 1
+    assert res.recovered_round_key == bytes(true_rk) and not res.broken
+    assert min_traces_search(am, ts, KEY, step=64) is None
 
 
 def test_min_traces_monotone_in_noise():

@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +328,34 @@ def test_cli_simulate_writes_histograms_and_summary(tmp_path, capsys):
     assert "fixed probe" in capsys.readouterr().out
 
 
+NO_SCIPY_PROBE = """\
+import json, sys
+import clockmux.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+on_import = scipy_modules()
+code = clockmux.cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"on_import": on_import, "code": code, "after": scipy_modules()}))
+"""
+
+
+def test_command_line_loads_no_scipy(tmp_path):
+    # the runtime is numpy-only: start-up pays for no scipy import
+    cfg = write_config(tmp_path, CLI_CONFIG.replace("n_base_cycles = 4000",
+                                                    "n_base_cycles = 200"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, cfg, str(tmp_path / "out")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"on_import": [], "code": 0, "after": []}
+    assert (tmp_path / "out" / "simulate_summary.csv").is_file()
+
+
 def test_gen_prints_failed_fraction_as_a_plain_float(tmp_path, capsys):
     # study set 1 fails some encryptions; the fixed probe fails none
     cfg = write_config(tmp_path, "[sets]\nuse = 1\n\n"
@@ -613,7 +645,8 @@ def count_pipeline_calls(monkeypatch):
         def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             if _name == "detect_peaks":
-                calls["detected_rows"] = args[0].copy()
+                # all rows as one array; the pass slices them a chunk at a time
+                calls["detected_rows"] = args[0][:]
             return _real(*args, **kwargs)
 
         for module in (attack, cli):
