@@ -42,7 +42,6 @@ from .attack import (
     cpa_attack,
     fft_spectrum,
     filter_traces,
-    min_traces_search,
     raw_matrix,
     synchronize,
 )
@@ -237,10 +236,10 @@ def _attack_trace_set(cfg: ExperimentConfig, ts, true_key: bytes | None) -> dict
         "recovered_key": None,
     }
     if am.rows.shape[0] >= 2:
-        cpa = cpa_attack(am, kept, true_key=true_key)
+        cpa = cpa_attack(am, kept, true_key=true_key, step=cfg.step)
         result["recovered_key"] = cpa.recovered_key.hex()
+        result["min_traces"] = cpa.min_traces
     if true_key is not None:
-        result["min_traces"] = min_traces_search(am, kept, true_key, step=cfg.step)
         result["broken"] = result["min_traces"] is not None
     result.update(_overhead(cfg, ts.fs, rounds=cfg.attack_round, seed=cfg.seed))
     return result
@@ -266,6 +265,9 @@ def cmd_attack(cfg: ExperimentConfig, trace_path: str,
 
 def cmd_fft(cfg: ExperimentConfig, trace_path: str) -> int:
     ts = read_trace_set(trace_path)
+    if ts.failed.all():
+        raise TraceFormatError(f"{trace_path}: no usable traces (every trace failed, "
+                               f"or the set is empty)")
     spectrum = fft_spectrum(ts, cfg.fft_bin_hz)
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows = [(b * spectrum.bin_hz, float(m))

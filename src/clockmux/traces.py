@@ -437,8 +437,8 @@ def first_round_coincidence_fraction(ts: TraceSet) -> float:
 # produce: a label that is not UTF-8, frequency-set values FrequencySet
 # rejects, a non-finite or non-positive sample period, oversampling below 2,
 # a trace count whose 37-byte minimum records do not fit in the file (checked
-# before any record is parsed), a sample count past the end of the file, or
-# traces with unequal sample counts.
+# before any record is parsed), a sample count past the end of the file,
+# traces with unequal sample counts, or a non-finite (NaN or inf) sample.
 # ---------------------------------------------------------------------------
 
 def _record_dtype(n_samples: int) -> np.dtype:
@@ -537,7 +537,11 @@ def read_trace_set(path) -> TraceSet:
     if len(data) > size:
         raise TraceFormatError("trailing bytes after final trace")
     records = np.frombuffer(data, dtype)
-    return TraceSet(samples=records["samples"].astype(np.float32),
+    samples = records["samples"].astype(np.float32)
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if bad.size:
+        raise TraceFormatError(f"trace {bad[0]} has a non-finite sample")
+    return TraceSet(samples=samples,
                     plaintexts=records["plaintext"].copy(),
                     ciphertexts=records["ciphertext"].copy(), failed=records["failed"] != 0,
                     sample_period_s=sp, key=key, fs=fs, oversampling=oversampling,

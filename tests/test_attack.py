@@ -436,7 +436,9 @@ def test_cpa_needs_two_traces_and_valid_window():
 
 def test_cpa_scores_match_two_pass_pearson():
     # an oracle independent of the shared one-pass kernel: the min-traces
-    # oracle below calls cpa_attack, which scores through that kernel
+    # oracle below calls cpa_attack, which scores through that kernel.  The
+    # kernel fed float64 sums of h and h^2 gives the very scores cpa_attack
+    # gets from its integer sums.
     ts = generate_set(study_set(1).fs, KEY, 60, oversampling=12, seed=7,
                       noise_sigma=1.0)
     kept, _, _ = filter_traces(ts)
@@ -445,8 +447,13 @@ def test_cpa_scores_match_two_pass_pearson():
     res = cpa_attack(am, kept, window=window)
     y = am.rows[:, window[0]:window[1]]
     cts = kept.ciphertexts[am.kept_indices]
+    yf = y.astype(np.float64)
     for p in range(16):
         h = aes.hypothesis_matrix(cts, p)
+        hf = h.astype(np.float64)
+        float_sums, _ = attack._max_abs_rho(len(y), hf.sum(axis=0), (hf * hf).sum(axis=0),
+                                            yf.sum(axis=0), (yf * yf).sum(axis=0), hf.T @ yf)
+        assert np.array_equal(res.scores[p], float_sums)
         ref = np.zeros(256)
         for g in range(256):
             for c in range(y.shape[1]):
@@ -486,11 +493,15 @@ def direct_min_traces(ts, true_key, step, window_halfwidth):
 
 
 def test_min_traces_search_matches_direct_oracle():
-    ts = fixed_clock_set(700, seed=13, noise_sigma=2.0)
-    min_traces = min_traces_search(*aligned(ts, 8), KEY, step=100)
-    oracle = direct_min_traces(ts, KEY, step=100, window_halfwidth=8)
-    assert min_traces == oracle
-    assert min_traces is not None
+    for noise_sigma, step, expected in (
+            (2.0, 100, 600),   # k* 6 of 6 blocks: the first range (1-8)
+            (2.0, 20, 600),    # k* 30 of 34 blocks: the third range (17-32)
+            (3.0, 20, None)):  # 34 blocks, every range scored, no success
+        ts = fixed_clock_set(700, seed=13, noise_sigma=noise_sigma)
+        am, kept = aligned(ts, 8)
+        min_traces = min_traces_search(am, kept, KEY, step=step)
+        assert min_traces == direct_min_traces(ts, KEY, step=step, window_halfwidth=8)
+        assert min_traces == expected
 
 
 def test_min_traces_search_reports_failure_and_validates_step():

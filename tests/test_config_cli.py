@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clockmux import attack, cli
+from clockmux import aes, attack, cli
+from clockmux.clock import FrequencySet
 from clockmux.attack import filter_traces, raw_matrix, synchronize
 from clockmux.cli import main
 from clockmux.config import (
@@ -493,6 +494,12 @@ def _label_len(blob):
     return struct.unpack_from("<H", blob, _LABEL_AT - 2)[0]
 
 
+def _sample_at(blob, index, sample, n_traces=4):
+    """Byte offset of sample ``sample`` of trace ``index``."""
+    header = _LABEL_AT + _label_len(blob) + 48
+    return header + index * ((len(blob) - header) // n_traces) + 37 + 4 * sample
+
+
 CORRUPT_HEADERS = {
     "label not utf-8": lambda b: _corrupt(b, _LABEL_AT, "<B", 0xFF),
     "negative base_hz": lambda b: _corrupt(b, _LABEL_AT + _label_len(b), "<d", -10e6),
@@ -504,6 +511,8 @@ CORRUPT_HEADERS = {
     "sample count past the end": lambda b: _corrupt(
         b, _LABEL_AT + _label_len(b) + 48 + 33, "<I", 0xFFFFFFFF),
     "trace count past the end": lambda b: _corrupt(b, _N_TRACES_AT, "<I", 0xFFFFFFFF),
+    "nan sample": lambda b: _corrupt(b, _sample_at(b, 2, 7), "<f", float("nan")),
+    "inf sample": lambda b: _corrupt(b, _sample_at(b, 3, 0), "<f", float("-inf")),
 }
 
 
@@ -551,6 +560,21 @@ def test_unequal_sample_counts_are_a_data_error(tmp_path, capsys, small_trace_bl
                  "--evaluate", bytes(range(16)).hex()]) == 3
     assert main(["fft", str(path), "--out", str(tmp_path / "f")]) == 3
     assert "data error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", ["all failed", "none"])
+def test_fft_of_a_set_with_no_usable_trace_is_a_data_error(tmp_path, capsys, rows):
+    ts = generate_set(STUDY_SETS[0].fs, bytes(range(16)), 4, oversampling=8)
+    if rows == "all failed":
+        ts = dataclasses.replace(ts, failed=np.ones(len(ts), dtype=bool))
+    else:
+        ts = ts.take(np.arange(0))
+    path = tmp_path / "unusable.bin"
+    write_trace_set(ts, str(path))
+    assert main(["fft", str(path), "--out", str(tmp_path / "f")]) == 3
+    err = capsys.readouterr().err
+    assert "data error:" in err and "no usable traces" in err
+    assert "Traceback" not in err
 
 
 STALL_CONFIG = """\
@@ -681,3 +705,21 @@ def test_attack_and_compare_run_one_pass_per_set(tmp_path, capsys, monkeypatch, 
     capsys.readouterr()
     assert (calls["filter_traces"], calls[aligner], calls[unused]) == (2, 2, 0)
     assert calls["detect_peaks"] == 2
+
+
+@pytest.mark.parametrize("step, min_traces, builds", [
+    (60, 420, 16),   # k* 7 of 13 blocks: one build per byte feeds CPA and search
+    (50, 450, 32),   # k* 9 of 16 blocks: the second range rebuilds each byte
+])
+def test_attack_builds_each_byte_hypotheses_once_inside_the_first_range(
+        monkeypatch, step, min_traces, builds):
+    fixed = FrequencySet(base_hz=10e6, fundamentals=(10e6,) * 4)
+    ts = generate_set(fixed, bytes(range(16)), 800, oversampling=8, noise_sigma=0.5, seed=3)
+    calls = []
+    real = aes.hypothesis_matrix
+    monkeypatch.setattr(aes, "hypothesis_matrix",
+                        lambda cts, p: calls.append(p) or real(cts, p))
+    cfg = dataclasses.replace(ExperimentConfig(), step=step)
+    result = cli._attack_trace_set(cfg, ts, bytes(range(16)))
+    assert (result["min_traces"], result["broken"]) == (min_traces, True)
+    assert calls == list(range(16)) * (builds // 16)
