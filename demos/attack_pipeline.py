@@ -14,6 +14,7 @@ import numpy as np
 from clockmux.attack import (
     cpa_attack,
     filter_traces,
+    min_traces_search,
     raw_matrix,
     synchronize,
 )
@@ -26,10 +27,10 @@ KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 def describe(tag: str, ts) -> None:
     kept, removed, failed = filter_traces(ts)
     aligned = synchronize(kept, round=10, window_halfwidth=4)
-    # one pass per key byte scores CPA and the minimum-traces search alike
-    result = cpa_attack(aligned, kept, true_key=KEY, step=250)
+    result = cpa_attack(aligned, kept, true_key=KEY)
     ranks = result.rank_of_true_key
-    outcome = result.min_traces if result.min_traces is not None else "not broken here"
+    min_traces = min_traces_search(aligned, kept, KEY, step=250)
+    outcome = min_traces if min_traces is not None else "not broken here"
     print(f"{tag}:")
     print(f"  kept {aligned.rows.shape[0]}/{len(ts.traces)} traces "
           f"(removed {removed:.1%}, failed {failed:.1%})")

@@ -11,12 +11,10 @@ The pipeline mirrors how captures are processed in practice:
    key byte by their correlation with the aligned columns.
 4. ``min_traces_search`` slides fixed-size segments over the same aligned
    matrix to find the smallest trace count (on a coarse grid) that still
-   recovers the whole key, scoring segment sizes in capped ranges.  It runs
-   inside step 3's pass: ``cpa_attack`` given ``step`` and the true key
-   builds each byte's hypotheses once for both.  Both score through one
-   Pearson kernel over one-pass sums, ``_max_abs_rho``, and both count a
-   byte as recovered only when its true guess ranks 1 (``_rank``; a tie
-   fails).
+   recovers the whole key, scoring segment sizes in capped ranges.  It and
+   ``cpa_attack`` score through one Pearson kernel over one-pass sums,
+   ``_max_abs_rho``, and both count a byte as recovered only when its true
+   guess ranks 1 (``_rank``; a tie fails).
 
 A set is filtered and aligned once; steps 3 and 4 both take that
 ``(AlignedMatrix, kept set)`` pair.  Each pass works on the set's arrays.
@@ -109,8 +107,6 @@ class CpaResult:
     assembles the argmax guesses, ``recovered_key`` walks the schedule back
     to the cipher key.  ``undefined_fraction`` counts (guess, byte) cells
     whose hypothesis had zero variance (scored 0, flagged here).
-    ``min_traces`` is ``min_traces_search``'s answer when ``cpa_attack`` was
-    given ``step`` and ``true_key``, else None.
     """
 
     scores: np.ndarray
@@ -118,7 +114,6 @@ class CpaResult:
     recovered_round_key: bytes
     rank_of_true_key: tuple[int, ...] | None
     undefined_fraction: float
-    min_traces: int | None = None
 
     @property
     def broken(self) -> bool:
@@ -363,59 +358,63 @@ def _rank(scores: np.ndarray, guess: int) -> np.ndarray:
     return (scores >= scores[..., guess, None]).sum(axis=-1)
 
 
+def _hypothesis_sums(h: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of the uint8 hypotheses ``h`` and of ``h*h`` along ``axis``.
+
+    Exact: h <= 8, so h*h fits uint8 and uint32 accumulators hold any sum
+    over fewer than 2**26 rows (the float64 (n, 256) matrix of that many
+    rows is 137 GB); they add up about twice as fast as int64 ones.  The
+    sums are widened to int64 because ``_max_abs_rho``'s variance term,
+    n*sum(h*h) - sum(h)**2, can pass 2**32 from 16,384 rows on.
+    """
+    return (h.sum(axis=axis, dtype=np.uint32).astype(np.int64),
+            (h * h).sum(axis=axis, dtype=np.uint32).astype(np.int64))
+
+
+def _true_guesses(true_key: bytes) -> list[int]:
+    """Per register byte position, the true last-round key byte's guess."""
+    true_rk = aes.expand_key(true_key).round_keys[10]
+    return [int(true_rk[int(aes.SHIFT_ROWS_IMAGE[p])]) for p in range(16)]
+
+
 def cpa_attack(am: AlignedMatrix, ts: TraceSet,
                window: tuple[int, int] | None = None,
-               true_key: bytes | None = None,
-               step: int | None = None) -> CpaResult:
-    """Correlation attack over an aligned matrix, and with ``step`` and
-    ``true_key`` the minimum-traces search over the same window.
+               true_key: bytes | None = None) -> CpaResult:
+    """Correlation attack over an aligned matrix.
 
     For every register byte position the 256 last-round hypotheses are
     correlated against every window column; a guess's score is its maximum
     absolute correlation (``_max_abs_rho`` over all rows).  Cells with zero
     variance score 0; zero-variance guesses count in ``undefined_fraction``.
-    One pass per byte: its hypotheses are built once and feed both the
-    scores and the search's block sums, and only that byte's float64
-    matrix is alive.  Sums of h and h^2 are exact integer sums; sums of
-    h*y are one BLAS product.
+    Sums of h and h^2 are exact integer sums of the uint8 hypotheses; sums
+    of h*y are one BLAS product per byte, and only that byte's float64
+    matrix is alive.
     """
     if am.rows.shape[0] < 2:
         raise ValueError("need at least 2 traces to correlate")
-    if step is not None and step < 2:
-        raise ValueError("step must be at least 2")
     lo, hi = _window_slice(am, window)
     cts = ts.ciphertexts[am.kept_indices]
     y = am.rows[:, lo:hi].astype(np.float64)
     sy, syy = y.sum(axis=0), (y * y).sum(axis=0)
-    guesses = None  # per position, the true round key byte's guess
-    if true_key is not None:
-        true_rk = aes.expand_key(true_key).round_keys[10]
-        guesses = [int(true_rk[int(aes.SHIFT_ROWS_IMAGE[p])]) for p in range(16)]
-    search = None
-    if guesses is not None and step is not None and len(y) >= step:
-        search = _SegmentSearch(y, step, guesses)
     scores = np.zeros((16, 256), dtype=np.float64)
     undefined = 0
     for p in range(16):
         h = aes.hypothesis_matrix(cts, p)
-        hh = h * h  # at most 8**2, so uint8 holds it
         hf = h.astype(np.float64)
-        scores[p], constant = _max_abs_rho(len(y), h.sum(axis=0, dtype=np.int64),
-                                           hh.sum(axis=0, dtype=np.int64), sy, syy, hf.T @ y)
+        scores[p], constant = _max_abs_rho(len(y), *_hypothesis_sums(h, axis=0),
+                                           sy, syy, hf.T @ y)
         undefined += int(constant.sum())
-        if search is not None and search.live():
-            search.score_byte(p, h, hh, hf)
-        del h, hh, hf  # the next byte's matrices replace these, never join them
+        del h, hf  # the next byte's matrices replace these, never join them
     rec_rk = bytearray(16)
     for p in range(16):
         rec_rk[int(aes.SHIFT_ROWS_IMAGE[p])] = int(scores[p].argmax())
-    ranks = None if guesses is None else tuple(int(_rank(scores[p], guesses[p]))
-                                               for p in range(16))
+    ranks = None
+    if true_key is not None:
+        ranks = tuple(int(_rank(scores[p], g)) for p, g in enumerate(_true_guesses(true_key)))
     return CpaResult(scores=scores, recovered_key=aes.key_from_last_round_key(bytes(rec_rk)),
                      recovered_round_key=bytes(rec_rk),
                      rank_of_true_key=ranks,
-                     undefined_fraction=undefined / (16 * 256),
-                     min_traces=None if search is None else search.finish(cts))
+                     undefined_fraction=undefined / (16 * 256))
 
 
 # ---------------------------------------------------------------------------
@@ -434,89 +433,60 @@ def _prefix(block_sums: np.ndarray) -> np.ndarray:
     return out
 
 
-class _SegmentSearch:
-    """``min_traces_search``'s state over the blocks of ``y``, fed one
-    byte's hypotheses at a time.
-
-    ``alive[k]`` flags the segments of k blocks (one per start block) on
-    which every byte scored so far ranks its true guess 1; only the sizes
-    of the current range are held.
-    """
-
-    def __init__(self, y: np.ndarray, step: int, guesses: list[int]):
-        self.step, self.guesses = step, guesses
-        self.nblocks = len(y) // step
-        self.yb = y[:self.nblocks * step].reshape(self.nblocks, step, y.shape[1])
-        self.py = _prefix(self.yb.sum(axis=1))
-        self.pyy = _prefix((self.yb * self.yb).sum(axis=1))
-        self._start(range(1, min(SEARCH_CAP, self.nblocks) + 1))
-
-    def _start(self, sizes: range) -> None:
-        self.sizes = sizes
-        self.alive = {k: np.ones(self.nblocks - k + 1, dtype=bool) for k in sizes}
-
-    def live(self) -> bool:
-        return any(a.any() for a in self.alive.values())
-
-    def score_byte(self, p: int, h: np.ndarray, hh: np.ndarray, hf: np.ndarray) -> None:
-        """Rank byte ``p``'s true guess on each live segment of the range,
-        from block prefix sums of its hypotheses ``h``, their squares ``hh``
-        (uint8) and ``hf`` (float64), rows past the last block ignored."""
-        nb, step, rows = self.nblocks, self.step, self.nblocks * self.step
-        ph = _prefix(h[:rows].reshape(nb, step, 256).sum(axis=1, dtype=np.int64))
-        phh = _prefix(hh[:rows].reshape(nb, step, 256).sum(axis=1, dtype=np.int64))
-        phy = _prefix(hf[:rows].reshape(nb, step, 256).transpose(0, 2, 1) @ self.yb)
-        for k in self.sizes:
-            s = np.flatnonzero(self.alive[k])
-            sc, _ = _max_abs_rho(k * step, ph[s + k] - ph[s], phh[s + k] - phh[s],
-                                 self.py[s + k] - self.py[s], self.pyy[s + k] - self.pyy[s],
-                                 phy[s + k] - phy[s])
-            self.alive[k][s] = _rank(sc, self.guesses[p]) == 1
-
-    def finish(self, cts: np.ndarray) -> int | None:
-        """The smallest successful size in rows, or None.  Once all 16
-        bytes have been scored on a range without success, the next range
-        rebuilds each byte's hypotheses from ``cts`` (the rows' ciphertexts)."""
-        while True:
-            found = [k for k in self.sizes if self.alive[k].any()]
-            if found:
-                return found[0] * self.step
-            last = self.sizes.stop - 1
-            if last >= self.nblocks:
-                return None
-            self._start(range(last + 1, min(2 * last, self.nblocks) + 1))
-            for p in range(16):
-                if not self.live():
-                    break
-                h = aes.hypothesis_matrix(cts[:self.nblocks * self.step], p)
-                self.score_byte(p, h, h * h, h.astype(np.float64))
-
-
 def min_traces_search(am: AlignedMatrix, ts: TraceSet, true_key: bytes,
                       step: int = DEFAULT_STEP) -> int | None:
     """Smallest segment size (grid of ``step``) whose attack recovers the key.
 
     Scores the rows of ``am`` over its full width, with ``ts`` the set its
-    ``kept_indices`` point into: the pair ``cpa_attack`` takes, and this is
-    ``cpa_attack(am, ts, true_key=true_key, step=step).min_traces``.  The
-    rows are cut into consecutive blocks of ``step``; every contiguous run
-    of blocks is a segment, scored by ``_max_abs_rho`` from differences of
-    block prefix sums; each block's h*y sums are one batched matrix product
-    (BLAS).  A segment succeeds when all 16 true-key bytes rank 1 as in
-    ``CpaResult.broken`` (``_rank``: a tie for first fails), so each byte
-    scores only the segments every earlier byte ranked first, and once none
-    is left the remaining bytes are not scored.  Sizes are scored in capped
-    ranges, 1 to ``SEARCH_CAP`` blocks first, then 9-16, 17-32 and so on,
-    returning at the first range that holds a success.  Success at one size
-    does not depend on any other, so the result is exactly the smallest
-    successful size, as an exhaustive search over (size, offset) finds it,
-    or None when no segment (or not even one block) recovers the key.
+    ``kept_indices`` point into: the pair ``cpa_attack`` takes.  The rows
+    are cut into consecutive blocks of ``step``; every contiguous run of
+    blocks is a segment, scored by ``_max_abs_rho`` from differences of
+    block prefix sums (h and h^2 exact integer sums, each block's h*y sums
+    one batched BLAS product).  A segment succeeds when all 16 true-key
+    bytes rank 1 as in ``CpaResult.broken`` (``_rank``: a tie for first
+    fails), so each byte scores only the segments every earlier byte ranked
+    first, and once none is left the remaining bytes are not scored.  Sizes
+    are scored in capped ranges, 1 to ``SEARCH_CAP`` blocks first, then
+    9-16, 17-32 and so on, bytes outer, returning at the first range that
+    holds a success; each range builds every byte's hypotheses and prefix
+    sums anew, one byte at a time.  Success at one size does not depend on
+    any other, so the result is exactly the smallest successful size, as an
+    exhaustive search over (size, offset) finds it, or None when no segment
+    (or not even one block) recovers the key.
     """
     if step < 2:
         raise ValueError("step must be at least 2")
-    if am.rows.shape[0] < step:
+    nblocks = am.rows.shape[0] // step
+    if nblocks == 0:
         return None
-    return cpa_attack(am, ts, true_key=true_key, step=step).min_traces
+    rows = nblocks * step
+    yb = am.rows[:rows].astype(np.float64).reshape(nblocks, step, am.rows.shape[1])
+    cts = ts.ciphertexts[am.kept_indices[:rows]]
+    py, pyy = _prefix(yb.sum(axis=1)), _prefix((yb * yb).sum(axis=1))
+    guesses = _true_guesses(true_key)
+    first, last = 1, min(SEARCH_CAP, nblocks)
+    while True:
+        # alive[k][s]: every byte scored so far ranks 1 on the k blocks at s
+        alive = {k: np.ones(nblocks - k + 1, dtype=bool) for k in range(first, last + 1)}
+        for p in range(16):
+            if not any(a.any() for a in alive.values()):
+                break
+            h = aes.hypothesis_matrix(cts, p).reshape(nblocks, step, 256)
+            ph, phh = (_prefix(x) for x in _hypothesis_sums(h, axis=1))
+            phy = _prefix(h.astype(np.float64).transpose(0, 2, 1) @ yb)
+            del h  # one byte's hypotheses at a time
+            for k, a in alive.items():
+                s = np.flatnonzero(a)
+                sc, _ = _max_abs_rho(k * step, ph[s + k] - ph[s], phh[s + k] - phh[s],
+                                     py[s + k] - py[s], pyy[s + k] - pyy[s],
+                                     phy[s + k] - phy[s])
+                a[s] = _rank(sc, guesses[p]) == 1
+        found = [k for k, a in alive.items() if a.any()]
+        if found:
+            return found[0] * step
+        if last == nblocks:
+            return None
+        first, last = last + 1, min(2 * last, nblocks)
 
 
 # ---------------------------------------------------------------------------

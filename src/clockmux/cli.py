@@ -42,6 +42,7 @@ from .attack import (
     cpa_attack,
     fft_spectrum,
     filter_traces,
+    min_traces_search,
     raw_matrix,
     synchronize,
 )
@@ -236,10 +237,10 @@ def _attack_trace_set(cfg: ExperimentConfig, ts, true_key: bytes | None) -> dict
         "recovered_key": None,
     }
     if am.rows.shape[0] >= 2:
-        cpa = cpa_attack(am, kept, true_key=true_key, step=cfg.step)
+        cpa = cpa_attack(am, kept, true_key=true_key)
         result["recovered_key"] = cpa.recovered_key.hex()
-        result["min_traces"] = cpa.min_traces
     if true_key is not None:
+        result["min_traces"] = min_traces_search(am, kept, true_key, step=cfg.step)
         result["broken"] = result["min_traces"] is not None
     result.update(_overhead(cfg, ts.fs, rounds=cfg.attack_round, seed=cfg.seed))
     return result

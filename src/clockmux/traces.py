@@ -438,7 +438,8 @@ def first_round_coincidence_fraction(ts: TraceSet) -> float:
 # rejects, a non-finite or non-positive sample period, oversampling below 2,
 # a trace count whose 37-byte minimum records do not fit in the file (checked
 # before any record is parsed), a sample count past the end of the file,
-# traces with unequal sample counts, or a non-finite (NaN or inf) sample.
+# traces with unequal sample counts, or a non-finite (NaN or inf) sample
+# (which ``write_trace_set`` refuses with ValueError).
 # ---------------------------------------------------------------------------
 
 def _record_dtype(n_samples: int) -> np.dtype:
@@ -458,6 +459,9 @@ def write_trace_set(ts: TraceSet, path) -> None:
     for name, column in zip(records.dtype.names, (ts.failed, ts.plaintexts, ts.ciphertexts,
                                                   ts.samples.shape[1], ts.samples)):
         records[name] = column
+    bad = np.flatnonzero(~np.isfinite(records["samples"]).all(axis=1))
+    if bad.size:  # read_trace_set would refuse the file
+        raise ValueError(f"trace {bad[0]} has a non-finite sample")
     with open(path, "wb") as f:
         f.write(TRACE_MAGIC)
         f.write(struct.pack("<III", TRACE_FORMAT_VERSION, ts.core_count, len(ts)))

@@ -464,6 +464,30 @@ def test_cpa_scores_match_two_pass_pearson():
         np.testing.assert_allclose(res.scores[p], ref, rtol=0, atol=1e-12)
 
 
+def test_cpa_integer_sums_stay_exact_past_32_bits():
+    # at byte 1, guess 0's hypotheses alternate 0 and 8, so over 20,000 rows
+    # n * sum(h*h) - sum(h)**2 = 16 n**2 passes 2**32: uint32 sums would
+    # wrap there, so they must reach the kernel widened
+    n = 20000
+    rng = np.random.default_rng(11)
+    cts = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
+    cts[:, 1] = aes.INV_SBOX[cts[:, 13]] ^ np.where(np.arange(n) % 2, 0xFF, 0)
+    y = rng.standard_normal((n, 2)).astype(np.float32)
+    ts = TraceSet(samples=y, plaintexts=np.zeros_like(cts), ciphertexts=cts,
+                  failed=np.zeros(n, dtype=bool), sample_period_s=1e-8, key=KEY,
+                  fs=degenerate(), oversampling=8, noise_sigma=0.0)
+    am = AlignedMatrix(rows=y, round_anchor=None, kept_indices=np.arange(n),
+                       peak_positions=np.full(n, -1))
+    res = cpa_attack(am, ts)
+    yf = y.astype(np.float64)
+    hf = aes.hypothesis_matrix(cts, 1).astype(np.float64)
+    sh, shh = hf.sum(axis=0), (hf * hf).sum(axis=0)
+    assert n * shh[0] - sh[0] ** 2 > 2**32
+    float_sums, _ = attack._max_abs_rho(n, sh, shh, yf.sum(axis=0), (yf * yf).sum(axis=0),
+                                        hf.T @ yf)
+    assert np.array_equal(res.scores[1], float_sums)
+
+
 # ---------------------------------------------------------------------------
 # Minimum-trace search
 # ---------------------------------------------------------------------------

@@ -707,19 +707,26 @@ def test_attack_and_compare_run_one_pass_per_set(tmp_path, capsys, monkeypatch, 
     assert calls["detect_peaks"] == 2
 
 
-@pytest.mark.parametrize("step, min_traces, builds", [
-    (60, 420, 16),   # k* 7 of 13 blocks: one build per byte feeds CPA and search
-    (50, 450, 32),   # k* 9 of 16 blocks: the second range rebuilds each byte
+@pytest.mark.parametrize("step, noise_sigma, min_traces, search_builds", [
+    # k* 7 of 13 blocks: the first range (1-8) scores every byte
+    (60, 0.5, 420, list(range(16))),
+    # k* 9 of 16 blocks: the first range dies after byte 13, the second
+    # (9-16) builds every byte again
+    (50, 0.5, 450, list(range(14)) + list(range(16))),
+    # unbroken: no segment survives byte 1, so bytes 2-15 are not built
+    (60, 10.0, None, [0, 1]),
 ])
-def test_attack_builds_each_byte_hypotheses_once_inside_the_first_range(
-        monkeypatch, step, min_traces, builds):
+def test_attack_builds_hypotheses_once_per_byte_and_search_range(
+        monkeypatch, step, noise_sigma, min_traces, search_builds):
     fixed = FrequencySet(base_hz=10e6, fundamentals=(10e6,) * 4)
-    ts = generate_set(fixed, bytes(range(16)), 800, oversampling=8, noise_sigma=0.5, seed=3)
+    ts = generate_set(fixed, bytes(range(16)), 800, oversampling=8,
+                      noise_sigma=noise_sigma, seed=3)
     calls = []
     real = aes.hypothesis_matrix
     monkeypatch.setattr(aes, "hypothesis_matrix",
                         lambda cts, p: calls.append(p) or real(cts, p))
     cfg = dataclasses.replace(ExperimentConfig(), step=step)
     result = cli._attack_trace_set(cfg, ts, bytes(range(16)))
-    assert (result["min_traces"], result["broken"]) == (min_traces, True)
-    assert calls == list(range(16)) * (builds // 16)
+    assert (result["min_traces"], result["broken"]) == (min_traces, min_traces is not None)
+    # cpa_attack builds each byte once, then min_traces_search once per range
+    assert calls == list(range(16)) + search_builds

@@ -7,6 +7,8 @@ single-core renders on a shared grid, and the file format against byte-level
 corruptions.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -330,6 +332,18 @@ def test_round_trip_empty_set(tmp_path):
     write_trace_set(ts, path)
     back = read_trace_set(path)
     assert len(back) == 0 and back.failed_fraction() == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])  # 1e39 overflows f32
+def test_writer_refuses_a_sample_the_reader_rejects(tmp_path, value):
+    ts = generate_set(degenerate(), KEY, 4, oversampling=8, seed=1)
+    samples = ts.samples.astype(np.float64)
+    samples[1, 5] = value
+    path = tmp_path / "bad.bin"
+    with pytest.raises(ValueError, match="trace 1 has a non-finite sample"):
+        write_trace_set(dataclasses.replace(ts, samples=samples), path)
+    assert not path.exists()
 
 
 def test_ciphertext_matrix_stacks_ciphertexts():
