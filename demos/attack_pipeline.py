@@ -32,7 +32,7 @@ def describe(tag: str, ts) -> None:
     min_traces = min_traces_search(aligned, kept, KEY, step=250)
     outcome = min_traces if min_traces is not None else "not broken here"
     print(f"{tag}:")
-    print(f"  kept {aligned.rows.shape[0]}/{len(ts.traces)} traces "
+    print(f"  kept {aligned.rows.shape[0]}/{len(ts)} traces "
           f"(removed {removed:.1%}, failed {failed:.1%})")
     print(f"  true-key byte ranks: min {min(ranks)}, max {max(ranks)}")
     print(f"  full key recovered: {result.recovered_key == KEY}")

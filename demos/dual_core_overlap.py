@@ -34,7 +34,7 @@ def main() -> None:
                       fs2=fs2, key2=KEY2)
     truth = first_round_coincidence_fraction(ts)
     rep = overlap_exploit(ts, region="first")
-    print(f"\nfirst-round peak coincidence over {len(ts.traces)} traces:")
+    print(f"\nfirst-round peak coincidence over {len(ts)} traces:")
     print(f"  from the recorded clock edges: {truth:.3f}")
     print(f"  from the traces alone:         {rep.overlap_fraction:.3f}")
 

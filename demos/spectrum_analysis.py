@@ -26,10 +26,8 @@ def report(tag: str, fs, seed: int = 31) -> None:
           + ", ".join(f"{b} MHz ({m:.1f})" for b, m in top))
 
     energies = []
-    for tr in ts.traces:
-        if tr.failed:
-            continue
-        x = tr.samples.astype(np.float64)
+    for row in ts.samples[~ts.failed]:
+        x = row.astype(np.float64)
         x = x - x.mean()
         energies.append(float(x @ x))
     time_energy = float(np.mean(energies))

@@ -20,12 +20,12 @@ from clockmux.traces import generate_set, read_trace_set, write_trace_set
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
 
-def peak_times_ns(trace) -> list[float]:
-    peaks = [i for i in range(1, len(trace.samples) - 1)
-             if trace.samples[i] > 0
-             and trace.samples[i] >= trace.samples[i - 1]
-             and trace.samples[i] >= trace.samples[i + 1]]
-    return [round(p * trace.sample_period_s * 1e9, 1) for p in peaks[:10]]
+def peak_times_ns(samples, sample_period_s: float) -> list[float]:
+    peaks = [i for i in range(1, len(samples) - 1)
+             if samples[i] > 0
+             and samples[i] >= samples[i - 1]
+             and samples[i] >= samples[i + 1]]
+    return [round(p * sample_period_s * 1e9, 1) for p in peaks[:10]]
 
 
 def main() -> None:
@@ -36,17 +36,16 @@ def main() -> None:
                               oversampling=12, noise_sigma=0.0)
 
     print("fixed clock, first trace round-peak times (ns):")
-    print(f"  {peak_times_ns(fixed.traces[0])}")
+    print(f"  {peak_times_ns(fixed.samples[0], fixed.sample_period_s)}")
     print(f"randomized clock ({entry.fs.label}), three traces:")
-    for tr in randomized.traces[:3]:
-        print(f"  {peak_times_ns(tr)}")
+    for i in range(3):
+        print(f"  {peak_times_ns(randomized.samples[i], randomized.sample_period_s)}")
 
-    failed = sum(tr.failed for tr in randomized.traces)
+    failed = int(np.count_nonzero(randomized.failed))
     print(f"\nfailed encryptions under randomization: {failed}/200 "
           f"(clock period dipped below the core's tolerance)")
-    lengths = {len(tr.samples) for tr in randomized.traces}
-    print(f"samples per trace: {sorted(lengths)} at "
-          f"{randomized.traces[0].sample_period_s * 1e9:.2f} ns per sample")
+    print(f"samples per trace: {randomized.samples.shape[1]} at "
+          f"{randomized.sample_period_s * 1e9:.2f} ns per sample")
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "randomized.bin")

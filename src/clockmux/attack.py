@@ -327,16 +327,6 @@ def raw_matrix(ts: TraceSet, round: int = 10,
 # Correlation
 # ---------------------------------------------------------------------------
 
-def _window_slice(am: AlignedMatrix, window) -> tuple[int, int]:
-    width = am.rows.shape[1]
-    if window is None:
-        return 0, width
-    lo, hi = int(window[0]), int(window[1])
-    if not (0 <= lo < hi <= width):
-        raise ValueError(f"window {window} out of range for width {width}")
-    return lo, hi
-
-
 def _max_abs_rho(n, sh, shh, sy, syy, shy):
     """(max |rho| per guess, zero-variance hypothesis mask) from the sums
     ``sh``, ``shh`` (..., 256), ``sy``, ``syy`` (..., W), ``shy`` (..., 256, W)
@@ -378,7 +368,6 @@ def _true_guesses(true_key: bytes) -> list[int]:
 
 
 def cpa_attack(am: AlignedMatrix, ts: TraceSet,
-               window: tuple[int, int] | None = None,
                true_key: bytes | None = None) -> CpaResult:
     """Correlation attack over an aligned matrix.
 
@@ -392,9 +381,8 @@ def cpa_attack(am: AlignedMatrix, ts: TraceSet,
     """
     if am.rows.shape[0] < 2:
         raise ValueError("need at least 2 traces to correlate")
-    lo, hi = _window_slice(am, window)
     cts = ts.ciphertexts[am.kept_indices]
-    y = am.rows[:, lo:hi].astype(np.float64)
+    y = am.rows.astype(np.float64)
     sy, syy = y.sum(axis=0), (y * y).sum(axis=0)
     scores = np.zeros((16, 256), dtype=np.float64)
     undefined = 0

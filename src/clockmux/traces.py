@@ -10,17 +10,18 @@ uniformly random ciphertext, mimicking a core that violated its timing margin.
 
 Dual-core traces superpose two such renders on one sample grid: core 1 is
 trigger-aligned (phase 0), core 2 runs its own base frequency (required to
-be distinct) and, by default, a per-trace random base/source phase, as two
-free-running clock domains would.  The stored ciphertext is core 1's.  A
-``TraceSet`` holds one row per trace; a ``PowerTrace`` is one row on its own.
+be distinct) and a per-trace random base/source phase, as two free-running
+clock domains would.  The stored ciphertext is core 1's.  ``generate_set``
+is the only generator; it returns a ``TraceSet``, one row per trace.  Sets
+made by hand call the ``TraceSet`` constructor.  ``PowerTrace`` is only the
+row view ``TraceSet.traces`` lists, kept for callers that count rows with it.
 
 Per-trace randomness comes from PCG64 generators seeded by
 ``SeedSequence(seed).spawn(n)``; each generator draws in a fixed order
 (plaintext, dual-core phases, core-1 clock, core-2 clock, failure ciphertext,
-noise), also where a set draws each step for many traces at once.  The noise
+noise), although a set draws each step for many traces at once.  The noise
 draw always happens, scaled by ``noise_sigma``, so different noise levels
-reuse identical clocks and plaintexts.  One trace or a set, single- or
-dual-core, all go through ``_generate``, so they come out the same.
+reuse identical clocks and plaintexts.
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ class TraceTruncatedError(TraceFormatError):
 
 @dataclass
 class PowerTrace:
-    """One capture: samples plus the encryption it observed.
+    """One row of a ``TraceSet``, as ``TraceSet.traces`` lists it.
 
-    From the generator, ``clock_meta`` holds the round edge times in seconds,
-    one row per core, and ``ciphertext2`` the dummy core's result; neither is
-    persisted or compared.  A row of a set shares the set's arrays.
+    ``clock_meta`` is the row of ``clock_edges`` and ``ciphertext2`` the dummy
+    core's result; neither is compared.  The row shares the set's arrays.
+    The view stays only for callers that count a set's rows through it;
+    clockmux itself reads the set's arrays.
     """
 
     samples: np.ndarray
@@ -97,10 +99,6 @@ class PowerTrace:
 #: A set's per-row arrays; the first four are persisted and compared.
 _ROW_FIELDS = ("samples", "plaintexts", "ciphertexts", "failed", "ciphertexts2",
                "clock_edges")
-
-
-def _blocks(blobs, n: int) -> np.ndarray:
-    return np.frombuffer(bytearray(b"".join(blobs)), np.uint8).reshape(n, 16)
 
 
 @dataclass
@@ -130,32 +128,6 @@ class TraceSet:
     ciphertexts2: np.ndarray | None = None
     clock_edges: np.ndarray | None = None
     peaks: tuple | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_traces(cls, traces, **meta) -> "TraceSet":
-        """Stack hand-built rows into a set; ``meta`` gives the set's key, fs,
-        oversampling, noise_sigma (and key2, fs2).  The rows must share one
-        sample count and one sample period, and carry clock metadata on all
-        rows or none; their ``ciphertext2`` is dropped."""
-        traces = list(traces)
-        widths = {len(t.samples) for t in traces} or {0}
-        periods = ({t.sample_period_s for t in traces}
-                   or {meta["fs"].base_period_s / meta["oversampling"]})
-        metas = [t.clock_meta for t in traces]
-        for problem, bad in (("unequal sample counts", len(widths) > 1),
-                             ("unequal sample periods", len(periods) > 1),
-                             ("clock metadata on some rows only",
-                              len({m is None for m in metas}) > 1)):
-            if bad:
-                raise ValueError(f"rows have {problem}")
-        n = len(traces)
-        return cls(samples=np.array([t.samples for t in traces], np.float32)
-                   .reshape(n, widths.pop()),
-                   plaintexts=_blocks((t.plaintext for t in traces), n),
-                   ciphertexts=_blocks((t.ciphertext for t in traces), n),
-                   failed=np.array([t.failed for t in traces], bool),
-                   sample_period_s=periods.pop(), clock_edges=np.array(metas, np.float64)
-                   if n and metas[0] is not None else None, **meta)
 
     def __len__(self):
         return len(self.failed)
@@ -206,10 +178,9 @@ def _render_pulses(edge_times_s: np.ndarray, amplitudes: np.ndarray,
     row i of the (m, n_samples) result.  A pulse covers the grid samples
     within ``half_width_s`` of its edge; every pulse's samples are computed
     at once and deposited by one ``np.bincount`` in edge order, so a sample
-    where pulses overlap sums them in edge order.
+    where pulses overlap sums them in edge order.  ``pulse`` must be one of
+    ``PULSE_SHAPES``; ``generate_set`` checks it.
     """
-    if pulse not in PULSE_SHAPES:
-        raise ValueError(f"unknown pulse shape {pulse!r}")
     m = len(edge_times_s)
     lo = np.ceil((edge_times_s - half_width_s) / sample_period_s).astype(np.int64)
     hi = np.floor((edge_times_s + half_width_s) / sample_period_s).astype(np.int64)
@@ -233,56 +204,73 @@ def _render_pulses(edge_times_s: np.ndarray, amplitudes: np.ndarray,
                        minlength=m * n_samples).reshape(m, n_samples)
 
 
-def _resolve_grid(fs: FrequencySet, oversampling: int,
-                  window_cycles: int | None, sample_period_s: float | None,
-                  pulse_half_width_s: float | None):
+def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
+                 fixed_plaintext: bytes | None = None,
+                 noise_sigma: float = 0.0, oversampling: int = 16,
+                 seed: int = 0, amplitude: float = 1.0,
+                 error_threshold_factor: float = DEFAULT_ERROR_THRESHOLD_FACTOR,
+                 window_cycles: int | None = None, pulse: str = "triangular",
+                 fs2: FrequencySet | None = None, key2: bytes | None = None,
+                 ) -> TraceSet:
+    """Generate a set of ``n_traces`` encryptions under ``key``, one row each.
+
+    Each trace encrypts a fresh random block, or ``fixed_plaintext`` when
+    given (correlation attacks are then expected to fail for lack of
+    hypothesis variance).  With ``fs2``/``key2`` a second core encrypts the
+    same block on its own clock.  Every plaintext is drawn first, each from
+    its trace's generator; every key then encrypts the whole set at once, and
+    the arrays are filled ``_CHUNK_TRACES`` rows at a time, one draw at a
+    time: core-2 phases (``random(5)`` is ``random()`` then ``random(4)``),
+    one ``_edges_until`` call per core, failed rows' ciphertexts, noise.
+    Each core's pulses are one ``_render_pulses`` call, rounded to float32
+    and summed, and the noise is added last.
+    """
+    if n_traces < 0:
+        raise ValueError("n_traces must be non-negative")
     if oversampling < 2:
         raise ValueError("oversampling must be at least 2 (Nyquist floor)")
+    if pulse not in PULSE_SHAPES:
+        raise ValueError(f"unknown pulse shape {pulse!r}")
+    if (fs2 is None) != (key2 is None):
+        raise ValueError("dual-core generation needs both fs2 and key2")
+    if fs2 is not None and fs2.base_hz == fs.base_hz:
+        raise ValueError("dual-core base clocks must have distinct frequencies")
+    if fixed_plaintext is not None:
+        fixed_plaintext = bytes(fixed_plaintext)
+        if len(fixed_plaintext) != 16:
+            raise ValueError(f"fixed_plaintext must be 16 bytes, not {len(fixed_plaintext)}")
     if window_cycles is None:
         window_cycles = WINDOW_CYCLES_PER_ROUND * aes.ROUNDS
-    sp = fs.base_period_s / oversampling if sample_period_s is None else float(sample_period_s)
-    hw = fs.base_period_s * PULSE_HALF_WIDTH_FRACTION if pulse_half_width_s is None \
-        else float(pulse_half_width_s)
+    sp = fs.base_period_s / oversampling
+    hw = fs.base_period_s * PULSE_HALF_WIDTH_FRACTION
     n_samples = int(round(window_cycles * fs.base_period_s / sp))
-    return sp, hw, n_samples
-
-
-def _generate(cores, plaintexts: np.ndarray, rngs, grid, *, oversampling: int,
-              noise_sigma: float, amplitude: float,
-              error_threshold_factor: float, pulse: str) -> TraceSet:
-    """Render one trace per (plaintext row, generator) pair into one set.
-
-    ``cores`` lists (fs, key, offset) per core, where offset is core 2's
-    (base phase, source phases) or None to draw it from each trace's
-    generator; core 1 always runs at (0.0, None).  Every key encrypts the
-    whole batch at once; the set's arrays are then filled ``_CHUNK_TRACES``
-    rows at a time, one phase at a time: core-2 offsets (``random(5)`` is
-    ``random()`` then ``random(4)``), one ``_edges_until`` call per core, failed
-    rows' ciphertexts, noise.  Each core's pulses are one ``_render_pulses``
-    call, rounded to float32 and summed, and the noise is added last.
-    """
-    if len({fs.base_hz for fs, _, _ in cores}) != len(cores):
-        raise ValueError("dual-core base clocks must have distinct frequencies")
-    sp, hw, n_samples = grid
-    n = len(plaintexts)
+    rngs = [np.random.Generator(np.random.PCG64(s))
+            for s in np.random.SeedSequence(seed).spawn(n_traces)]
+    if fixed_plaintext is None:
+        plaintexts = np.array([rng.integers(0, 256, 16, dtype=np.uint8) for rng in rngs],
+                              np.uint8).reshape(n_traces, 16)
+    else:
+        plaintexts = np.tile(np.frombuffer(fixed_plaintext, np.uint8), (n_traces, 1))
+    cores = [(fs, key)] if fs2 is None else [(fs, key), (fs2, key2)]
     cts, dists = [], []
-    for _, key, _ in cores:
-        states, ct = aes.encrypt_blocks_with_states(key, plaintexts)
+    for _, k in cores:
+        states, ct = aes.encrypt_blocks_with_states(k, plaintexts)
         cts.append(ct)
         dists.append(amplitude * aes.round_distances(states).T.astype(np.float64))
-    samples = np.empty((n, n_samples), np.float32)
-    edges = np.empty((n, len(cores), aes.ROUNDS + 1))
-    failed = np.empty(n, bool)
+    samples = np.empty((n_traces, n_samples), np.float32)
+    edges = np.empty((n_traces, len(cores), aes.ROUNDS + 1))
+    failed = np.empty(n_traces, bool)
     # the failed flag and the stored ciphertext are core 1's
     ciphertexts = cts[0].copy()
-    threshold = error_threshold_factor * cores[0][0].base_period_s
-    for c0 in range(0, n, _CHUNK_TRACES):
-        c1 = min(c0 + _CHUNK_TRACES, n)
+    threshold = error_threshold_factor * fs.base_period_s
+    for c0 in range(0, n_traces, _CHUNK_TRACES):
+        c1 = min(c0 + _CHUNK_TRACES, n_traces)
         chunk = rngs[c0:c1]
-        offsets = [np.split(np.array([rng.random(5) for rng in chunk]), [1], axis=1)
-                   if off is None else off for _, _, off in cores]
-        for c, ((fs, _, _), offset) in enumerate(zip(cores, offsets)):
-            edges[c0:c1, c] = _edges_until(fs, chunk, aes.ROUNDS + 1, *offset) * fs.base_period_s
+        offsets = [()]  # core 1 is trigger-aligned
+        if fs2 is not None:  # core 2 free-runs: a base phase, then four source phases
+            offsets.append(np.split(np.array([rng.random(5) for rng in chunk]), [1], axis=1))
+        for c, ((f, _), offset) in enumerate(zip(cores, offsets)):
+            edges[c0:c1, c] = _edges_until(f, chunk, aes.ROUNDS + 1, *offset) * f.base_period_s
         failed[c0:c1] = (np.diff(edges[c0:c1, 0], axis=1) < threshold).any(axis=1)
         for i in np.flatnonzero(failed[c0:c1]) + c0:
             ciphertexts[i] = rngs[i].integers(0, 256, 16, dtype=np.uint8)
@@ -293,108 +281,11 @@ def _generate(cores, plaintexts: np.ndarray, rngs, grid, *, oversampling: int,
                                     sp, hw, pulse)
             clean += render.astype(np.float32).astype(np.float64)
         samples[c0:c1] = clean + noise_sigma * noise
-    (fs, key, _), *dual = cores
-    fs2, key2 = (dual[0][0], bytes(dual[0][1])) if dual else (None, None)
     return TraceSet(samples=samples, plaintexts=plaintexts, ciphertexts=ciphertexts,
                     failed=failed, sample_period_s=sp, key=bytes(key), fs=fs,
                     oversampling=int(oversampling), noise_sigma=float(noise_sigma),
-                    key2=key2, fs2=fs2, clock_edges=edges,
-                    ciphertexts2=cts[1].copy() if dual else None)
-
-
-def generate_trace(fs: FrequencySet, key: bytes, plaintext: bytes, *,
-                   noise_sigma: float = 0.0, oversampling: int = 16,
-                   seed: int = 0, rng: np.random.Generator | None = None,
-                   amplitude: float = 1.0,
-                   error_threshold_factor: float = DEFAULT_ERROR_THRESHOLD_FACTOR,
-                   window_cycles: int | None = None,
-                   pulse: str = "triangular",
-                   pulse_half_width_s: float | None = None,
-                   sample_period_s: float | None = None) -> PowerTrace:
-    """Generate a single-core trace for one (key, plaintext) encryption.
-
-    ``rng`` overrides ``seed`` when supplied (the caller owns the stream).
-    The grid overrides (``sample_period_s``, ``pulse_half_width_s``,
-    ``window_cycles``) exist so renders from different frequency sets can be
-    composed on a common grid.
-    """
-    rng = rng if rng is not None else np.random.Generator(np.random.PCG64(seed))
-    grid = _resolve_grid(fs, oversampling, window_cycles, sample_period_s,
-                         pulse_half_width_s)
-    return _generate([(fs, key, (0.0, None))], _blocks([bytes(plaintext)], 1), [rng],
-                     grid, oversampling=oversampling, noise_sigma=noise_sigma,
-                     amplitude=amplitude, error_threshold_factor=error_threshold_factor,
-                     pulse=pulse).traces[0]
-
-
-def generate_dual_trace(fs: FrequencySet, fs2: FrequencySet, key: bytes,
-                        key2: bytes, plaintext: bytes, *,
-                        noise_sigma: float = 0.0, oversampling: int = 16,
-                        seed: int = 0, rng: np.random.Generator | None = None,
-                        amplitude: float = 1.0,
-                        error_threshold_factor: float = DEFAULT_ERROR_THRESHOLD_FACTOR,
-                        window_cycles: int | None = None,
-                        pulse: str = "triangular",
-                        pulse_half_width_s: float | None = None,
-                        randomize_core2_phase: bool = True) -> PowerTrace:
-    """Generate a dual-core trace: both cores encrypt the same plaintext.
-
-    The two base clocks must differ; the sample grid, capture window, and
-    pulse width follow core 1.  With ``randomize_core2_phase`` (default) core
-    2 gets a uniform base-phase offset and uniform source phases per trace;
-    with False it runs at base phase 0 and ``fs2``'s own source phases.  The
-    failed flag reflects core 1 only (the dummy core's output is discarded
-    anyway); its ciphertext is kept in ``ciphertext2`` for bookkeeping.
-    """
-    rng = rng if rng is not None else np.random.Generator(np.random.PCG64(seed))
-    grid = _resolve_grid(fs, oversampling, window_cycles, None, pulse_half_width_s)
-    offset2 = None if randomize_core2_phase else (0.0, None)
-    return _generate([(fs, key, (0.0, None)), (fs2, key2, offset2)],
-                     _blocks([bytes(plaintext)], 1), [rng], grid,
-                     oversampling=oversampling, noise_sigma=noise_sigma,
-                     amplitude=amplitude, error_threshold_factor=error_threshold_factor,
-                     pulse=pulse).traces[0]
-
-
-def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
-                 plaintext_mode: str = "random",
-                 fixed_plaintext: bytes | None = None,
-                 noise_sigma: float = 0.0, oversampling: int = 16,
-                 seed: int = 0, amplitude: float = 1.0,
-                 error_threshold_factor: float = DEFAULT_ERROR_THRESHOLD_FACTOR,
-                 window_cycles: int | None = None, pulse: str = "triangular",
-                 fs2: FrequencySet | None = None, key2: bytes | None = None,
-                 ) -> TraceSet:
-    """Generate a full trace set with per-trace spawned seeds.
-
-    ``plaintext_mode`` is "random" (fresh block per trace) or "fixed" (all
-    traces share ``fixed_plaintext``; correlation attacks are then expected
-    to fail for lack of hypothesis variance).  Every trace's plaintext is
-    drawn first, from its own generator; the set is then encrypted in one
-    batch per key and rendered chunk by chunk (see ``_generate``), so each
-    generator keeps the draw order of ``generate_trace``/``generate_dual_trace``
-    and the set equals those one-trace calls trace for trace.
-    """
-    if n_traces < 0:
-        raise ValueError("n_traces must be non-negative")
-    if plaintext_mode not in ("random", "fixed"):
-        raise ValueError("plaintext_mode must be 'random' or 'fixed'")
-    if plaintext_mode == "fixed" and fixed_plaintext is None:
-        raise ValueError("fixed plaintext mode requires fixed_plaintext")
-    if (fs2 is None) != (key2 is None):
-        raise ValueError("dual-core generation needs both fs2 and key2")
-    rngs = [np.random.Generator(np.random.PCG64(s))
-            for s in np.random.SeedSequence(seed).spawn(n_traces)]
-    plaintexts = _blocks([rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-                          if plaintext_mode == "random" else bytes(fixed_plaintext)
-                          for rng in rngs], n_traces)
-    cores = [(fs, key, (0.0, None))]
-    if fs2 is not None:
-        cores.append((fs2, key2, None))
-    grid = _resolve_grid(fs, oversampling, window_cycles, None, None)
-    return _generate(cores, plaintexts, rngs, grid, oversampling=oversampling,
-                     noise_sigma=noise_sigma, amplitude=amplitude,
-                     error_threshold_factor=error_threshold_factor, pulse=pulse)
+                    key2=None if key2 is None else bytes(key2), fs2=fs2, clock_edges=edges,
+                    ciphertexts2=cts[1].copy() if fs2 is not None else None)
 
 
 def first_round_coincidence_fraction(ts: TraceSet) -> float:

@@ -46,7 +46,6 @@ from clockmux.presets import (
     fixed_clock_set,
 )
 from clockmux.traces import (
-    PowerTrace,
     TraceSet,
     first_round_coincidence_fraction,
     generate_set,
@@ -354,11 +353,10 @@ def test_candidate_bounds_overlap_rate_and_exploit_gain():
     for k in range(1, 13):
         samples[16 * k] = 60.0
     samples[16 * 12] = 130.0
-    traces = [PowerTrace(samples=samples, sample_period_s=12.5e-9,
-                         plaintext=bytes(16), ciphertext=bytes(16),
-                         failed=False, core_count=2) for _ in range(8)]
-    pair = TraceSet.from_traces(traces, key=KEY, fs=fs1, oversampling=8,
-                                noise_sigma=0.0, key2=KEY2, fs2=fs2)
+    pair = TraceSet(samples=np.tile(samples, (8, 1)), plaintexts=np.zeros((8, 16), np.uint8),
+                    ciphertexts=np.zeros((8, 16), np.uint8), failed=np.zeros(8, bool),
+                    sample_period_s=12.5e-9, key=KEY, fs=fs1, oversampling=8,
+                    noise_sigma=0.0, key2=KEY2, fs2=fs2)
     rep = overlap_exploit(pair, candidates=5, region="last")
     assert 1.0 / rep.candidates == pytest.approx(0.2)
     assert 1.0 / rep.reduced_candidates == pytest.approx(0.5)

@@ -6,6 +6,8 @@ Pearson routine written out here, and that routine, like the in-module
 port of ``find_peaks``, against scipy's reference implementation.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -29,7 +31,6 @@ from clockmux.clock import FrequencySet
 from clockmux.presets import STUDY_SETS, dual_reference_pair, study_set
 from clockmux.traces import (
     PULSE_SHAPES,
-    PowerTrace,
     TraceSet,
     generate_set,
     write_trace_set,
@@ -175,17 +176,18 @@ def test_filter_params_resolution():
     assert q.detect_separation == 4
 
 
-def hand_trace(samples, sample_period_s, meta=None, failed=False):
-    samples = np.asarray(samples, dtype=np.float32)
-    return PowerTrace(samples=samples, sample_period_s=sample_period_s,
-                      plaintext=bytes(16), ciphertext=bytes(16),
-                      failed=failed, core_count=1, clock_meta=meta)
-
-
-def hand_set(traces, fs=None, oversampling=8):
-    fs = fs or degenerate()
-    return TraceSet.from_traces(traces, key=KEY, fs=fs,
-                                oversampling=oversampling, noise_sigma=0.0)
+def hand_set(rows, failed=None, clock_edges=None, fs=None, oversampling=8,
+             sample_period_s=12.5e-9, **dual):
+    """A set of the sample ``rows`` with all-zero plaintexts and ciphertexts;
+    ``dual`` passes key2 and fs2."""
+    n = len(rows)
+    return TraceSet(samples=np.array(rows, np.float32).reshape(n, -1),
+                    plaintexts=np.zeros((n, 16), np.uint8),
+                    ciphertexts=np.zeros((n, 16), np.uint8),
+                    failed=np.zeros(n, bool) if failed is None else np.array(failed, bool),
+                    sample_period_s=sample_period_s, key=KEY, fs=fs or degenerate(),
+                    oversampling=oversampling, noise_sigma=0.0,
+                    clock_edges=clock_edges, **dual)
 
 
 def clean_samples(n=240, spacing=16, count=12, amp=60.0):
@@ -196,29 +198,24 @@ def clean_samples(n=240, spacing=16, count=12, amp=60.0):
 
 
 def test_filter_removes_failed_low_peak_and_close_peak_traces():
-    sp = 12.5e-9
-    good = hand_trace(clean_samples(), sp)
-    failed = hand_trace(clean_samples(), sp, failed=True)
-    sparse = hand_trace(clean_samples(count=4), sp)
     crowded_samples = clean_samples()
     crowded_samples[131] = 55.0  # 3 samples from the peak at 128
-    crowded = hand_trace(crowded_samples, sp)
-    ts = hand_set([good, failed, sparse, crowded], oversampling=16)
+    # good, failed, sparse, crowded
+    ts = hand_set([clean_samples(), clean_samples(), clean_samples(count=4),
+                   crowded_samples], failed=[False, True, False, False], oversampling=16)
+    good = ts.take([0])
     params = FilterParams(expected_peaks=10, min_peak_separation=4)
     kept, removed, failed_frac = filter_traces(ts, params)
-    assert kept.traces == [good]
+    assert kept.traces == good.traces
     assert np.array_equal(kept.samples, ts.samples[[0]])
     assert failed_frac == pytest.approx(1 / 4)
     assert removed == pytest.approx(2 / 4)
 
 
 def test_filter_rejects_undersampled_clock_metadata():
-    sp = 12.5e-9
-    fine = hand_trace(clean_samples(), sp,
-                      meta=(np.arange(11) * 100e-9,))
-    coarse = hand_trace(clean_samples(), sp,
-                        meta=(np.array([0.0, 10e-9] + list(np.arange(2, 11) * 100e-9)),))
-    ts = hand_set([fine, coarse])
+    fine = np.arange(11) * 100e-9
+    coarse = np.array([0.0, 10e-9] + list(np.arange(2, 11) * 100e-9))
+    ts = hand_set([clean_samples()] * 2, clock_edges=np.array([[fine], [coarse]]))
     kept, removed, failed_frac = filter_traces(ts)
     assert len(kept) == 1 and np.array_equal(kept.clock_edges, ts.clock_edges[[0]])
     assert removed == pytest.approx(0.5) and failed_frac == 0.0
@@ -397,7 +394,7 @@ def test_cpa_recovers_key_on_noiseless_fixed_clock():
     assert res.broken
     assert res.undefined_fraction == 0.0
     # a tight window around the anchor works as well
-    res2 = cpa_attack(am, ts, window=(6, 11), true_key=KEY)
+    res2 = cpa_attack(synchronize(ts, round=10, window_halfwidth=2), ts, true_key=KEY)
     assert res2.recovered_key == KEY
 
 
@@ -413,7 +410,7 @@ def test_cpa_fails_on_mismatched_ciphertexts():
 
 def test_cpa_flags_constant_hypotheses_instead_of_claiming_recovery():
     ts = generate_set(degenerate(), KEY, 100, oversampling=8, seed=2,
-                      plaintext_mode="fixed", fixed_plaintext=bytes(16))
+                      fixed_plaintext=bytes(16))
     am = synchronize(ts, round=10, window_halfwidth=8)
     res = cpa_attack(am, ts, true_key=KEY)
     assert res.undefined_fraction == 1.0
@@ -430,8 +427,9 @@ def test_cpa_needs_two_traces_and_valid_window():
                         peak_positions=am.peak_positions[:1])
     with pytest.raises(ValueError):
         cpa_attack(one, ts)
+    # a window too wide for any row leaves nothing to correlate
     with pytest.raises(ValueError):
-        cpa_attack(am, ts, window=(5, 99))
+        cpa_attack(synchronize(ts, round=10, window_halfwidth=200), ts)
 
 
 def test_cpa_scores_match_two_pass_pearson():
@@ -443,9 +441,9 @@ def test_cpa_scores_match_two_pass_pearson():
                       noise_sigma=1.0)
     kept, _, _ = filter_traces(ts)
     am = synchronize(kept, round=10, window_halfwidth=6)
-    window = (3, 10)
-    res = cpa_attack(am, kept, window=window)
-    y = am.rows[:, window[0]:window[1]]
+    am = dataclasses.replace(am, rows=am.rows[:, 3:10])  # off centre
+    res = cpa_attack(am, kept)
+    y = am.rows
     cts = kept.ciphertexts[am.kept_indices]
     yf = y.astype(np.float64)
     for p in range(16):
@@ -587,9 +585,7 @@ def test_min_traces_monotone_in_noise():
 
 def sine_set(freq_hz, n_traces=4, n=240, sp=12.5e-9):
     t = np.arange(n) * sp
-    traces = [hand_trace(np.sin(2 * np.pi * freq_hz * t), sp)
-              for _ in range(n_traces)]
-    return hand_set(traces)
+    return hand_set([np.sin(2 * np.pi * freq_hz * t)] * n_traces, sample_period_s=sp)
 
 
 def test_fft_peak_sits_in_the_sine_bin():
@@ -616,14 +612,14 @@ def test_fft_parseval_energy_identity():
 
 def test_fft_skips_failed_traces_and_validates_input():
     ts = sine_set(3e6)
-    with_bad = hand_set(ts.traces + [hand_trace(np.full(240, 1e6), 12.5e-9,
-                                                failed=True)])
+    with_bad = hand_set(list(ts.samples) + [np.full(240, 1e6)],
+                        failed=[False] * len(ts) + [True])
     a = fft_spectrum(ts, bin_hz=1e6)
     b = fft_spectrum(with_bad, bin_hz=1e6)
     assert np.allclose(a.magnitudes, b.magnitudes)
     with pytest.raises(ValueError):
         fft_spectrum(ts, bin_hz=0.0)
-    all_failed = hand_set([hand_trace(np.zeros(16), 12.5e-9, failed=True)])
+    all_failed = hand_set([np.zeros(16)], failed=[True])
     with pytest.raises(ValueError):
         fft_spectrum(all_failed, bin_hz=1e6)
 
@@ -659,13 +655,8 @@ def test_candidate_count_endpoints_and_exponent():
 
 
 def dual_hand_set(trace_samples, sp=12.5e-9):
-    fs1, fs2 = degenerate(10e6), degenerate(12e6)
-    traces = [PowerTrace(samples=np.asarray(s, dtype=np.float32),
-                         sample_period_s=sp, plaintext=bytes(16),
-                         ciphertext=bytes(16), failed=False, core_count=2)
-              for s in trace_samples]
-    return TraceSet.from_traces(traces, key=KEY, fs=fs1, oversampling=8,
-                                noise_sigma=0.0, key2=KEY2, fs2=fs2)
+    return hand_set(trace_samples, fs=degenerate(10e6), sample_period_s=sp,
+                    key2=KEY2, fs2=degenerate(12e6))
 
 
 def test_overlap_exploit_no_coincidence_scores_zero():

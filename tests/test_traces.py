@@ -2,9 +2,9 @@
 
 Render positions are checked against hand-computed grids on degenerate
 (fixed-frequency) clocks, the batched pulse render against a per-edge
-reference loop, dual-core superposition against the sum of two
-single-core renders on a shared grid, and the file format against byte-level
-corruptions.
+reference loop, dual-core superposition against the sum of each core's own
+render, chunked generation against a tiny render chunk, and the file format
+against byte-level corruptions.
 """
 
 import dataclasses
@@ -12,13 +12,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from clockmux import aes
+from clockmux import aes, traces
 from clockmux.clock import FrequencySet
 from clockmux.presets import doubled_window_pair, dual_reference_pair, study_set
 from clockmux.traces import (
     PULSE_HALF_WIDTH_FRACTION,
     PULSE_SHAPES,
-    PowerTrace,
     TraceMagicError,
     TraceSet,
     TraceTruncatedError,
@@ -26,9 +25,7 @@ from clockmux.traces import (
     TraceFormatError,
     _render_pulses,
     first_round_coincidence_fraction,
-    generate_dual_trace,
     generate_set,
-    generate_trace,
     read_trace_set,
     write_trace_set,
 )
@@ -40,6 +37,11 @@ PT = bytes.fromhex("00112233445566778899aabbccddeeff")
 
 def degenerate(base_hz=10e6):
     return FrequencySet(base_hz=base_hz, fundamentals=(base_hz,) * 4)
+
+
+def one_trace(fs, **kw):
+    """A one-trace set encrypting PT; tests read its row 0."""
+    return generate_set(fs, KEY, 1, fixed_plaintext=PT, seed=1, **kw)
 
 
 def round_hds(key, pt):
@@ -57,20 +59,21 @@ def test_fixed_clock_render_is_exact():
     # with oversampling 8 the pulse half-width equals one sample period, so
     # each round deposits its Hamming distance on exactly one sample
     fs = degenerate()
-    tr = generate_trace(fs, KEY, PT, oversampling=8, seed=1)
+    ts = one_trace(fs, oversampling=8)
+    samples = ts.samples[0]
     hds = round_hds(KEY, PT)
     expected = np.zeros(240, dtype=np.float32)
     for k in range(1, 11):
         expected[8 * k] = hds[k - 1]
-    assert tr.samples.dtype == np.float32
+    assert samples.dtype == np.float32
     # apex samples carry the exact Hamming distances; borders may hold
     # float-rounding crumbs many orders below one bit flip
     for k in range(1, 11):
-        assert tr.samples[8 * k] == hds[k - 1]
-    assert np.allclose(tr.samples, expected, atol=1e-9)
-    assert not tr.failed
-    assert tr.ciphertext == aes.encrypt(KEY, PT)
-    assert tr.sample_period_s == pytest.approx(fs.base_period_s / 8)
+        assert samples[8 * k] == hds[k - 1]
+    assert np.allclose(samples, expected, atol=1e-9)
+    assert not ts.failed[0]
+    assert bytes(ts.ciphertexts[0]) == aes.encrypt(KEY, PT)
+    assert ts.sample_period_s == pytest.approx(fs.base_period_s / 8)
 
 
 def _render_per_edge(edge_times_s, amplitudes, n_samples, sample_period_s,
@@ -123,27 +126,29 @@ def test_batched_render_matches_per_edge_loop(pulse, oversampling):
 
 def test_amplitude_scales_pulses():
     fs = degenerate()
-    base = generate_trace(fs, KEY, PT, oversampling=8, seed=1)
-    scaled = generate_trace(fs, KEY, PT, oversampling=8, seed=1, amplitude=2.5)
-    assert np.allclose(scaled.samples, 2.5 * base.samples, atol=1e-4)
+    base = one_trace(fs, oversampling=8)
+    scaled = one_trace(fs, oversampling=8, amplitude=2.5)
+    assert np.allclose(scaled.samples[0], 2.5 * base.samples[0], atol=1e-4)
 
 
 def test_window_override_and_nyquist_floor():
     fs = degenerate()
-    tr = generate_trace(fs, KEY, PT, oversampling=8, seed=1, window_cycles=40)
-    assert len(tr.samples) == 40 * 8
+    ts = one_trace(fs, oversampling=8, window_cycles=40)
+    assert len(ts.samples[0]) == 40 * 8
     with pytest.raises(ValueError):
-        generate_trace(fs, KEY, PT, oversampling=1, seed=1)
-    with pytest.raises(ValueError):
-        generate_trace(fs, KEY, PT, oversampling=8, seed=1, pulse="sawtooth")
+        one_trace(fs, oversampling=1)
+    with pytest.raises(ValueError, match="unknown pulse shape"):
+        one_trace(fs, oversampling=8, pulse="sawtooth")
+    with pytest.raises(ValueError, match="unknown pulse shape"):
+        generate_set(fs, KEY, 0, pulse="sawtooth")
 
 
 def test_doubling_base_frequency_halves_window_seconds():
     slow, fast = doubled_window_pair()
-    a = generate_trace(slow, KEY, PT, oversampling=8, seed=1)
-    b = generate_trace(fast, KEY, PT, oversampling=8, seed=1)
-    assert len(a.samples) == len(b.samples)
-    dur = lambda t: len(t.samples) * t.sample_period_s
+    a = one_trace(slow, oversampling=8)
+    b = one_trace(fast, oversampling=8)
+    assert len(a.samples[0]) == len(b.samples[0])
+    dur = lambda t: len(t.samples[0]) * t.sample_period_s
     assert dur(b) == pytest.approx(dur(a) / 2)
 
 
@@ -196,13 +201,11 @@ def test_failed_flag_matches_short_periods_and_randomizes_ciphertext():
 
 def test_fixed_plaintext_mode():
     fs = degenerate()
-    ts = generate_set(fs, KEY, 5, oversampling=8, seed=2,
-                      plaintext_mode="fixed", fixed_plaintext=PT)
+    ts = generate_set(fs, KEY, 5, oversampling=8, seed=2, fixed_plaintext=PT)
     assert all(tr.plaintext == PT for tr in ts.traces)
-    with pytest.raises(ValueError):
-        generate_set(fs, KEY, 5, plaintext_mode="fixed")
-    with pytest.raises(ValueError):
-        generate_set(fs, KEY, 5, plaintext_mode="chosen")
+    for wrong in (PT[:15], PT + b"\x00"):
+        with pytest.raises(ValueError, match="fixed_plaintext must be 16 bytes"):
+            generate_set(fs, KEY, 5, fixed_plaintext=wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -210,30 +213,29 @@ def test_fixed_plaintext_mode():
 # ---------------------------------------------------------------------------
 
 def test_dual_trace_is_sum_of_single_renders():
-    # degenerate sets make both clocks deterministic, so the dual render must
-    # equal the float32 sum of the two single-core renders on core 1's grid
+    # at sigma 0 a dual-core row must equal the float32 sum of each core's
+    # own render, both on core 1's grid and pulse width
     fs1 = degenerate(10e6)
     fs2 = degenerate(20e6)
-    dual = generate_dual_trace(fs1, fs2, KEY, KEY2, PT, oversampling=8,
-                               seed=4, randomize_core2_phase=False)
-    s1 = generate_trace(fs1, KEY, PT, oversampling=8, seed=4)
-    s2 = generate_trace(fs2, KEY2, PT, oversampling=8, seed=4,
-                        window_cycles=60,
-                        sample_period_s=s1.sample_period_s,
-                        pulse_half_width_s=fs1.base_period_s / 8)
-    assert len(dual.samples) == len(s1.samples) == len(s2.samples)
-    total = (s1.samples.astype(np.float64)
-             + s2.samples.astype(np.float64)).astype(np.float32)
+    dual = generate_set(fs1, KEY, 1, fixed_plaintext=PT, oversampling=8, seed=4,
+                        fs2=fs2, key2=KEY2)
+    hw = fs1.base_period_s * PULSE_HALF_WIDTH_FRACTION
+    s1, s2 = (_render_pulses(dual.clock_edges[:, c, 1:], round_hds(k, PT)[None] * 1.0,
+                             240, dual.sample_period_s, hw, "triangular").astype(np.float32)
+              for c, k in enumerate((KEY, KEY2)))
+    assert dual.samples.shape == s1.shape == s2.shape == (1, 240)
+    assert s2.any()
+    total = (s1.astype(np.float64) + s2.astype(np.float64)).astype(np.float32)
     assert np.array_equal(dual.samples, total)
     assert dual.core_count == 2
-    assert dual.ciphertext == aes.encrypt(KEY, PT)
-    assert dual.ciphertext2 == aes.encrypt(KEY2, PT)
+    assert bytes(dual.ciphertexts[0]) == aes.encrypt(KEY, PT)
+    assert bytes(dual.ciphertexts2[0]) == aes.encrypt(KEY2, PT)
 
 
 def test_dual_requires_distinct_bases_and_paired_keys():
     fs = study_set(1).fs
     with pytest.raises(ValueError):
-        generate_dual_trace(fs, fs, KEY, KEY2, PT, seed=1)
+        generate_set(fs, KEY, 1, fs2=fs, key2=KEY2)
     with pytest.raises(ValueError):
         generate_set(fs, KEY, 3, fs2=None, key2=KEY2)
 
@@ -244,13 +246,12 @@ def test_first_round_coincidence_fraction():
     far = degenerate(20e6)
 
     def fixed_phase_set(fs2):
-        # defeat the random core-2 phase: rebuild with deterministic phases
+        # defeat the random core-2 phase: core 2's edges at its own base
+        # edges, as if it too were trigger-aligned
         ts = generate_set(fs1, KEY, 8, oversampling=8, seed=5, fs2=fs2, key2=KEY2)
-        return TraceSet.from_traces(
-            [generate_dual_trace(fs1, fs2, KEY, KEY2, tr.plaintext, oversampling=8,
-                                 seed=5, randomize_core2_phase=False)
-             for tr in ts.traces],
-            key=KEY, fs=fs1, oversampling=8, noise_sigma=0.0, key2=KEY2, fs2=fs2)
+        edges = ts.clock_edges.copy()
+        edges[:, 1] = np.arange(aes.ROUNDS + 1) * fs2.base_period_s
+        return dataclasses.replace(ts, clock_edges=edges)
 
     assert first_round_coincidence_fraction(fixed_phase_set(near)) == 1.0
     assert first_round_coincidence_fraction(fixed_phase_set(far)) == 0.0
@@ -259,41 +260,26 @@ def test_first_round_coincidence_fraction():
         first_round_coincidence_fraction(single)
 
 
-def _assert_set_equals_one_trace_path(cores, n_traces, pulse="triangular"):
-    # the set path must give, trace by trace, what the one-trace generators
-    # give on the same spawned generator and plaintext, failures included
-    fs1, fs2 = dual_reference_pair()
-    key2 = KEY2 if cores == 2 else None
-    ts = generate_set(fs1, KEY, n_traces, oversampling=8, seed=9, noise_sigma=0.5,
-                      pulse=pulse, fs2=fs2 if cores == 2 else None, key2=key2)
-    rngs = [np.random.Generator(np.random.PCG64(s))
-            for s in np.random.SeedSequence(9).spawn(n_traces)]
-    assert any(tr.failed for tr in ts.traces)
-    for tr, rng in zip(ts.traces, rngs):
-        pt = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-        if cores == 1:
-            one = generate_trace(fs1, KEY, pt, noise_sigma=0.5, oversampling=8,
-                                 pulse=pulse, rng=rng)
-        else:
-            one = generate_dual_trace(fs1, fs2, KEY, KEY2, pt, noise_sigma=0.5,
-                                      oversampling=8, pulse=pulse, rng=rng)
-        assert tr == one
-        assert tr.ciphertext2 == one.ciphertext2
-        assert len(tr.clock_meta) == len(one.clock_meta) == cores
-        for a, b in zip(tr.clock_meta, one.clock_meta):
-            assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("cores", [1, 2])
-def test_set_traces_equal_one_trace_generation(cores):
-    _assert_set_equals_one_trace_path(cores, 30)
-
-
 @pytest.mark.parametrize("cores, pulse", [(1, "triangular"), (2, "raised_cosine")])
-def test_sets_past_one_render_chunk_equal_one_trace_generation(cores, pulse):
-    # 600 traces span three render chunks; traces on either side of each
-    # chunk boundary must still match their one-trace renders
-    _assert_set_equals_one_trace_path(cores, 600, pulse)
+def test_sets_do_not_depend_on_the_render_chunk(cores, pulse, monkeypatch):
+    # 600 traces span three 256-row render chunks, failures included; a
+    # 7-row chunk must give every array bit for bit
+    fs1, fs2 = dual_reference_pair()
+    dual = dict(fs2=fs2, key2=KEY2) if cores == 2 else {}
+
+    def make():
+        return generate_set(fs1, KEY, 600, oversampling=8, seed=9, noise_sigma=0.5,
+                            pulse=pulse, **dual)
+
+    big = make()
+    monkeypatch.setattr(traces, "_CHUNK_TRACES", 7)
+    small = make()
+    assert big.failed.any()
+    assert big == small
+    assert (big.ciphertexts2 is None) == (cores == 1)
+    for name in ("samples", "ciphertexts", "ciphertexts2", "clock_edges"):
+        assert np.array_equal(getattr(big, name), getattr(small, name)), name
+    assert big.clock_edges.shape == (600, cores, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +312,7 @@ def test_round_trip_dual_core(tmp_path):
 
 
 def test_round_trip_empty_set(tmp_path):
-    ts = TraceSet.from_traces([], key=KEY, fs=degenerate(), oversampling=8,
-                              noise_sigma=0.0)
+    ts = generate_set(degenerate(), KEY, 0, oversampling=8)
     path = tmp_path / "empty.bin"
     write_trace_set(ts, path)
     back = read_trace_set(path)
@@ -351,8 +336,7 @@ def test_ciphertext_matrix_stacks_ciphertexts():
     m = ts.ciphertexts
     assert m.dtype == np.uint8 and m.shape == (6, 16)
     assert [bytes(row) for row in m] == [t.ciphertext for t in ts.traces]
-    empty = TraceSet.from_traces([], key=KEY, fs=degenerate(), oversampling=8,
-                                 noise_sigma=0.0).ciphertexts
+    empty = generate_set(degenerate(), KEY, 0, oversampling=8).ciphertexts
     assert empty.dtype == np.uint8 and empty.shape == (0, 16)
 
 
@@ -399,32 +383,11 @@ def test_corrupt_files_raise_specific_errors(tmp_path):
         read_trace_set(trailing)
 
 
-def test_from_traces_rejects_rows_that_do_not_stack():
-    tr = generate_trace(degenerate(), KEY, PT, oversampling=8, seed=1)
-    kw = dict(key=KEY, fs=degenerate(), oversampling=8, noise_sigma=0.0)
-    bare = PowerTrace(samples=tr.samples, sample_period_s=tr.sample_period_s,
-                      plaintext=PT, ciphertext=tr.ciphertext, failed=False)
-    short = PowerTrace(samples=tr.samples[:-1], sample_period_s=tr.sample_period_s,
-                       plaintext=PT, ciphertext=tr.ciphertext, failed=False)
-    slow = PowerTrace(samples=tr.samples, sample_period_s=2 * tr.sample_period_s,
-                      plaintext=PT, ciphertext=tr.ciphertext, failed=False)
-    with pytest.raises(ValueError, match="unequal sample counts"):
-        TraceSet.from_traces([bare, short], **kw)
-    with pytest.raises(ValueError, match="unequal sample periods"):
-        TraceSet.from_traces([bare, slow], **kw)
-    with pytest.raises(ValueError, match="clock metadata on some rows only"):
-        TraceSet.from_traces([tr, bare], **kw)
-    ts = TraceSet.from_traces([bare, bare], **kw)
-    assert ts.samples.shape == (2, 240) and ts.clock_edges is None
-    assert ts.traces == [tr, tr]
-    assert TraceSet.from_traces([tr, tr], **kw).clock_edges.shape == (2, 1, 11)
-
-
 def test_equality_ignores_generation_metadata():
-    tr = generate_trace(degenerate(), KEY, PT, oversampling=8, seed=1)
-    bare = PowerTrace(samples=tr.samples.copy(),
-                      sample_period_s=tr.sample_period_s,
-                      plaintext=tr.plaintext, ciphertext=tr.ciphertext,
-                      failed=tr.failed, core_count=1)
-    assert tr == bare
-    assert tr.clock_meta is not None and bare.clock_meta is None
+    ts = one_trace(degenerate(), oversampling=8)
+    bare = TraceSet(samples=ts.samples.copy(), plaintexts=ts.plaintexts.copy(),
+                    ciphertexts=ts.ciphertexts.copy(), failed=ts.failed.copy(),
+                    sample_period_s=ts.sample_period_s, key=KEY, fs=degenerate(),
+                    oversampling=8, noise_sigma=0.0)
+    assert ts == bare
+    assert ts.clock_edges is not None and bare.clock_edges is None
