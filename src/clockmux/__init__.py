@@ -15,7 +15,11 @@ The package covers the full loop of a clock-randomization study:
   subcommands over a flat config file.
 
 All randomness flows through numpy's PCG64 generator seeded via
-SeedSequence, so every artifact is reproducible from (config, seed).
+SeedSequence, so every artifact is reproducible from (config, seed).  The
+per-trace and per-encryption streams of ``SeedSequence(seed).spawn(n)`` come
+from one ``streams.StreamBank``, which reproduces numpy's PCG64 streams bit
+for bit with array operations; ``tests/test_streams.py`` checks it against
+numpy.
 """
 
 __version__ = "0.1.0"

@@ -22,7 +22,10 @@ rising edges sit at ``(m + phase_i) * rho_i``.
 
 Randomness comes from numpy's PCG64 generator; a fixed (frequency set, cycle
 count, seed) triple always reproduces the same waveform bit for bit.  Runs
-are rows, one per generator, each drawing its selections in chunks until full.
+are rows, one per stream of a ``streams.StreamBank``: row i draws its
+selections in chunks until full, exactly as a Generator on
+``SeedSequence(seed).spawn(n)[i]`` would (the tests check each row against
+such a Generator).
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+
+from .streams import StreamBank
 
 #: Output edges closer than this (seconds) are merged into one; real hardware
 #: cannot resolve them and downstream period statistics should not either.
@@ -242,32 +247,34 @@ def simulate_mux_clock(fs: FrequencySet, n_base_cycles: int, seed: int) -> Outpu
                           n_base_cycles=int(n_base_cycles), base_period_s=tb)
 
 
-def _edges_until(fs: FrequencySet, rngs, n_edges: int, base_phases=0.0,
+def _edges_until(fs: FrequencySet, bank: StreamBank, rows, n_edges: int, base_phases=0.0,
                  source_phases=None) -> np.ndarray:
-    """First ``n_edges`` output edge times (base units), one row per generator.
+    """First ``n_edges`` output edge times (base units), one row per bank row.
 
-    Row r is the run ``rngs[r]`` drives under ``source_phases[r]`` (default
-    ``fs.phases``), its base edge k at ``base_phases[r] + k`` (a core not
-    aligned to the capture trigger).  Each pass draws a chunk of selections from
-    every generator whose row is still short; a row still short after
+    Row r is the run that stream ``rows[r]`` of ``bank`` drives under
+    ``source_phases[r]`` (default ``fs.phases``), its base edge k at
+    ``base_phases[r] + k`` (a core not aligned to the capture trigger).  Each
+    pass draws a chunk of selections, ``integers(0, 4, size, np.int8)``, from
+    every stream whose row is still short, so each stream draws what a serial
+    run on its own numpy Generator would; a row still short after
     ``STALL_CAP_CYCLES_PER_EDGE`` cycles per edge raises StalledClockError.
     """
     phases = np.broadcast_to(fs.phases if source_phases is None else source_phases,
-                             (len(rngs), 4))
+                             (len(rows), 4))
     tol = EDGE_COINCIDENCE_TOL_S / fs.base_period_s
     cycle_cap = STALL_CAP_CYCLES_PER_EDGE * n_edges
     # a short row holds all its edges; chunks cover disjoint ascending cycle
     # ranges, so merging after each one equals merging their concatenation
-    edges = np.full((len(rngs), n_edges), np.nan)
-    prev = np.full(len(rngs), -1)
-    short = np.arange(len(rngs))
+    edges = np.full((len(rows), n_edges), np.nan)
+    prev = np.full(len(rows), -1)
+    short = np.arange(len(rows))
     first_cycle = 0
     while len(short):
         if first_cycle >= cycle_cap:
             raise StalledClockError(f"only {np.isfinite(edges[short[0]]).sum()} edges after "
                                     f"{first_cycle} base cycles (needed {n_edges})")
         size = min(max(16, n_edges), cycle_cap - first_cycle)
-        sel = np.array([rngs[r].integers(0, 4, size=size, dtype=np.int8) for r in short])
+        sel = bank.integers4(rows[short], size)
         part = _mux_edges(fs.ratios(), fs.duty_cycle, phases[short], sel, first_cycle,
                           prev[short])
         run = _merge_close(np.sort(np.concatenate((edges[short], part), axis=1), axis=1), tol)
@@ -490,10 +497,10 @@ def overhead_and_error(fs: FrequencySet, rounds: int = 10,
         raise ValueError("rounds must be at least 1")
     if n_encryptions < 1:
         raise ValueError("n_encryptions must be at least 1")
-    rngs = list(map(np.random.default_rng, np.random.SeedSequence(seed).spawn(n_encryptions)))
     tb = fs.base_period_s
     threshold = error_threshold_factor  # base units
-    edges = _edges_until(fs, rngs, rounds + 1)
+    edges = _edges_until(fs, StreamBank(seed, n_encryptions), np.arange(n_encryptions),
+                         rounds + 1)
     completions = edges[:, rounds]
     periods = np.diff(edges, axis=1)
     nominal = float(rounds)

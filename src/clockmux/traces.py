@@ -16,12 +16,14 @@ is the only generator; it returns a ``TraceSet``, one row per trace.  Sets
 made by hand call the ``TraceSet`` constructor.  ``PowerTrace`` is only the
 row view ``TraceSet.traces`` lists, kept for callers that count rows with it.
 
-Per-trace randomness comes from PCG64 generators seeded by
-``SeedSequence(seed).spawn(n)``; each generator draws in a fixed order
-(plaintext, dual-core phases, core-1 clock, core-2 clock, failure ciphertext,
-noise), although a set draws each step for many traces at once.  The noise
-draw always happens, scaled by ``noise_sigma``, so different noise levels
-reuse identical clocks and plaintexts.
+Per-trace randomness comes from the PCG64 streams of
+``SeedSequence(seed).spawn(n)``, one per trace, held together in one
+``streams.StreamBank`` that reproduces numpy's streams bit for bit (the tests
+check it against numpy).  Each stream draws in a fixed order (plaintext,
+dual-core phases, core-1 clock, core-2 clock, failure ciphertext, noise),
+although a set draws each step for many traces at once.  The noise draw
+always happens, scaled by ``noise_sigma``, so different noise levels reuse
+identical clocks and plaintexts.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 
 from . import aes
 from .clock import DEFAULT_ERROR_THRESHOLD_FACTOR, FrequencySet, _edges_until
+from .streams import StreamBank
 
 TRACE_MAGIC = b"CLKBTRC1"
 TRACE_FORMAT_VERSION = 1
@@ -218,7 +221,7 @@ def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
     given (correlation attacks are then expected to fail for lack of
     hypothesis variance).  With ``fs2``/``key2`` a second core encrypts the
     same block on its own clock.  Every plaintext is drawn first, each from
-    its trace's generator; every key then encrypts the whole set at once, and
+    its trace's stream; every key then encrypts the whole set at once, and
     the arrays are filled ``_CHUNK_TRACES`` rows at a time, one draw at a
     time: core-2 phases (``random(5)`` is ``random()`` then ``random(4)``),
     one ``_edges_until`` call per core, failed rows' ciphertexts, noise.
@@ -244,11 +247,9 @@ def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
     sp = fs.base_period_s / oversampling
     hw = fs.base_period_s * PULSE_HALF_WIDTH_FRACTION
     n_samples = int(round(window_cycles * fs.base_period_s / sp))
-    rngs = [np.random.Generator(np.random.PCG64(s))
-            for s in np.random.SeedSequence(seed).spawn(n_traces)]
+    bank = StreamBank(seed, n_traces)
     if fixed_plaintext is None:
-        plaintexts = np.array([rng.integers(0, 256, 16, dtype=np.uint8) for rng in rngs],
-                              np.uint8).reshape(n_traces, 16)
+        plaintexts = bank.bytes(np.arange(n_traces), 16)
     else:
         plaintexts = np.tile(np.frombuffer(fixed_plaintext, np.uint8), (n_traces, 1))
     cores = [(fs, key)] if fs2 is None else [(fs, key), (fs2, key2)]
@@ -265,16 +266,17 @@ def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
     threshold = error_threshold_factor * fs.base_period_s
     for c0 in range(0, n_traces, _CHUNK_TRACES):
         c1 = min(c0 + _CHUNK_TRACES, n_traces)
-        chunk = rngs[c0:c1]
+        chunk = np.arange(c0, c1)
         offsets = [()]  # core 1 is trigger-aligned
         if fs2 is not None:  # core 2 free-runs: a base phase, then four source phases
-            offsets.append(np.split(np.array([rng.random(5) for rng in chunk]), [1], axis=1))
+            offsets.append(np.split(bank.random(chunk, 5), [1], axis=1))
         for c, ((f, _), offset) in enumerate(zip(cores, offsets)):
-            edges[c0:c1, c] = _edges_until(f, chunk, aes.ROUNDS + 1, *offset) * f.base_period_s
+            edges[c0:c1, c] = (_edges_until(f, bank, chunk, aes.ROUNDS + 1, *offset)
+                               * f.base_period_s)
         failed[c0:c1] = (np.diff(edges[c0:c1, 0], axis=1) < threshold).any(axis=1)
-        for i in np.flatnonzero(failed[c0:c1]) + c0:
-            ciphertexts[i] = rngs[i].integers(0, 256, 16, dtype=np.uint8)
-        noise = np.array([rng.standard_normal(n_samples) for rng in chunk])
+        redraw = np.flatnonzero(failed[c0:c1]) + c0
+        ciphertexts[redraw] = bank.bytes(redraw, 16)
+        noise = bank.standard_normal(chunk, n_samples)
         clean = np.zeros((c1 - c0, n_samples))
         for c, d in enumerate(dists):
             render = _render_pulses(edges[c0:c1, c, 1:], d[c0:c1], n_samples,

@@ -7,11 +7,13 @@ import re
 import numpy as np
 import pytest
 
+from clockmux import aes
 from clockmux.clock import (
     EDGE_COINCIDENCE_TOL_S,
     STALL_CAP_CYCLES_PER_EDGE,
     ClampedProbabilityWarning,
     FrequencySet,
+    OverheadReport,
     StalledClockError,
     completion_time_count,
     double_edge_probability,
@@ -32,7 +34,8 @@ from clockmux.clock import (
     _mux_edges,
 )
 from clockmux.presets import STUDY_SETS, dual_reference_pair, fixed_clock_set, study_set
-from clockmux.traces import generate_set
+from clockmux.streams import StreamBank
+from clockmux.traces import PULSE_HALF_WIDTH_FRACTION, _render_pulses, generate_set
 
 MHZ = 1e6
 
@@ -234,22 +237,22 @@ def _generators(seed, n):
 
 def _assert_batch_matches_serial(fs, seed, n_rows, n_edges, base_phases=None,
                                  source_phases=None):
-    """Compare one batched call with a serial run per generator; return how
-    many rows drew more than one chunk."""
-    batch, serial, one_chunk = (_generators(seed, n_rows) for _ in range(3))
+    """Compare one batched call on a stream bank with a serial run per
+    generator; return how many rows drew more than one chunk."""
+    bank, rows = StreamBank(seed, n_rows), np.arange(n_rows)
+    serial, one_chunk = (_generators(seed, n_rows) for _ in range(2))
     if base_phases is None:
-        got = _edges_until(fs, batch, n_edges)
+        got = _edges_until(fs, bank, rows, n_edges)
         want = [_serial_edges_until(fs, rng, n_edges) for rng in serial]
     else:
-        got = _edges_until(fs, batch, n_edges, base_phases, source_phases)
+        got = _edges_until(fs, bank, rows, n_edges, base_phases, source_phases)
         want = [_serial_edges_until(fs, rng, n_edges, float(b), tuple(p))
                 for rng, b, p in zip(serial, base_phases, source_phases)]
     assert got.shape == (n_rows, n_edges)
     for row, ref in zip(got, want):
         assert np.array_equal(row, ref)
-    # each generator stopped drawing where its serial run did
-    for a, b in zip(batch, serial):
-        assert a.bit_generator.state == b.bit_generator.state
+    # each bank row stopped drawing where its serial generator did
+    assert bank.states(rows) == [b.bit_generator.state for b in serial]
     for rng in one_chunk:
         rng.integers(0, 4, size=max(16, n_edges), dtype=np.int8)
     return sum(a.bit_generator.state != b.bit_generator.state
@@ -280,8 +283,8 @@ def test_batch_with_one_stalling_row_raises():
     with pytest.raises(StalledClockError, match=re.escape(message)):
         _serial_edges_until(crawl, _generators(0, 1)[0], 2, source_phases=phases[4])
     with pytest.raises(StalledClockError, match=re.escape(message)):
-        _edges_until(crawl, _generators(0, 6), 2, source_phases=phases)
-    ok = _edges_until(crawl, _generators(0, 4), 2, source_phases=phases[:4])
+        _edges_until(crawl, StreamBank(0, 6), np.arange(6), 2, source_phases=phases)
+    ok = _edges_until(crawl, StreamBank(0, 4), np.arange(4), 2, source_phases=phases[:4])
     np.testing.assert_array_equal(ok, [[0.0, 100.0]] * 4)
 
 
@@ -301,6 +304,57 @@ def test_dual_core_set_matches_serial_runs_per_generator():
         if failed:
             assert ts.ciphertexts[i].tobytes() == rng.integers(0, 256, 16, np.uint8).tobytes()
     assert ts.failed.any()
+
+
+def test_single_core_set_matches_serial_runs_per_generator():
+    # seed 7 gives set 3 five failed rows and two rows that draw a second chunk
+    fs, key, n, sigma, seed = study_set(3).fs, bytes(range(16)), 300, 0.5, 7
+    ts = generate_set(fs, key, n, oversampling=4, noise_sigma=sigma, seed=seed)
+    sp, hw = fs.base_period_s / 4, fs.base_period_s * PULSE_HALF_WIDTH_FRACTION
+    n_samples = ts.samples.shape[1]
+    second_chunks = 0
+    for i, (rng, one_chunk) in enumerate(zip(_generators(seed, n), _generators(seed, n))):
+        pt = rng.integers(0, 256, 16, dtype=np.uint8)
+        edges = _serial_edges_until(fs, rng, 11) * fs.base_period_s
+        one_chunk.integers(0, 256, 16, dtype=np.uint8)
+        one_chunk.integers(0, 4, size=16, dtype=np.int8)
+        second_chunks += rng.bit_generator.state != one_chunk.bit_generator.state
+        states, ct = aes.encrypt_blocks_with_states(key, pt[None])
+        failed = bool((np.diff(edges) < 0.25 * fs.base_period_s).any())
+        if failed:
+            ct = rng.integers(0, 256, 16, dtype=np.uint8)[None]
+        dist = aes.round_distances(states).T.astype(np.float64)
+        clean = _render_pulses(edges[None, 1:], dist, n_samples, sp, hw, "triangular")
+        noise = sigma * rng.standard_normal(n_samples)
+        sample = (clean[0].astype(np.float32).astype(np.float64) + noise).astype(np.float32)
+        assert np.array_equal(ts.samples[i], sample)
+        assert np.array_equal(ts.plaintexts[i], pt)
+        assert np.array_equal(ts.ciphertexts[i], ct[0])
+        assert ts.failed[i] == failed
+        assert np.array_equal(ts.clock_edges[i], [edges])
+    assert ts.failed.any() and second_chunks >= 1
+
+
+def test_overhead_at_16_rounds_matches_serial_generators():
+    # 17-edge runs draw 17-cycle chunks, 5 uint32 words each, so a second
+    # chunk starts on the upper half a first chunk left cached
+    fs, rounds, n = study_set(7).fs, 16, 300
+    rep = overhead_and_error(fs, rounds=rounds, n_encryptions=n, seed=6)
+    gens = list(map(np.random.default_rng, np.random.SeedSequence(6).spawn(n)))
+    edges = np.array([_serial_edges_until(fs, rng, rounds + 1) for rng in gens])
+    one_chunk = list(map(np.random.default_rng, np.random.SeedSequence(6).spawn(n)))
+    for rng in one_chunk:
+        rng.integers(0, 4, size=rounds + 1, dtype=np.int8)
+    assert sum(a.bit_generator.state != b.bit_generator.state
+               for a, b in zip(gens, one_chunk)) >= 1
+    completions, periods = edges[:, rounds], np.diff(edges, axis=1)
+    tb = fs.base_period_s
+    assert rep == OverheadReport(
+        mean_overhead=float(completions.mean() / rounds - 1.0),
+        worst_overhead=float(completions.max() / rounds - 1.0),
+        max_delay_s=float(completions.max() * tb),
+        error_risk=int(np.count_nonzero(periods < 0.25)) / periods.size,
+        rounds=rounds, n_encryptions=n, error_threshold_s=0.25 * tb)
 
 
 def test_merge_close_on_hand_made_rows():
