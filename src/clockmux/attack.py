@@ -17,7 +17,10 @@ The pipeline mirrors how captures are processed in practice:
    guess ranks 1 (``_rank``; a tie fails).
 
 A set is filtered and aligned once; steps 3 and 4 both take that
-``(AlignedMatrix, kept set)`` pair.  Each pass works on the set's arrays.
+``(AlignedMatrix, kept set)`` pair.  Given a true key the CLI runs step 4
+first: it leaves each byte it built summed over all rows in a ``sums``
+dict, and step 3 scores those bytes from it, building only the rest.  Each
+pass works on the set's arrays.
 ``filter_traces`` detects peaks in one ``detect_peaks`` pass over the
 non-failed rows (a matrix pass; ``_find_peaks_row``, an exact numpy port of
 scipy's ``find_peaks``, only for rows with a plateau or too-close maxima)
@@ -368,7 +371,7 @@ def _true_guesses(true_key: bytes) -> list[int]:
 
 
 def cpa_attack(am: AlignedMatrix, ts: TraceSet,
-               true_key: bytes | None = None) -> CpaResult:
+               true_key: bytes | None = None, sums: dict | None = None) -> CpaResult:
     """Correlation attack over an aligned matrix.
 
     For every register byte position the 256 last-round hypotheses are
@@ -377,7 +380,11 @@ def cpa_attack(am: AlignedMatrix, ts: TraceSet,
     variance score 0; zero-variance guesses count in ``undefined_fraction``.
     Sums of h and h^2 are exact integer sums of the uint8 hypotheses; sums
     of h*y are one BLAS product per byte, and only that byte's float64
-    matrix is alive.
+    matrix is alive.  ``sums`` maps a byte position to its (sum h, sum h^2,
+    sum h*y) over all rows of ``am``, as ``min_traces_search`` leaves them:
+    those bytes are scored from the sums and only the others are built.
+    Their h*y sums add block products, so their scores may differ from a
+    single product's in the last bits.
     """
     if am.rows.shape[0] < 2:
         raise ValueError("need at least 2 traces to correlate")
@@ -387,12 +394,15 @@ def cpa_attack(am: AlignedMatrix, ts: TraceSet,
     scores = np.zeros((16, 256), dtype=np.float64)
     undefined = 0
     for p in range(16):
-        h = aes.hypothesis_matrix(cts, p)
-        hf = h.astype(np.float64)
-        scores[p], constant = _max_abs_rho(len(y), *_hypothesis_sums(h, axis=0),
-                                           sy, syy, hf.T @ y)
+        if sums and p in sums:
+            sh, shh, shy = sums[p]
+        else:
+            h = aes.hypothesis_matrix(cts, p)
+            sh, shh = _hypothesis_sums(h, axis=0)
+            shy = h.astype(np.float64).T @ y
+            del h  # the next byte's matrices replace these, never join them
+        scores[p], constant = _max_abs_rho(len(y), sh, shh, sy, syy, shy)
         undefined += int(constant.sum())
-        del h, hf  # the next byte's matrices replace these, never join them
     rec_rk = bytearray(16)
     for p in range(16):
         rec_rk[int(aes.SHIFT_ROWS_IMAGE[p])] = int(scores[p].argmax())
@@ -422,7 +432,7 @@ def _prefix(block_sums: np.ndarray) -> np.ndarray:
 
 
 def min_traces_search(am: AlignedMatrix, ts: TraceSet, true_key: bytes,
-                      step: int = DEFAULT_STEP) -> int | None:
+                      step: int = DEFAULT_STEP, sums: dict | None = None) -> int | None:
     """Smallest segment size (grid of ``step``) whose attack recovers the key.
 
     Scores the rows of ``am`` over its full width, with ``ts`` the set its
@@ -441,6 +451,11 @@ def min_traces_search(am: AlignedMatrix, ts: TraceSet, true_key: bytes,
     any other, so the result is exactly the smallest successful size, as an
     exhaustive search over (size, offset) finds it, or None when no segment
     (or not even one block) recovers the key.
+
+    Given a dict ``sums``, the search leaves in it, for each byte it builds,
+    that byte's (sum h, sum h^2, sum h*y) over all rows of ``am``: its block
+    totals plus the rows past the last full block, from the same hypothesis
+    build.  ``cpa_attack(..., sums=sums)`` then builds only the other bytes.
     """
     if step < 2:
         raise ValueError("step must be at least 2")
@@ -449,7 +464,8 @@ def min_traces_search(am: AlignedMatrix, ts: TraceSet, true_key: bytes,
         return None
     rows = nblocks * step
     yb = am.rows[:rows].astype(np.float64).reshape(nblocks, step, am.rows.shape[1])
-    cts = ts.ciphertexts[am.kept_indices[:rows]]
+    tail_y = am.rows[rows:].astype(np.float64)
+    cts = ts.ciphertexts[am.kept_indices]
     py, pyy = _prefix(yb.sum(axis=1)), _prefix((yb * yb).sum(axis=1))
     guesses = _true_guesses(true_key)
     first, last = 1, min(SEARCH_CAP, nblocks)
@@ -459,16 +475,22 @@ def min_traces_search(am: AlignedMatrix, ts: TraceSet, true_key: bytes,
         for p in range(16):
             if not any(a.any() for a in alive.values()):
                 break
-            h = aes.hypothesis_matrix(cts, p).reshape(nblocks, step, 256)
-            ph, phh = (_prefix(x) for x in _hypothesis_sums(h, axis=1))
-            phy = _prefix(h.astype(np.float64).transpose(0, 2, 1) @ yb)
-            del h  # one byte's hypotheses at a time
+            h = aes.hypothesis_matrix(cts, p)
+            hb, tail = h[:rows].reshape(nblocks, step, 256), h[rows:]
+            ph, phh = (_prefix(x) for x in _hypothesis_sums(hb, axis=1))
+            phy = _prefix(hb.astype(np.float64).transpose(0, 2, 1) @ yb)
+            if sums is not None and p not in sums:
+                th, thh = _hypothesis_sums(tail, axis=0)
+                sums[p] = (ph[-1] + th, phh[-1] + thh,
+                           phy[-1] + tail.astype(np.float64).T @ tail_y)
+            del h, hb, tail  # one byte's hypotheses at a time
             for k, a in alive.items():
                 s = np.flatnonzero(a)
                 sc, _ = _max_abs_rho(k * step, ph[s + k] - ph[s], phh[s + k] - phh[s],
                                      py[s + k] - py[s], pyy[s + k] - pyy[s],
                                      phy[s + k] - phy[s])
                 a[s] = _rank(sc, guesses[p]) == 1
+            del ph, phh, phy  # nor do two bytes' prefix sums meet
         found = [k for k, a in alive.items() if a.any()]
         if found:
             return found[0] * step

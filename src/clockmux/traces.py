@@ -329,10 +329,12 @@ def first_round_coincidence_fraction(ts: TraceSet) -> float:
 # The reader raises TraceFormatError for anything ``write_trace_set`` cannot
 # produce: a label that is not UTF-8, frequency-set values FrequencySet
 # rejects, a non-finite or non-positive sample period, oversampling below 2,
-# a trace count whose 37-byte minimum records do not fit in the file (checked
-# before any record is parsed), a sample count past the end of the file,
-# traces with unequal sample counts, or a non-finite (NaN or inf) sample
-# (which ``write_trace_set`` refuses with ValueError).
+# a sample period other than the base period over the oversampling (the grid
+# ``generate_set`` renders on), a trace count whose 37-byte minimum records
+# do not fit in the file (checked before any record is parsed), a sample
+# count past the end of the file, traces with unequal sample counts, or a
+# non-finite (NaN or inf) sample.  ``write_trace_set`` refuses a set with
+# such a sample or sample period with ValueError.
 # ---------------------------------------------------------------------------
 
 def _record_dtype(n_samples: int) -> np.dtype:
@@ -355,6 +357,9 @@ def write_trace_set(ts: TraceSet, path) -> None:
     bad = np.flatnonzero(~np.isfinite(records["samples"]).all(axis=1))
     if bad.size:  # read_trace_set would refuse the file
         raise ValueError(f"trace {bad[0]} has a non-finite sample")
+    if ts.sample_period_s != ts.fs.base_period_s / ts.oversampling:  # so would it here
+        raise ValueError(f"sample period {ts.sample_period_s!r} s is not the base "
+                         f"period over oversampling {ts.oversampling}")
     with open(path, "wb") as f:
         f.write(TRACE_MAGIC)
         f.write(struct.pack("<III", TRACE_FORMAT_VERSION, ts.core_count, len(ts)))
@@ -405,6 +410,10 @@ def read_trace_set(path) -> TraceSet:
             raise TraceFormatError(f"invalid oversampling {oversampling} (minimum 2)")
         key = _read_exact(f, 16, "key")
         fs = _unpack_fs(f)
+        if sp != fs.base_period_s / oversampling:  # generate_set's grid, bit for bit
+            raise TraceFormatError(f"sample period {sp!r} s is not the base period "
+                                   f"over oversampling {oversampling} "
+                                   f"({fs.base_period_s / oversampling!r} s)")
         key2 = fs2 = None
         if core_count == 2:
             key2 = _read_exact(f, 16, "key2")

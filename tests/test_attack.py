@@ -538,26 +538,35 @@ def test_min_traces_search_reports_failure_and_validates_step():
         min_traces_search(am, kept, KEY, step=1)
 
 
-def test_a_tie_for_first_breaks_neither_the_search_nor_cpa():
-    # each window column leaks one byte's true hypothesis; at position 5 every
-    # row also gives a later guess the same hypothesis, so that guess ties
+def leaking_set(cts):
+    """(matrix, set) whose window column p is byte p's true hypothesis."""
+    true_rk = aes.expand_key(KEY).round_keys[10]
+    y = np.stack([aes.hypothesis_matrix(cts, p)[:, true_rk[int(aes.SHIFT_ROWS_IMAGE[p])]]
+                  for p in range(16)], axis=1).astype(np.float32)
+    n = len(cts)
+    ts = TraceSet(samples=y, plaintexts=np.zeros_like(cts), ciphertexts=cts,
+                  failed=np.zeros(n, dtype=bool), sample_period_s=1e-8, key=KEY,
+                  fs=degenerate(), oversampling=8, noise_sigma=0.0)
+    am = AlignedMatrix(rows=y, round_anchor=None, kept_indices=np.arange(n),
+                       peak_positions=np.full(n, -1))
+    return am, ts
+
+
+def twin_ciphertexts():
+    """4,000 random ciphertext rows, the mask of those on which byte 5's true
+    guess and the next guess have the same hypothesis, and that true guess."""
     true_rk = aes.expand_key(KEY).round_keys[10]
     g_true = int(true_rk[int(aes.SHIFT_ROWS_IMAGE[5])])
     cts = np.random.default_rng(4).integers(0, 256, (4000, 16), dtype=np.uint8)
     h5 = aes.hypothesis_matrix(cts, 5)
-    twin = h5[:, g_true] == h5[:, g_true + 1]
+    return cts, h5[:, g_true] == h5[:, g_true + 1], g_true
 
-    def leaking_set(cts):
-        y = np.stack([aes.hypothesis_matrix(cts, p)[:, true_rk[int(aes.SHIFT_ROWS_IMAGE[p])]]
-                      for p in range(16)], axis=1).astype(np.float32)
-        n = len(cts)
-        ts = TraceSet(samples=y, plaintexts=np.zeros_like(cts), ciphertexts=cts,
-                      failed=np.zeros(n, dtype=bool), sample_period_s=1e-8, key=KEY,
-                      fs=degenerate(), oversampling=8, noise_sigma=0.0)
-        am = AlignedMatrix(rows=y, round_anchor=None, kept_indices=np.arange(n),
-                           peak_positions=np.full(n, -1))
-        return am, ts
 
+def test_a_tie_for_first_breaks_neither_the_search_nor_cpa():
+    # each window column leaks one byte's true hypothesis; at position 5 every
+    # row also gives a later guess the same hypothesis, so that guess ties
+    true_rk = aes.expand_key(KEY).round_keys[10]
+    cts, twin, g_true = twin_ciphertexts()
     am, ts = leaking_set(cts[:64])
     assert cpa_attack(am, ts, true_key=KEY).broken
     assert min_traces_search(am, ts, KEY, step=64) == 64
@@ -568,6 +577,53 @@ def test_a_tie_for_first_breaks_neither_the_search_nor_cpa():
     # the first maximum is the true guess, yet a tie does not rank 1
     assert res.recovered_round_key == bytes(true_rk) and not res.broken
     assert min_traces_search(am, ts, KEY, step=64) is None
+
+
+@pytest.mark.parametrize("n_traces, seed, step, rows, built", [
+    # k* 6 blocks: the search builds every byte; 99 rows past the last block
+    (700, 13, 100, 699, list(range(16))),
+    # unbroken, 2 blocks and no row past them: only bytes 0-1 are built
+    (120, 3, 60, 120, [0, 1]),
+    # unbroken, 9 blocks of 60 and 59 rows past them: bytes 0-10 are built
+    (600, 13, 60, 599, list(range(11))),
+    # fewer rows than one block: the search builds nothing
+    (120, 3, 200, 120, []),
+])
+def test_cpa_from_search_sums_matches_one_product(monkeypatch, n_traces, seed, step,
+                                                  rows, built):
+    am, kept = aligned(fixed_clock_set(n_traces, seed=seed, noise_sigma=2.0), 8)
+    assert am.rows.shape[0] == rows
+    plain = cpa_attack(am, kept, true_key=KEY)
+    sums = {}
+    min_traces_search(am, kept, KEY, step=step, sums=sums)
+    assert sorted(sums) == built
+    cts = kept.ciphertexts[am.kept_indices]
+    for p, (sh, shh, _) in sums.items():
+        # exact integer sums over every row, the tail past the last block included
+        h = aes.hypothesis_matrix(cts, p).astype(np.int64)
+        assert np.array_equal(sh, h.sum(axis=0)) and np.array_equal(shh, (h * h).sum(axis=0))
+    builds = []
+    real = aes.hypothesis_matrix
+    monkeypatch.setattr(aes, "hypothesis_matrix",
+                        lambda cts, p: builds.append(p) or real(cts, p))
+    shared = cpa_attack(am, kept, true_key=KEY, sums=sums)
+    assert builds == [p for p in range(16) if p not in sums]
+    assert np.abs(shared.scores - plain.scores).max() <= 1e-12
+    assert shared.recovered_key == plain.recovered_key
+    assert shared.rank_of_true_key == plain.rank_of_true_key
+    assert shared.undefined_fraction == plain.undefined_fraction
+
+
+def test_cpa_from_search_sums_keeps_an_exact_tie():
+    # one block of 64 rows and 36 past it; the search dies at byte 5's tie
+    cts, twin, g_true = twin_ciphertexts()
+    am, ts = leaking_set(cts[twin][:100])
+    sums = {}
+    assert min_traces_search(am, ts, KEY, step=64, sums=sums) is None
+    assert sorted(sums) == list(range(6))
+    res = cpa_attack(am, ts, true_key=KEY, sums=sums)
+    assert res.scores[5, g_true] == res.scores[5, g_true + 1]
+    assert res.rank_of_true_key == (1,) * 5 + (2,) + (1,) * 10
 
 
 def test_min_traces_monotone_in_noise():

@@ -508,6 +508,9 @@ CORRUPT_HEADERS = {
     "zero sample period": lambda b: _corrupt(b, _SAMPLE_PERIOD_AT, "<d", 0.0),
     "nan sample period": lambda b: _corrupt(b, _SAMPLE_PERIOD_AT, "<d", float("nan")),
     "zero oversampling": lambda b: _corrupt(b, _OVERSAMPLING_AT, "<I", 0),
+    # the sample period no longer equals the base period over the oversampling
+    "huge oversampling": lambda b: _corrupt(b, _OVERSAMPLING_AT, "<I", 2**31),
+    "tiny sample period": lambda b: _corrupt(b, _SAMPLE_PERIOD_AT, "<d", 1e-300),
     "sample count past the end": lambda b: _corrupt(
         b, _LABEL_AT + _label_len(b) + 48 + 33, "<I", 0xFFFFFFFF),
     "trace count past the end": lambda b: _corrupt(b, _N_TRACES_AT, "<I", 0xFFFFFFFF),
@@ -707,17 +710,18 @@ def test_attack_and_compare_run_one_pass_per_set(tmp_path, capsys, monkeypatch, 
     assert calls["detect_peaks"] == 2
 
 
-@pytest.mark.parametrize("step, noise_sigma, min_traces, search_builds", [
+@pytest.mark.parametrize("step, noise_sigma, min_traces, search_builds, cpa_builds", [
     # k* 7 of 13 blocks: the first range (1-8) scores every byte
-    (60, 0.5, 420, list(range(16))),
+    (60, 0.5, 420, list(range(16)), []),
     # k* 9 of 16 blocks: the first range dies after byte 13, the second
     # (9-16) builds every byte again
-    (50, 0.5, 450, list(range(14)) + list(range(16))),
-    # unbroken: no segment survives byte 1, so bytes 2-15 are not built
-    (60, 10.0, None, [0, 1]),
+    (50, 0.5, 450, list(range(14)) + list(range(16)), []),
+    # unbroken: no segment survives byte 1, so bytes 2-15 are not built by
+    # the search, and the CPA builds them
+    (60, 10.0, None, [0, 1], list(range(2, 16))),
 ])
 def test_attack_builds_hypotheses_once_per_byte_and_search_range(
-        monkeypatch, step, noise_sigma, min_traces, search_builds):
+        monkeypatch, step, noise_sigma, min_traces, search_builds, cpa_builds):
     fixed = FrequencySet(base_hz=10e6, fundamentals=(10e6,) * 4)
     ts = generate_set(fixed, bytes(range(16)), 800, oversampling=8,
                       noise_sigma=noise_sigma, seed=3)
@@ -728,5 +732,6 @@ def test_attack_builds_hypotheses_once_per_byte_and_search_range(
     cfg = dataclasses.replace(ExperimentConfig(), step=step)
     result = cli._attack_trace_set(cfg, ts, bytes(range(16)))
     assert (result["min_traces"], result["broken"]) == (min_traces, min_traces is not None)
-    # cpa_attack builds each byte once, then min_traces_search once per range
-    assert calls == list(range(16)) + search_builds
+    # min_traces_search builds each byte once per range it scores, then
+    # cpa_attack builds only the bytes the search never built
+    assert calls == search_builds + cpa_builds

@@ -8,6 +8,7 @@ against byte-level corruptions.
 """
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -331,6 +332,15 @@ def test_writer_refuses_a_sample_the_reader_rejects(tmp_path, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("change", [{"sample_period_s": 1e-300}, {"oversampling": 2**31}])
+def test_writer_refuses_a_sample_period_the_reader_rejects(tmp_path, change):
+    ts = generate_set(degenerate(), KEY, 4, oversampling=8, seed=1)
+    path = tmp_path / "bad.bin"
+    with pytest.raises(ValueError, match="is not the base period over oversampling"):
+        write_trace_set(dataclasses.replace(ts, **change), path)
+    assert not path.exists()
+
+
 def test_ciphertext_matrix_stacks_ciphertexts():
     ts = generate_set(study_set(2).fs, KEY, 6, oversampling=8, seed=9)
     m = ts.ciphertexts
@@ -381,6 +391,14 @@ def test_corrupt_files_raise_specific_errors(tmp_path):
     trailing.write_bytes(blob + b"\x00")
     with pytest.raises(TraceFormatError):
         read_trace_set(trailing)
+
+    # the header's sample period must be the base period over its oversampling
+    for at, fmt, value in ((20, "<d", 1e-300), (28, "<I", 2**31)):
+        off_grid = tmp_path / f"grid{at}.bin"
+        off_grid.write_bytes(blob[:at] + struct.pack(fmt, value)
+                             + blob[at + struct.calcsize(fmt):])
+        with pytest.raises(TraceFormatError, match="is not the base period"):
+            read_trace_set(off_grid)
 
 
 def test_equality_ignores_generation_metadata():
