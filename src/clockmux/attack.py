@@ -427,7 +427,11 @@ SEARCH_CAP = 8
 def _prefix(block_sums: np.ndarray) -> np.ndarray:
     """Prefix sums over blocks: row i holds the sum of blocks [0, i)."""
     out = np.zeros((len(block_sums) + 1,) + block_sums.shape[1:], block_sums.dtype)
-    np.cumsum(block_sums, axis=0, out=out[1:])
+    # cumsum's additions in its order (the first block copied, so -0.0 stays),
+    # one whole row at a time rather than one strided column at a time
+    out[1:2] = block_sums[:1]
+    for i in range(1, len(block_sums)):
+        np.add(out[i], block_sums[i], out=out[i + 1])
     return out
 
 

@@ -31,6 +31,7 @@ such a Generator).
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -57,6 +58,10 @@ DEFAULT_ERROR_THRESHOLD_FACTOR = 0.25
 
 #: Safety cap (in base cycles per required edge) for open-ended simulations.
 STALL_CAP_CYCLES_PER_EDGE = 64
+
+#: Base cycles per run of a long ``simulate_mux_clock``: runs are computed on
+#: a few threads and joined in cycle order, so the edges do not depend on it.
+SIM_RUN_CYCLES = 1 << 15
 
 
 class ClampedProbabilityWarning(UserWarning):
@@ -219,12 +224,23 @@ def _mux_edges(ratios: np.ndarray, duty: float, phases: np.ndarray,
 def _merge_close(edges: np.ndarray, tol: float) -> np.ndarray:
     """Greedily drop edges within ``tol`` of the previously kept one, in place,
     on each sorted, nan-padded row that holds a close pair."""
-    for r in np.flatnonzero((np.diff(edges, axis=1) < tol).any(axis=1)):
-        kept = [edges[r, 0]]
-        for e in edges[r, 1:]:
-            if e - kept[-1] >= tol:
-                kept.append(e)
-        edges[r] = kept + [np.nan] * (edges.shape[1] - len(kept))
+    close = np.diff(edges, axis=1) < tol  # close[:, j]: edge j + 1 is within tol of edge j
+    rows = np.flatnonzero(close.any(axis=1))
+    if not len(rows):
+        return edges
+    # An edge at least tol past its predecessor is always kept, so a close
+    # edge after a kept one is dropped; only an edge ending a chain of close
+    # gaps needs the last kept edge looked up.
+    sub, close = edges[rows], close[rows]
+    keep = ~np.isnan(sub)
+    keep[:, 1:] &= ~close
+    for r, j in zip(*np.nonzero(close[:, 1:] & close[:, :-1])):
+        last = j + 1
+        while not keep[r, last]:
+            last -= 1
+        keep[r, j + 2] = sub[r, j + 2] - sub[r, last] >= tol
+    edges[rows] = np.nan
+    edges[rows, :keep.sum(axis=1).max()] = _compact(sub, keep)
     return edges
 
 
@@ -233,16 +249,35 @@ def simulate_mux_clock(fs: FrequencySet, n_base_cycles: int, seed: int) -> Outpu
 
     One source index is drawn per base rising edge (uniform over the four),
     the output follows the selected source's level for the whole cycle, and
-    the returned waveform lists every output rising edge in seconds.
+    the returned waveform lists every output rising edge in seconds.  Runs
+    of ``SIM_RUN_CYCLES`` cycles are computed on up to one thread per usable
+    core; a run's edges lie inside its cycles, so joined in cycle order they
+    are the one-run edges bit for bit.
     """
     if n_base_cycles < 1:
         raise ValueError("n_base_cycles must be at least 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     sel = rng.integers(0, 4, size=n_base_cycles, dtype=np.int8)
-    edges = _mux_edges(fs.ratios(), fs.duty_cycle, np.array([fs.phases]), sel[None], 0,
-                       np.array([-1]))
+    ratios, phases = fs.ratios(), np.array([fs.phases])
+
+    def run(c0: int) -> np.ndarray:  # one row, so no nan padding
+        prev = sel[c0 - 1:c0] if c0 else np.array([-1])
+        return _mux_edges(ratios, fs.duty_cycle, phases, sel[None, c0:c0 + SIM_RUN_CYCLES],
+                          c0, prev)[0]
+
+    starts = range(0, n_base_cycles, SIM_RUN_CYCLES)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    threads = min(cores, len(starts))
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # ~3.5 ms; only long runs pay it
+        with ThreadPoolExecutor(threads) as pool:
+            parts = list(pool.map(run, starts))
+    else:
+        parts = [run(c0) for c0 in starts]
     tb = fs.base_period_s
-    edges = _merge_close(edges, EDGE_COINCIDENCE_TOL_S / tb)[0]
+    edges = parts[0] if len(parts) == 1 else np.concatenate(parts)  # a lone run is not copied
+    edges = _merge_close(edges[None], EDGE_COINCIDENCE_TOL_S / tb)[0]
     return OutputWaveform(edges_s=edges[~np.isnan(edges)] * tb, source_per_cycle=sel,
                           n_base_cycles=int(n_base_cycles), base_period_s=tb)
 

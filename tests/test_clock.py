@@ -1,5 +1,6 @@
 """Tests for the mux-clock simulator and its closed-form companions."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -7,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from clockmux import aes
+from clockmux import aes, clock
 from clockmux.clock import (
     EDGE_COINCIDENCE_TOL_S,
     STALL_CAP_CYCLES_PER_EDGE,
@@ -375,6 +376,86 @@ def test_merge_close_on_hand_made_rows():
     got = _merge_close(rows, tol)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(got[2:], untouched, equal_nan=True)
+
+
+def test_merge_close_matches_serial_on_long_rows_with_planted_chains():
+    rng = np.random.default_rng(5)
+    tol, width = 1e-5, 40_000
+    rows = np.full((5, width), np.nan)
+    for r, n in enumerate((width, 39_000, 25_000, 30_000, 10)):
+        row = np.sort(rng.uniform(0.0, 1e4, n))
+        if r != 3:  # row 3 keeps only its chance close pairs, if any
+            # chains of 2-5 gaps under tol, some spanning more than tol
+            starts = rng.choice(n - 6, size=min(n // 50, 300), replace=False)
+            for j in starts:
+                k = rng.integers(1, 5)
+                row[j + 1:j + 1 + k] = row[j] + np.cumsum(rng.uniform(0.1, 0.9, k) * tol)
+            row.sort()
+        rows[r, :n] = row
+    before = rows.copy()
+    want = [_serial_merge_close(row[~np.isnan(row)], tol) for row in before]
+    got = _merge_close(rows, tol)
+    assert got is rows
+    chained = 0
+    for g, b, w in zip(got, before, want):
+        assert np.array_equal(g[:len(w)], w)
+        assert np.isnan(g[len(w):]).all()
+        b = b[~np.isnan(b)]
+        close = np.diff(b) < tol
+        chained += int((close[1:] & close[:-1]).sum())
+    assert chained > 100  # chains, not only lone close pairs, were merged
+    assert len(want[0]) < width and len(want[4]) == 10
+
+
+def _serial_waveform(fs, n_base_cycles, seed):
+    """Reference edges (seconds) of ``simulate_mux_clock``: one run of cycles."""
+    sel = np.random.Generator(np.random.PCG64(seed)).integers(0, 4, size=n_base_cycles,
+                                                              dtype=np.int8)
+    edges = _serial_mux_edges(fs.ratios(), fs.duty_cycle, np.asarray(fs.phases), sel, 0, None)
+    return _serial_merge_close(edges, EDGE_COINCIDENCE_TOL_S / fs.base_period_s) * \
+        fs.base_period_s, sel
+
+
+@pytest.mark.parametrize("index", [1, 4, 7])
+def test_long_simulation_in_runs_matches_one_serial_run(index):
+    rng = np.random.default_rng(index)
+    fs = dataclasses.replace(study_set(index).fs, phases=tuple(rng.random(4)))
+    n = 3 * clock.SIM_RUN_CYCLES + 777  # several runs and a ragged tail
+    w = simulate_mux_clock(fs, n, seed=index)
+    edges, sel = _serial_waveform(fs, n, index)
+    assert np.array_equal(w.edges_s, edges)
+    assert np.array_equal(w.source_per_cycle, sel)
+
+
+def test_close_pair_across_a_seam_merges_as_in_one_run(monkeypatch):
+    # sources 0 and 1 fit 2057 and 4484 periods into 2999 cycles: rounding
+    # puts their edge one ulp before cycle 2999, and the level test sees them
+    # rise exactly on it, so a switch between them there makes a close pair
+    # whose edges fall in two runs of 2999 cycles
+    run, base = 2999, 10 * MHZ
+    fs = FrequencySet(base, (base * 2057 / run, base * 4484 / run, 7.3 * MHZ, 12.9 * MHZ),
+                      phases=(0.0, 0.0, 0.3, 0.8))
+    n, seed = 3 * run + 123, 9
+    edges, _ = _serial_waveform(fs, n, seed)
+    one_run = simulate_mux_clock(fs, n, seed)
+    tau = _serial_mux_edges(fs.ratios(), fs.duty_cycle, np.asarray(fs.phases),
+                            one_run.source_per_cycle, 0, None)
+    pair = np.flatnonzero(np.diff(tau) < EDGE_COINCIDENCE_TOL_S / fs.base_period_s)
+    assert {run, 2 * run} <= set(tau[pair + 1]) and (tau[pair] < tau[pair + 1]).all()
+    monkeypatch.setattr(clock, "SIM_RUN_CYCLES", run)
+    in_runs = simulate_mux_clock(fs, n, seed)
+    assert np.array_equal(one_run.edges_s, edges)
+    assert np.array_equal(in_runs.edges_s, edges)
+
+
+@pytest.mark.parametrize("run", [7, 97])
+def test_small_odd_runs_give_the_one_run_edges(monkeypatch, run):
+    fs = dataclasses.replace(study_set(1).fs, phases=(0.1, 0.9, 0.35, 0.6))
+    want = [simulate_mux_clock(fs, n, seed=3).edges_s for n in (1, 2000, 5003)]
+    monkeypatch.setattr(clock, "SIM_RUN_CYCLES", run)
+    got = [simulate_mux_clock(fs, n, seed=3).edges_s for n in (1, 2000, 5003)]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 # ---------------------------------------------------------------------

@@ -340,22 +340,35 @@ print(json.dumps({"on_import": on_import, "code": code, "after": scipy_modules()
 """
 
 
-def test_command_line_loads_no_scipy(tmp_path):
-    # the runtime is numpy-only: start-up pays for no scipy import
-    cfg = write_config(tmp_path, CLI_CONFIG.replace("n_base_cycles = 4000",
-                                                    "n_base_cycles = 200"))
+def _src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parent.parent / "src"),
                     env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_command_line_loads_no_scipy(tmp_path):
+    # the runtime is numpy-only: start-up pays for no scipy import
+    cfg = write_config(tmp_path, CLI_CONFIG.replace("n_base_cycles = 4000",
+                                                    "n_base_cycles = 200"))
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, cfg, str(tmp_path / "out")],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"on_import": [], "code": 0, "after": []}
     assert (tmp_path / "out" / "simulate_summary.csv").is_file()
 
+
+def test_command_line_import_leaves_out_the_thread_pool(tmp_path):
+    # only a simulation long enough to run in pieces loads concurrent.futures,
+    # so start-up does not pay for it
+    probe = "import sys, clockmux.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
 
 def test_gen_prints_failed_fraction_as_a_plain_float(tmp_path, capsys):
     # study set 1 fails some encryptions; the fixed probe fails none
