@@ -27,9 +27,9 @@ KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 def describe(tag: str, ts) -> None:
     kept, removed, failed = filter_traces(ts)
     aligned = synchronize(kept, round=10, window_halfwidth=4)
-    result = cpa_attack(aligned, kept, true_key=KEY)
+    result = cpa_attack(aligned, true_key=KEY)
     ranks = result.rank_of_true_key
-    min_traces = min_traces_search(aligned, kept, KEY, step=250)
+    min_traces = min_traces_search(aligned, KEY, step=250)
     outcome = min_traces if min_traces is not None else "not broken here"
     print(f"{tag}:")
     print(f"  kept {aligned.rows.shape[0]}/{len(ts)} traces "
@@ -51,7 +51,7 @@ def main() -> None:
     describe(f"randomized clock ({entry.fs.label})", randomized)
 
     kept, _, _ = filter_traces(randomized)
-    unsynced = cpa_attack(raw_matrix(kept, round=10), kept, true_key=KEY)
+    unsynced = cpa_attack(raw_matrix(kept, round=10), true_key=KEY)
     print(f"randomized without synchronization: worst rank "
           f"{max(unsynced.rank_of_true_key)} of 256 "
           f"(the attack goes nowhere)")

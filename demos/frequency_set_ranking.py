@@ -25,7 +25,7 @@ def main() -> None:
                           oversampling=12, noise_sigma=2.0)
         kept, _, _ = filter_traces(ts)
         aligned = synchronize(kept, round=10, window_halfwidth=4)
-        min_traces = min_traces_search(aligned, kept, KEY, step=500)
+        min_traces = min_traces_search(aligned, KEY, step=500)
         rows.append((entry.fs.label, min_traces, cost.mean_overhead,
                      cost.worst_overhead, cost.error_risk))
 

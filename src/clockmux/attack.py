@@ -16,11 +16,11 @@ The pipeline mirrors how captures are processed in practice:
    ``_max_abs_rho``, and both count a byte as recovered only when its true
    guess ranks 1 (``_rank``; a tie fails).
 
-A set is filtered and aligned once; steps 3 and 4 both take that
-``(AlignedMatrix, kept set)`` pair.  Given a true key the CLI runs step 4
-first: it leaves each byte it built summed over all rows in a ``sums``
-dict, and step 3 scores those bytes from it, building only the rest.  Each
-pass works on the set's arrays.
+A set is filtered and aligned once into an ``AlignedMatrix`` that carries
+its rows' ciphertexts; steps 3 and 4 take that matrix alone.  Given a true
+key the CLI runs step 4 first: it leaves each byte it built summed over all
+rows in a ``sums`` dict, and step 3 scores those bytes from it, building
+only the rest.  Each pass works on the set's arrays.
 ``filter_traces`` detects peaks in one ``detect_peaks`` pass over the
 non-failed rows (a matrix pass; ``_find_peaks_row``, an exact numpy port of
 scipy's ``find_peaks``, only for rows with a plateau or too-close maxima)
@@ -78,18 +78,16 @@ class FilterParams:
 
 @dataclass(frozen=True)
 class AlignedMatrix:
-    """Kept traces as rows of a common window.
+    """Kept traces as rows of a common window, with what the attack needs.
 
-    ``round_anchor`` is the column holding the attacked round's peak (None
-    for an unsynchronized matrix); ``kept_indices`` maps rows back to trace
-    indices in the input set (strictly increasing, never reordered);
-    ``peak_positions`` holds the attacked round's original sample index per
-    row (-1 when unknown).
+    ``ciphertexts`` is the (rows, 16) uint8 ciphertexts of the rows, in row
+    order (kept rows keep their input order); ``peak_positions`` holds the
+    attacked round's original sample index per row (-1 when unknown).  A
+    synchronized matrix has the attacked round's peak in its centre column.
     """
 
     rows: np.ndarray
-    round_anchor: int | None
-    kept_indices: np.ndarray
+    ciphertexts: np.ndarray
     peak_positions: np.ndarray
 
     @property
@@ -300,17 +298,21 @@ def synchronize(ts: TraceSet, round: int = 10,
 
     Each row is shifted (by whole samples) so its ``round``-th detected peak
     lands on the window center, all rows in one gather; rows whose peak sits
-    too close to an edge to fill the window are dropped.  Row order is
-    preserved.  A set ``filter_traces`` kept is not detected again.
+    too close to an edge to fill the window are dropped, and a window wider
+    than the rows keeps none.  Row order is preserved.  A set
+    ``filter_traces`` kept is not detected again.
     """
     if round < 1:
         raise ValueError("round must be at least 1")
     params = (params or FilterParams()).resolved(ts.oversampling)
     w = ts.oversampling if window_halfwidth is None else int(window_halfwidth)
+    if 2 * w + 1 > ts.samples.shape[1]:  # in Python ints: w may not fit an int64
+        return AlignedMatrix(rows=ts.samples[:0], ciphertexts=ts.ciphertexts[:0],
+                             peak_positions=np.empty(0, np.int64))
     p = _round_peaks(ts, params, round)
     kept = np.flatnonzero((p - w >= 0) & (p + w < ts.samples.shape[1]))
     return AlignedMatrix(rows=ts.samples[kept[:, None], p[kept, None] + np.arange(-w, w + 1)],
-                         round_anchor=w, kept_indices=kept, peak_positions=p[kept])
+                         ciphertexts=ts.ciphertexts[kept], peak_positions=p[kept])
 
 
 def raw_matrix(ts: TraceSet, round: int = 10,
@@ -321,8 +323,7 @@ def raw_matrix(ts: TraceSet, round: int = 10,
     detectable) so delay statistics remain available.
     """
     params = (params or FilterParams()).resolved(ts.oversampling)
-    return AlignedMatrix(rows=ts.samples, round_anchor=None,
-                         kept_indices=np.arange(len(ts), dtype=np.int64),
+    return AlignedMatrix(rows=ts.samples, ciphertexts=ts.ciphertexts,
                          peak_positions=_round_peaks(ts, params, round))
 
 
@@ -370,14 +371,15 @@ def _true_guesses(true_key: bytes) -> list[int]:
     return [int(true_rk[int(aes.SHIFT_ROWS_IMAGE[p])]) for p in range(16)]
 
 
-def cpa_attack(am: AlignedMatrix, ts: TraceSet,
-               true_key: bytes | None = None, sums: dict | None = None) -> CpaResult:
+def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None,
+               sums: dict | None = None) -> CpaResult:
     """Correlation attack over an aligned matrix.
 
-    For every register byte position the 256 last-round hypotheses are
-    correlated against every window column; a guess's score is its maximum
-    absolute correlation (``_max_abs_rho`` over all rows).  Cells with zero
-    variance score 0; zero-variance guesses count in ``undefined_fraction``.
+    For every register byte position the 256 last-round hypotheses of
+    ``am.ciphertexts`` are correlated against every window column; a
+    guess's score is its maximum absolute correlation (``_max_abs_rho`` over
+    all rows).  Cells with zero variance score 0; zero-variance guesses
+    count in ``undefined_fraction``.
     Sums of h and h^2 are exact integer sums of the uint8 hypotheses; sums
     of h*y are one BLAS product per byte, and only that byte's float64
     matrix is alive.  ``sums`` maps a byte position to its (sum h, sum h^2,
@@ -388,7 +390,6 @@ def cpa_attack(am: AlignedMatrix, ts: TraceSet,
     """
     if am.rows.shape[0] < 2:
         raise ValueError("need at least 2 traces to correlate")
-    cts = ts.ciphertexts[am.kept_indices]
     y = am.rows.astype(np.float64)
     sy, syy = y.sum(axis=0), (y * y).sum(axis=0)
     scores = np.zeros((16, 256), dtype=np.float64)
@@ -397,7 +398,7 @@ def cpa_attack(am: AlignedMatrix, ts: TraceSet,
         if sums and p in sums:
             sh, shh, shy = sums[p]
         else:
-            h = aes.hypothesis_matrix(cts, p)
+            h = aes.hypothesis_matrix(am.ciphertexts, p)
             sh, shh = _hypothesis_sums(h, axis=0)
             shy = h.astype(np.float64).T @ y
             del h  # the next byte's matrices replace these, never join them
@@ -435,26 +436,26 @@ def _prefix(block_sums: np.ndarray) -> np.ndarray:
     return out
 
 
-def min_traces_search(am: AlignedMatrix, ts: TraceSet, true_key: bytes,
-                      step: int = DEFAULT_STEP, sums: dict | None = None) -> int | None:
+def min_traces_search(am: AlignedMatrix, true_key: bytes, step: int = DEFAULT_STEP,
+                      sums: dict | None = None) -> int | None:
     """Smallest segment size (grid of ``step``) whose attack recovers the key.
 
-    Scores the rows of ``am`` over its full width, with ``ts`` the set its
-    ``kept_indices`` point into: the pair ``cpa_attack`` takes.  The rows
-    are cut into consecutive blocks of ``step``; every contiguous run of
-    blocks is a segment, scored by ``_max_abs_rho`` from differences of
-    block prefix sums (h and h^2 exact integer sums, each block's h*y sums
-    one batched BLAS product).  A segment succeeds when all 16 true-key
-    bytes rank 1 as in ``CpaResult.broken`` (``_rank``: a tie for first
-    fails), so each byte scores only the segments every earlier byte ranked
-    first, and once none is left the remaining bytes are not scored.  Sizes
-    are scored in capped ranges, 1 to ``SEARCH_CAP`` blocks first, then
-    9-16, 17-32 and so on, bytes outer, returning at the first range that
-    holds a success; each range builds every byte's hypotheses and prefix
-    sums anew, one byte at a time.  Success at one size does not depend on
-    any other, so the result is exactly the smallest successful size, as an
-    exhaustive search over (size, offset) finds it, or None when no segment
-    (or not even one block) recovers the key.
+    Scores the rows of ``am`` over its full width against its own
+    ``ciphertexts``, as ``cpa_attack`` does.  The rows are cut into
+    consecutive blocks of ``step``; every contiguous run of blocks is a
+    segment, scored by ``_max_abs_rho`` from differences of block prefix
+    sums (h and h^2 exact integer sums, each block's h*y sums one batched
+    BLAS product).  A segment succeeds when all 16 true-key bytes rank 1 as
+    in ``CpaResult.broken`` (``_rank``: a tie for first fails), so each byte
+    scores only the segments every earlier byte ranked first, and once none
+    is left the remaining bytes are not scored.  Sizes are scored in capped
+    ranges, 1 to ``SEARCH_CAP`` blocks first, then 9-16, 17-32 and so on,
+    bytes outer, returning at the first range that holds a success; each
+    range builds every byte's hypotheses and prefix sums anew, one byte at a
+    time.  Success at one size does not depend on any other, so the result
+    is exactly the smallest successful size, as an exhaustive search over
+    (size, offset) finds it, or None when no segment (or not even one block)
+    recovers the key.
 
     Given a dict ``sums``, the search leaves in it, for each byte it builds,
     that byte's (sum h, sum h^2, sum h*y) over all rows of ``am``: its block
@@ -469,7 +470,6 @@ def min_traces_search(am: AlignedMatrix, ts: TraceSet, true_key: bytes,
     rows = nblocks * step
     yb = am.rows[:rows].astype(np.float64).reshape(nblocks, step, am.rows.shape[1])
     tail_y = am.rows[rows:].astype(np.float64)
-    cts = ts.ciphertexts[am.kept_indices]
     py, pyy = _prefix(yb.sum(axis=1)), _prefix((yb * yb).sum(axis=1))
     guesses = _true_guesses(true_key)
     first, last = 1, min(SEARCH_CAP, nblocks)
@@ -479,7 +479,7 @@ def min_traces_search(am: AlignedMatrix, ts: TraceSet, true_key: bytes,
         for p in range(16):
             if not any(a.any() for a in alive.values()):
                 break
-            h = aes.hypothesis_matrix(cts, p)
+            h = aes.hypothesis_matrix(am.ciphertexts, p)
             hb, tail = h[:rows].reshape(nblocks, step, 256), h[rows:]
             ph, phh = (_prefix(x) for x in _hypothesis_sums(hb, axis=1))
             phy = _prefix(hb.astype(np.float64).transpose(0, 2, 1) @ yb)

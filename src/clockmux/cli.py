@@ -239,11 +239,10 @@ def _attack_trace_set(cfg: ExperimentConfig, ts, true_key: bytes | None) -> dict
     # the search leaves each byte it built summed over all rows for the CPA
     sums = {}
     if true_key is not None:
-        result["min_traces"] = min_traces_search(am, kept, true_key, step=cfg.step,
-                                                 sums=sums)
+        result["min_traces"] = min_traces_search(am, true_key, step=cfg.step, sums=sums)
         result["broken"] = result["min_traces"] is not None
     if am.rows.shape[0] >= 2:
-        cpa = cpa_attack(am, kept, true_key=true_key, sums=sums)
+        cpa = cpa_attack(am, true_key=true_key, sums=sums)
         result["recovered_key"] = cpa.recovered_key.hex()
     result.update(_overhead(cfg, ts.fs, rounds=cfg.attack_round, seed=cfg.seed))
     return result

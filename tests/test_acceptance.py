@@ -164,7 +164,7 @@ def test_cpa_soundness_on_the_fixed_clock():
     fixed = fixed_clock_set()
     ts = generate_set(fixed, KEY, 500, seed=41, oversampling=8)
     am = synchronize(ts, round=10, window_halfwidth=8)
-    res = cpa_attack(am, ts, true_key=KEY)
+    res = cpa_attack(am, true_key=KEY)
     assert res.recovered_key == KEY
     assert res.rank_of_true_key == (1,) * 16
 
@@ -175,7 +175,7 @@ def test_cpa_soundness_on_the_fixed_clock():
                              noise_sigma=sigma, amplitude=1.0)
         kept, _, _ = filter_traces(noisy)
         min_traces = min_traces_search(synchronize(kept, round=10, window_halfwidth=8),
-                                       kept, KEY, step=250)
+                                       KEY, step=250)
         assert min_traces is not None, sigma
         minima.append(min_traces)
     assert minima[2] <= 5000
@@ -190,8 +190,8 @@ def search_synchronized(ts, kept, removed):
     """The search on ``kept`` synchronized at half-width 4, and the fraction
     of ``ts`` dropped by the filter (``removed``) or by synchronization."""
     am = synchronize(kept, round=10, window_halfwidth=4)
-    removed += (len(kept.traces) - am.rows.shape[0]) / len(ts.traces)
-    return min_traces_search(am, kept, KEY, step=250), removed
+    removed += (len(kept) - am.rows.shape[0]) / len(ts)
+    return min_traces_search(am, KEY, step=250), removed
 
 
 def test_randomized_clock_multiplies_the_attack_cost():
@@ -207,7 +207,7 @@ def test_randomized_clock_multiplies_the_attack_cost():
         ts = generate_set(entry.fs, KEY, 30000, seed=SEED + i,
                           oversampling=12, noise_sigma=noise_sigma)
         kept, removed, _ = filter_traces(ts)
-        unsynced = cpa_attack(raw_matrix(kept, round=10), kept, true_key=KEY)
+        unsynced = cpa_attack(raw_matrix(kept, round=10), true_key=KEY)
         assert max(unsynced.rank_of_true_key) > 32, entry.fs.label
 
         min_traces, removed = search_synchronized(ts, kept, removed)
@@ -303,10 +303,8 @@ def test_spectrum_fundamentals_dominate_and_energy_is_conserved():
     assert abs(top_bin - int(fixed.base_hz // 1e6)) <= 1
 
     energies = []
-    for tr in ts.traces:
-        if tr.failed:
-            continue
-        x = tr.samples.astype(np.float64)
+    for samples in ts.samples[~ts.failed]:
+        x = samples.astype(np.float64)
         x = x - x.mean()
         energies.append(float(x @ x))
     time_energy = float(np.mean(energies))

@@ -206,7 +206,7 @@ def test_filter_removes_failed_low_peak_and_close_peak_traces():
     good = ts.take([0])
     params = FilterParams(expected_peaks=10, min_peak_separation=4)
     kept, removed, failed_frac = filter_traces(ts, params)
-    assert kept.traces == good.traces
+    assert kept == good
     assert np.array_equal(kept.samples, ts.samples[[0]])
     assert failed_frac == pytest.approx(1 / 4)
     assert removed == pytest.approx(2 / 4)
@@ -224,7 +224,8 @@ def test_filter_rejects_undersampled_clock_metadata():
 def test_filter_keeps_input_order():
     ts = generate_set(study_set(1).fs, KEY, 80, oversampling=12, seed=3)
     kept, _, _ = filter_traces(ts)
-    order = [ts.traces.index(t) for t in kept.traces]
+    order = [next(i for i in range(len(ts)) if ts.take([i]) == kept.take([j]))
+             for j in range(len(kept))]
     assert order == sorted(order)
 
 
@@ -236,35 +237,67 @@ def test_synchronize_fixed_clock_aligns_exactly():
     ts = fixed_clock_set(20)
     am = synchronize(ts, round=10, window_halfwidth=8)
     assert am.rows.shape == (20, 17)
-    assert am.round_anchor == 8
+    assert am.rows.shape[1] // 2 == 8
     assert np.all(am.peak_positions == 80)
-    assert np.array_equal(am.kept_indices, np.arange(20))
-    # every aligned row carries its round-10 Hamming distance at the anchor
-    for row, tr in zip(am.rows, ts.traces):
-        assert row[8] == tr.samples[80]
+    assert np.array_equal(am.ciphertexts, ts.ciphertexts)
+    # every aligned row carries its round-10 Hamming distance at the centre
+    assert np.array_equal(am.rows[:, 8], ts.samples[:, 80])
 
 
 def test_synchronize_drops_traces_that_cannot_fill_window():
     ts = fixed_clock_set(5)
-    am = synchronize(ts, round=10, window_halfwidth=200)
-    assert am.rows.shape[0] == 0
+    # 2 * 10**10 + 1 columns would not fit in memory, nor 10**30 in an int64
+    for w in (200, 10**10, 10**30):
+        am = synchronize(ts, round=10, window_halfwidth=w)
+        assert am.rows.shape[0] == 0
+        assert am.ciphertexts.shape == (0, 16) and am.ciphertexts.dtype == np.uint8
+        assert am.peak_positions.shape == (0,) and am.max_delay_samples == 0
     with pytest.raises(ValueError):
         synchronize(ts, round=0)
 
 
-def test_synchronize_kept_indices_strictly_increase():
+def expected_sync_rows(kept, w, round=10):
+    """Indices of ``kept``'s rows whose ``round``-th peak, detected one row
+    at a time, leaves room for a window of half-width ``w``."""
+    params = FilterParams().resolved(kept.oversampling)
+    rows = []
+    for i, samples in enumerate(kept.samples):
+        peaks, _ = detect_peaks(samples[None], params.threshold_k, params.detect_separation)
+        if len(peaks) >= round and w <= peaks[round - 1] < samples.size - w:
+            rows.append(i)
+    return rows
+
+
+def test_synchronize_carries_the_kept_rows_ciphertexts_in_order():
     ts = generate_set(study_set(6).fs, KEY, 150, oversampling=12, seed=8)
     kept, _, _ = filter_traces(ts)
-    am = synchronize(kept, round=10, window_halfwidth=4)
-    assert np.all(np.diff(am.kept_indices) > 0)
+    w = 100  # wider than some rows' round-10 peak lies from the start
+    rows = expected_sync_rows(kept, w)
+    assert 0 < len(rows) < len(kept)  # synchronization trims this set
+    am = synchronize(kept, round=10, window_halfwidth=w)
+    assert am.ciphertexts.dtype == np.uint8
+    assert np.array_equal(am.ciphertexts, kept.ciphertexts[rows])
+    centre = am.peak_positions[:, None] + np.arange(-w, w + 1)
+    assert np.array_equal(am.rows, kept.samples[np.array(rows)[:, None], centre])
+
+
+def test_dual_core_matrices_carry_core_one_ciphertexts():
+    fs1, fs2 = dual_reference_pair()
+    ts = generate_set(fs1, KEY, 40, oversampling=8, seed=5, fs2=fs2, key2=KEY2)
+    kept, _, _ = filter_traces(ts)
+    rows = expected_sync_rows(kept, 70)
+    assert 0 < len(rows) < len(kept)
+    assert not (kept.ciphertexts == kept.ciphertexts2).all(axis=1).any()
+    am = synchronize(kept, round=10, window_halfwidth=70)
+    assert np.array_equal(am.ciphertexts, kept.ciphertexts[rows])
+    assert np.array_equal(raw_matrix(kept, round=10).ciphertexts, kept.ciphertexts)
 
 
 def test_raw_matrix_pads_and_keeps_everything():
     ts = fixed_clock_set(6)
     am = raw_matrix(ts, round=10)
-    assert am.round_anchor is None
     assert am.rows.shape == (6, 240)
-    assert np.array_equal(am.kept_indices, np.arange(6))
+    assert am.ciphertexts is ts.ciphertexts
     assert np.all(am.peak_positions == 80)
 
 
@@ -275,7 +308,7 @@ def test_raw_matrix_pads_and_keeps_everything():
 def study_set_with_failures(seed=5):
     ts = generate_set(study_set(1).fs, KEY, 80, oversampling=12, seed=seed,
                       noise_sigma=0.5)
-    assert any(t.failed for t in ts.traces)
+    assert ts.failed.any()
     return ts
 
 
@@ -286,8 +319,8 @@ def test_pipeline_detects_each_trace_once(monkeypatch):
                         lambda rows, *a: calls.append(rows[:]) or real(rows, *a))
     ts = study_set_with_failures()
     kept, _, _ = filter_traces(ts)
-    min_traces_search(synchronize(kept, round=10), kept, KEY, step=10)
-    min_traces_search(raw_matrix(kept, round=10), kept, KEY, step=10)
+    min_traces_search(synchronize(kept, round=10), KEY, step=10)
+    min_traces_search(raw_matrix(kept, round=10), KEY, step=10)
     # one pass, in filter_traces, over exactly the non-failed rows
     assert len(calls) == 1
     assert np.array_equal(calls[0], ts.samples[~ts.failed])
@@ -301,9 +334,10 @@ def test_other_threshold_detects_afresh():
     fresh_kept, fresh_removed, fresh_failed = filter_traces(
         study_set_with_failures(), params)
     default_kept, _, _ = filter_traces(study_set_with_failures())
-    assert kept.traces == fresh_kept.traces
+    assert kept == fresh_kept
     assert (removed, failed) == (fresh_removed, fresh_failed)
-    assert kept.traces != default_kept.traces
+    assert not all(np.array_equal(getattr(kept, a), getattr(default_kept, a))
+                   for a in ("samples", "plaintexts", "ciphertexts", "failed"))
 
 
 def test_attack_leaves_the_set_equal_and_its_bytes_unchanged(tmp_path, monkeypatch):
@@ -315,7 +349,7 @@ def test_attack_leaves_the_set_equal_and_its_bytes_unchanged(tmp_path, monkeypat
     before = tmp_path / "before.bin"
     write_trace_set(ts, before)
     kept, _, _ = filter_traces(ts)
-    min_traces_search(synchronize(kept, round=10), kept, KEY, step=10)
+    min_traces_search(synchronize(kept, round=10), KEY, step=10)
     assert len(calls) == 1
     assert np.array_equal(calls[0], ts.samples[~ts.failed])
     # the kept set carries each kept row's peaks; the input set is not written to
@@ -388,22 +422,22 @@ def test_pearson_rejects_bad_input():
 def test_cpa_recovers_key_on_noiseless_fixed_clock():
     ts = fixed_clock_set(600)
     am = synchronize(ts, round=10, window_halfwidth=8)
-    res = cpa_attack(am, ts, true_key=KEY)
+    res = cpa_attack(am, true_key=KEY)
     assert res.recovered_key == KEY
     assert res.rank_of_true_key == (1,) * 16
     assert res.broken
     assert res.undefined_fraction == 0.0
-    # a tight window around the anchor works as well
-    res2 = cpa_attack(synchronize(ts, round=10, window_halfwidth=2), ts, true_key=KEY)
+    # a tight window around the centre works as well
+    res2 = cpa_attack(synchronize(ts, round=10, window_halfwidth=2), true_key=KEY)
     assert res2.recovered_key == KEY
 
 
 def test_cpa_fails_on_mismatched_ciphertexts():
     ts = fixed_clock_set(600)
-    rolled = ts.take(np.roll(np.arange(len(ts)), -1))
     am = synchronize(ts, round=10, window_halfwidth=8)
     # correlate trace i's samples against trace i+1's ciphertext
-    res = cpa_attack(am, rolled, true_key=KEY)
+    rolled = dataclasses.replace(am, ciphertexts=np.roll(am.ciphertexts, -1, axis=0))
+    res = cpa_attack(rolled, true_key=KEY)
     assert not res.broken
     assert max(res.rank_of_true_key) > 32
 
@@ -412,7 +446,7 @@ def test_cpa_flags_constant_hypotheses_instead_of_claiming_recovery():
     ts = generate_set(degenerate(), KEY, 100, oversampling=8, seed=2,
                       fixed_plaintext=bytes(16))
     am = synchronize(ts, round=10, window_halfwidth=8)
-    res = cpa_attack(am, ts, true_key=KEY)
+    res = cpa_attack(am, true_key=KEY)
     assert res.undefined_fraction == 1.0
     assert np.all(res.scores == 0.0)
     assert not res.broken
@@ -422,14 +456,13 @@ def test_cpa_flags_constant_hypotheses_instead_of_claiming_recovery():
 def test_cpa_needs_two_traces_and_valid_window():
     ts = fixed_clock_set(5)
     am = synchronize(ts, round=10, window_halfwidth=8)
-    one = AlignedMatrix(rows=am.rows[:1], round_anchor=am.round_anchor,
-                        kept_indices=am.kept_indices[:1],
+    one = AlignedMatrix(rows=am.rows[:1], ciphertexts=am.ciphertexts[:1],
                         peak_positions=am.peak_positions[:1])
     with pytest.raises(ValueError):
-        cpa_attack(one, ts)
+        cpa_attack(one)
     # a window too wide for any row leaves nothing to correlate
     with pytest.raises(ValueError):
-        cpa_attack(synchronize(ts, round=10, window_halfwidth=200), ts)
+        cpa_attack(synchronize(ts, round=10, window_halfwidth=200))
 
 
 def test_cpa_scores_match_two_pass_pearson():
@@ -442,9 +475,9 @@ def test_cpa_scores_match_two_pass_pearson():
     kept, _, _ = filter_traces(ts)
     am = synchronize(kept, round=10, window_halfwidth=6)
     am = dataclasses.replace(am, rows=am.rows[:, 3:10])  # off centre
-    res = cpa_attack(am, kept)
+    res = cpa_attack(am)
     y = am.rows
-    cts = kept.ciphertexts[am.kept_indices]
+    cts = am.ciphertexts
     yf = y.astype(np.float64)
     for p in range(16):
         h = aes.hypothesis_matrix(cts, p)
@@ -471,12 +504,8 @@ def test_cpa_integer_sums_stay_exact_past_32_bits():
     cts = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
     cts[:, 1] = aes.INV_SBOX[cts[:, 13]] ^ np.where(np.arange(n) % 2, 0xFF, 0)
     y = rng.standard_normal((n, 2)).astype(np.float32)
-    ts = TraceSet(samples=y, plaintexts=np.zeros_like(cts), ciphertexts=cts,
-                  failed=np.zeros(n, dtype=bool), sample_period_s=1e-8, key=KEY,
-                  fs=degenerate(), oversampling=8, noise_sigma=0.0)
-    am = AlignedMatrix(rows=y, round_anchor=None, kept_indices=np.arange(n),
-                       peak_positions=np.full(n, -1))
-    res = cpa_attack(am, ts)
+    am = AlignedMatrix(rows=y, ciphertexts=cts, peak_positions=np.full(n, -1))
+    res = cpa_attack(am)
     yf = y.astype(np.float64)
     hf = aes.hypothesis_matrix(cts, 1).astype(np.float64)
     sh, shh = hf.sum(axis=0), (hf * hf).sum(axis=0)
@@ -492,20 +521,19 @@ def test_cpa_integer_sums_stay_exact_past_32_bits():
 
 def aligned(ts, window_halfwidth):
     kept, _, _ = filter_traces(ts)
-    return synchronize(kept, round=10, window_halfwidth=window_halfwidth), kept
+    return synchronize(kept, round=10, window_halfwidth=window_halfwidth)
 
 
 def direct_min_traces(ts, true_key, step, window_halfwidth):
-    am, kept = aligned(ts, window_halfwidth)
+    am = aligned(ts, window_halfwidth)
     n = am.rows.shape[0]
     best = None
     for k in range(1, n // step + 1):
         for start in range(0, n - k * step + 1, step):
             sub = AlignedMatrix(rows=am.rows[start:start + k * step],
-                                round_anchor=am.round_anchor,
-                                kept_indices=am.kept_indices[start:start + k * step],
+                                ciphertexts=am.ciphertexts[start:start + k * step],
                                 peak_positions=am.peak_positions[start:start + k * step])
-            res = cpa_attack(sub, kept, true_key=true_key)
+            res = cpa_attack(sub, true_key=true_key)
             if res.broken:
                 best = k * step
                 break
@@ -520,36 +548,30 @@ def test_min_traces_search_matches_direct_oracle():
             (2.0, 20, 600),    # k* 30 of 34 blocks: the third range (17-32)
             (3.0, 20, None)):  # 34 blocks, every range scored, no success
         ts = fixed_clock_set(700, seed=13, noise_sigma=noise_sigma)
-        am, kept = aligned(ts, 8)
-        min_traces = min_traces_search(am, kept, KEY, step=step)
+        am = aligned(ts, 8)
+        min_traces = min_traces_search(am, KEY, step=step)
         assert min_traces == direct_min_traces(ts, KEY, step=step, window_halfwidth=8)
         assert min_traces == expected
 
 
 def test_min_traces_search_reports_failure_and_validates_step():
     ts = fixed_clock_set(120, seed=3, noise_sigma=30.0)
-    am, kept = aligned(ts, 8)
-    assert min_traces_search(am, kept, KEY, step=60) is None
+    am = aligned(ts, 8)
+    assert min_traces_search(am, KEY, step=60) is None
     # two full blocks, neither alone nor together enough to recover the key
-    am, kept = aligned(fixed_clock_set(120, seed=3, noise_sigma=2.0), 8)
+    am = aligned(fixed_clock_set(120, seed=3, noise_sigma=2.0), 8)
     assert am.rows.shape[0] == 120
-    assert min_traces_search(am, kept, KEY, step=60) is None
+    assert min_traces_search(am, KEY, step=60) is None
     with pytest.raises(ValueError):
-        min_traces_search(am, kept, KEY, step=1)
+        min_traces_search(am, KEY, step=1)
 
 
 def leaking_set(cts):
-    """(matrix, set) whose window column p is byte p's true hypothesis."""
+    """A matrix of ``cts`` whose window column p is byte p's true hypothesis."""
     true_rk = aes.expand_key(KEY).round_keys[10]
     y = np.stack([aes.hypothesis_matrix(cts, p)[:, true_rk[int(aes.SHIFT_ROWS_IMAGE[p])]]
                   for p in range(16)], axis=1).astype(np.float32)
-    n = len(cts)
-    ts = TraceSet(samples=y, plaintexts=np.zeros_like(cts), ciphertexts=cts,
-                  failed=np.zeros(n, dtype=bool), sample_period_s=1e-8, key=KEY,
-                  fs=degenerate(), oversampling=8, noise_sigma=0.0)
-    am = AlignedMatrix(rows=y, round_anchor=None, kept_indices=np.arange(n),
-                       peak_positions=np.full(n, -1))
-    return am, ts
+    return AlignedMatrix(rows=y, ciphertexts=cts, peak_positions=np.full(len(cts), -1))
 
 
 def twin_ciphertexts():
@@ -567,16 +589,16 @@ def test_a_tie_for_first_breaks_neither_the_search_nor_cpa():
     # row also gives a later guess the same hypothesis, so that guess ties
     true_rk = aes.expand_key(KEY).round_keys[10]
     cts, twin, g_true = twin_ciphertexts()
-    am, ts = leaking_set(cts[:64])
-    assert cpa_attack(am, ts, true_key=KEY).broken
-    assert min_traces_search(am, ts, KEY, step=64) == 64
-    am, ts = leaking_set(cts[twin][:64])
-    res = cpa_attack(am, ts, true_key=KEY)
+    am = leaking_set(cts[:64])
+    assert cpa_attack(am, true_key=KEY).broken
+    assert min_traces_search(am, KEY, step=64) == 64
+    am = leaking_set(cts[twin][:64])
+    res = cpa_attack(am, true_key=KEY)
     assert res.rank_of_true_key == (1,) * 5 + (2,) + (1,) * 10
     assert res.scores[5, g_true] == res.scores[5, g_true + 1]
     # the first maximum is the true guess, yet a tie does not rank 1
     assert res.recovered_round_key == bytes(true_rk) and not res.broken
-    assert min_traces_search(am, ts, KEY, step=64) is None
+    assert min_traces_search(am, KEY, step=64) is None
 
 
 @pytest.mark.parametrize("n_traces, seed, step, rows, built", [
@@ -591,13 +613,13 @@ def test_a_tie_for_first_breaks_neither_the_search_nor_cpa():
 ])
 def test_cpa_from_search_sums_matches_one_product(monkeypatch, n_traces, seed, step,
                                                   rows, built):
-    am, kept = aligned(fixed_clock_set(n_traces, seed=seed, noise_sigma=2.0), 8)
+    am = aligned(fixed_clock_set(n_traces, seed=seed, noise_sigma=2.0), 8)
     assert am.rows.shape[0] == rows
-    plain = cpa_attack(am, kept, true_key=KEY)
+    plain = cpa_attack(am, true_key=KEY)
     sums = {}
-    min_traces_search(am, kept, KEY, step=step, sums=sums)
+    min_traces_search(am, KEY, step=step, sums=sums)
     assert sorted(sums) == built
-    cts = kept.ciphertexts[am.kept_indices]
+    cts = am.ciphertexts
     for p, (sh, shh, _) in sums.items():
         # exact integer sums over every row, the tail past the last block included
         h = aes.hypothesis_matrix(cts, p).astype(np.int64)
@@ -606,7 +628,7 @@ def test_cpa_from_search_sums_matches_one_product(monkeypatch, n_traces, seed, s
     real = aes.hypothesis_matrix
     monkeypatch.setattr(aes, "hypothesis_matrix",
                         lambda cts, p: builds.append(p) or real(cts, p))
-    shared = cpa_attack(am, kept, true_key=KEY, sums=sums)
+    shared = cpa_attack(am, true_key=KEY, sums=sums)
     assert builds == [p for p in range(16) if p not in sums]
     assert np.abs(shared.scores - plain.scores).max() <= 1e-12
     assert shared.recovered_key == plain.recovered_key
@@ -617,11 +639,11 @@ def test_cpa_from_search_sums_matches_one_product(monkeypatch, n_traces, seed, s
 def test_cpa_from_search_sums_keeps_an_exact_tie():
     # one block of 64 rows and 36 past it; the search dies at byte 5's tie
     cts, twin, g_true = twin_ciphertexts()
-    am, ts = leaking_set(cts[twin][:100])
+    am = leaking_set(cts[twin][:100])
     sums = {}
-    assert min_traces_search(am, ts, KEY, step=64, sums=sums) is None
+    assert min_traces_search(am, KEY, step=64, sums=sums) is None
     assert sorted(sums) == list(range(6))
-    res = cpa_attack(am, ts, true_key=KEY, sums=sums)
+    res = cpa_attack(am, true_key=KEY, sums=sums)
     assert res.scores[5, g_true] == res.scores[5, g_true + 1]
     assert res.rank_of_true_key == (1,) * 5 + (2,) + (1,) * 10
 
@@ -630,7 +652,7 @@ def test_min_traces_monotone_in_noise():
     minima = []
     for sigma in (0.0, 1.0, 2.0):
         ts = fixed_clock_set(700, seed=21, noise_sigma=sigma)
-        minima.append(min_traces_search(*aligned(ts, 8), KEY, step=100))
+        minima.append(min_traces_search(aligned(ts, 8), KEY, step=100))
     assert all(m is not None for m in minima)
     assert minima == sorted(minima)
 
@@ -654,10 +676,10 @@ def test_fft_parseval_energy_identity():
     ts = generate_set(study_set(2).fs, KEY, 12, oversampling=8, seed=4,
                       noise_sigma=1.0)
     spec = fft_spectrum(ts, bin_hz=1e6)
-    usable = [t for t in ts.traces if not t.failed]
+    usable = ts.samples[~ts.failed]
     energies = []
-    for t in usable:
-        x = t.samples.astype(np.float64)
+    for samples in usable:
+        x = samples.astype(np.float64)
         x = x - x.mean()
         energies.append(float(x @ x))
     time_energy = np.mean(energies)

@@ -391,7 +391,7 @@ def test_cli_gen_attack_fft_round_trip(tmp_path, capsys):
     assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
     trace_path = out / "traces_set1.bin"
     ts = read_trace_set(str(trace_path))
-    assert len(ts.traces) == 600
+    assert len(ts) == 600
     assert ts.key == bytes(range(16))
 
     key_hex = bytes(range(16)).hex()
@@ -420,6 +420,31 @@ def test_cli_gen_attack_fft_round_trip(tmp_path, capsys):
     top = max(spectrum["top_bins"], key=lambda e: e["magnitude"])
     assert top["bin_low_hz"] == pytest.approx(10e6)
     assert (out / "spectrum.csv").is_file()
+
+
+def test_attack_window_wider_than_any_row_reports_as_no_row_kept(tmp_path, capsys):
+    # 2w + 1 columns fit no row of these traces; 10**10 columns would not fit
+    # in memory and 10**30 not in an int64, yet both report what 100000 does
+    study1 = "[sets]\nuse = 1\n\n[traces]\nn_traces = 8\n"
+    out = tmp_path / "out"
+    assert main(["gen", "--config", write_config(tmp_path, study1), "--out", str(out)]) == 0
+    capsys.readouterr()
+    trace_path = str(out / "traces_set1.bin")
+    reports = []
+    for w in (100000, 10**10, 10**30):
+        cfg = write_config(tmp_path, study1 + f"\n[attack]\nwindow_halfwidth = {w}\n")
+        run_out = tmp_path / f"w{w}"
+        assert main(["attack", trace_path, "--config", cfg, "--out", str(run_out),
+                     "--evaluate", bytes(range(16)).hex()]) == 0
+        report = json.loads((run_out / "attack_report.json").read_text())
+        del report["meta"]  # its config digest holds w
+        rows = [line for line in (run_out / "attack_report.csv").read_text().splitlines()
+                if not line.startswith("# ")]
+        reports.append((report, rows, capsys.readouterr().out))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    report = reports[0][0]
+    assert (report["min_traces"], report["broken"], report["recovered_key"]) == (None, False, None)
+    assert report["max_delay_samples"] == 0
 
 
 def test_cli_compare_ranks_and_reruns_byte_identical(tmp_path, capsys):

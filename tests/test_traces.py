@@ -169,13 +169,16 @@ def test_noise_reuses_clock_and_plaintext_streams():
     quiet = generate_set(fs, KEY, 10, oversampling=8, seed=7, noise_sigma=0.0)
     low = generate_set(fs, KEY, 10, oversampling=8, seed=7, noise_sigma=1.0)
     high = generate_set(fs, KEY, 10, oversampling=8, seed=7, noise_sigma=3.0)
-    for q, l, h in zip(quiet.traces, low.traces, high.traces):
-        assert q.plaintext == l.plaintext == h.plaintext
-        assert q.failed == l.failed == h.failed
-        if not q.failed:
-            assert q.ciphertext == l.ciphertext == h.ciphertext
-        n1 = l.samples.astype(np.float64) - q.samples.astype(np.float64)
-        n3 = h.samples.astype(np.float64) - q.samples.astype(np.float64)
+    assert len(quiet) == len(low) == len(high) == 10
+    for i in range(10):
+        q, l, h = (bytes(s.plaintexts[i]) for s in (quiet, low, high))
+        assert q == l == h
+        assert quiet.failed[i] == low.failed[i] == high.failed[i]
+        if not quiet.failed[i]:
+            q, l, h = (bytes(s.ciphertexts[i]) for s in (quiet, low, high))
+            assert q == l == h
+        n1 = low.samples[i].astype(np.float64) - quiet.samples[i].astype(np.float64)
+        n3 = high.samples[i].astype(np.float64) - quiet.samples[i].astype(np.float64)
         assert np.allclose(n3, 3.0 * n1, atol=1e-3)
         assert float(np.abs(n1).max()) > 0.0
 
@@ -187,23 +190,23 @@ def test_failed_flag_matches_short_periods_and_randomizes_ciphertext():
     ts = generate_set(fs, KEY, 60, oversampling=8, seed=3)
     tb = fs.base_period_s
     n_failed = 0
-    for tr in ts.traces:
-        edges = tr.clock_meta[0]
+    for edges, failed, pt, ct in zip(ts.clock_edges[:, 0], ts.failed, ts.plaintexts,
+                                     ts.ciphertexts):
         short = bool((np.diff(edges) < 0.25 * tb).any())
-        assert tr.failed == short
-        true_ct = aes.encrypt(KEY, tr.plaintext)
-        if tr.failed:
+        assert failed == short
+        true_ct = aes.encrypt(KEY, bytes(pt))
+        if failed:
             n_failed += 1
-            assert tr.ciphertext != true_ct
+            assert bytes(ct) != true_ct
         else:
-            assert tr.ciphertext == true_ct
-    assert 0 < n_failed < len(ts.traces)
+            assert bytes(ct) == true_ct
+    assert 0 < n_failed < len(ts)
 
 
 def test_fixed_plaintext_mode():
     fs = degenerate()
     ts = generate_set(fs, KEY, 5, oversampling=8, seed=2, fixed_plaintext=PT)
-    assert all(tr.plaintext == PT for tr in ts.traces)
+    assert [bytes(pt) for pt in ts.plaintexts] == [PT] * 5
     for wrong in (PT[:15], PT + b"\x00"):
         with pytest.raises(ValueError, match="fixed_plaintext must be 16 bytes"):
             generate_set(fs, KEY, 5, fixed_plaintext=wrong)
@@ -345,7 +348,9 @@ def test_ciphertext_matrix_stacks_ciphertexts():
     ts = generate_set(study_set(2).fs, KEY, 6, oversampling=8, seed=9)
     m = ts.ciphertexts
     assert m.dtype == np.uint8 and m.shape == (6, 16)
-    assert [bytes(row) for row in m] == [t.ciphertext for t in ts.traces]
+    assert len(m) == len(ts) and not ts.failed.all()
+    for row, pt, failed in zip(m, ts.plaintexts, ts.failed):
+        assert failed or bytes(row) == aes.encrypt(KEY, bytes(pt))
     empty = generate_set(degenerate(), KEY, 0, oversampling=8).ciphertexts
     assert empty.dtype == np.uint8 and empty.shape == (0, 16)
 
