@@ -1,10 +1,11 @@
 """AES-128 with exposed round states and the last-round distance leakage model.
 
 Everything here is built for power-analysis work rather than bulk encryption:
-``encrypt_with_states`` keeps all eleven intermediate states so that
-round-to-round Hamming distances can drive a leakage simulator, and
-``last_round_hypothesis`` computes the classic final-round register-overwrite
-distance used by the correlation attack.
+``encrypt_blocks_with_states`` keeps all eleven intermediate states of a batch
+so that round-to-round Hamming distances (``round_distances``) can drive a
+leakage simulator, and ``hypothesis_matrix`` computes the classic final-round
+register-overwrite distance used by the correlation attack, every key guess
+at once (``last_round_hypothesis`` is its one-cell scalar form).
 
 State convention: a block is 16 bytes in transmission order; byte ``i`` sits
 in state row ``i % 4``, column ``i // 4`` (column-major), and the ShiftRows
@@ -16,8 +17,6 @@ their own independent inverse cipher as a round-trip oracle.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,29 +64,6 @@ SHIFT_ROWS_IMAGE = np.array(
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 
-@dataclass(frozen=True)
-class KeySchedule:
-    """Eleven 16-byte round keys; ``round_keys[0]`` is the cipher key."""
-
-    round_keys: tuple[bytes, ...]
-
-    def __post_init__(self):
-        if len(self.round_keys) != ROUNDS + 1:
-            raise ValueError("expected 11 round keys")
-
-
-@dataclass(frozen=True)
-class RoundTrace:
-    """All intermediate states of one encryption.
-
-    ``states[0]`` is the initial AddRoundKey output, ``states[k]`` the output
-    of round k, and ``states[10]`` equals ``ciphertext``.
-    """
-
-    states: tuple[bytes, ...]
-    ciphertext: bytes
-
-
 def _check_block(b: bytes, name: str) -> bytes:
     b = bytes(b)
     if len(b) != 16:
@@ -95,8 +71,9 @@ def _check_block(b: bytes, name: str) -> bytes:
     return b
 
 
-def expand_key(key: bytes) -> KeySchedule:
-    """FIPS-197 key expansion for a 128-bit key."""
+def expand_key(key: bytes) -> tuple[bytes, ...]:
+    """FIPS-197 key expansion for a 128-bit key: the eleven 16-byte round
+    keys, the cipher key first."""
     key = _check_block(key, "key")
     words = [list(key[4 * i:4 * i + 4]) for i in range(4)]
     for i in range(4, 44):
@@ -106,10 +83,8 @@ def expand_key(key: bytes) -> KeySchedule:
             t = [int(SBOX[v]) for v in t]
             t[0] ^= _RCON[i // 4 - 1]
         words.append([a ^ b for a, b in zip(words[i - 4], t)])
-    rks = tuple(
-        bytes(sum((words[4 * r + c] for c in range(4)), []))
-        for r in range(ROUNDS + 1))
-    return KeySchedule(round_keys=rks)
+    return tuple(bytes(sum((words[4 * r + c] for c in range(4)), []))
+                 for r in range(ROUNDS + 1))
 
 
 def key_from_last_round_key(last_rk: bytes) -> bytes:
@@ -166,8 +141,7 @@ def encrypt_blocks_with_states(key: bytes, plaintexts: np.ndarray):
     pts = np.asarray(plaintexts, dtype=np.uint8)
     if pts.ndim != 2 or pts.shape[1] != 16:
         raise ValueError("plaintexts must have shape (n, 16)")
-    ks = expand_key(key)
-    rks = [np.frombuffer(rk, dtype=np.uint8) for rk in ks.round_keys]
+    rks = [np.frombuffer(rk, dtype=np.uint8) for rk in expand_key(key)]
     states = np.empty((ROUNDS + 1, pts.shape[0], 16), dtype=np.uint8)
     s = pts ^ rks[0]
     states[0] = s
@@ -184,45 +158,10 @@ def encrypt_blocks_with_states(key: bytes, plaintexts: np.ndarray):
     return states, states[ROUNDS]
 
 
-def encrypt_with_states(key: bytes, plaintext: bytes) -> RoundTrace:
-    """Encrypt one block, keeping all round states."""
-    plaintext = _check_block(plaintext, "plaintext")
-    pts = np.frombuffer(plaintext, dtype=np.uint8)[None, :]
-    states, _ = encrypt_blocks_with_states(key, pts)
-    blocks = tuple(bytes(states[r, 0].tobytes()) for r in range(ROUNDS + 1))
-    return RoundTrace(states=blocks, ciphertext=blocks[ROUNDS])
-
-
-def encrypt(key: bytes, plaintext: bytes) -> bytes:
-    return encrypt_with_states(key, plaintext).ciphertext
-
-
-def hamming_weight(value: int) -> int:
-    if value < 0:
-        raise ValueError("hamming_weight is defined for non-negative integers")
-    return bin(value).count("1")
-
-
-def hamming_distance(a: bytes, b: bytes) -> int:
-    """Bit differences between two equal-length byte strings."""
-    a, b = bytes(a), bytes(b)
-    if len(a) != len(b):
-        raise ValueError("hamming_distance needs equal-length inputs")
-    return int(HW8[np.frombuffer(a, np.uint8) ^ np.frombuffer(b, np.uint8)].sum())
-
-
-def round_distances(states) -> np.ndarray:
-    """Full-state Hamming distance of each round transition.
-
-    Accepts a RoundTrace, a tuple of 11 blocks, or an (11, n, 16) uint8 batch;
-    returns shape (10,) int, or (10, n) for a batch.
-    """
-    if isinstance(states, RoundTrace):
-        states = states.states
-    if isinstance(states, (tuple, list)):
-        arr = np.array([np.frombuffer(s, np.uint8) for s in states])
-    else:
-        arr = np.asarray(states, dtype=np.uint8)
+def round_distances(states: np.ndarray) -> np.ndarray:
+    """Full-state Hamming distance of each round transition: the (10, n)
+    int64 distances of an (11, n, 16) uint8 batch of round states."""
+    arr = np.asarray(states, dtype=np.uint8)
     if arr.shape[0] != ROUNDS + 1:
         raise ValueError("expected 11 round states")
     flips = HW8[arr[:-1] ^ arr[1:]]

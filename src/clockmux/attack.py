@@ -367,7 +367,7 @@ def _hypothesis_sums(h: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _true_guesses(true_key: bytes) -> list[int]:
     """Per register byte position, the true last-round key byte's guess."""
-    true_rk = aes.expand_key(true_key).round_keys[10]
+    true_rk = aes.expand_key(true_key)[10]
     return [int(true_rk[int(aes.SHIFT_ROWS_IMAGE[p])]) for p in range(16)]
 
 
@@ -514,16 +514,20 @@ def fft_spectrum(ts: TraceSet, bin_hz: float) -> SpectrumHistogram:
     rounded up to a power of two, and transformed, 256 rows per batched
     ``rfft``; per-bin energies are summed in row order and averaged.
     The normalization keeps Parseval exact: sum(magnitudes**2) equals the
-    mean time-domain energy of the mean-subtracted rows.
+    mean time-domain energy of the mean-subtracted rows.  A bin narrower
+    than the spectrum's resolution, sample rate / n_fft, would only add
+    empty bins, so it is refused before anything is allocated.
     """
-    if bin_hz <= 0:
-        raise ValueError("bin_hz must be positive")
     rows = np.flatnonzero(~ts.failed)
     if not rows.size:
         raise ValueError("no usable traces")
     n_fft = 1 << (ts.samples.shape[1] - 1).bit_length()
     rate = 1.0 / ts.sample_period_s
-    freqs = np.arange(n_fft // 2 + 1) * (rate / n_fft)
+    resolution = rate / n_fft
+    if not bin_hz >= resolution:
+        raise ValueError(f"bin_hz: {bin_hz:g} is below the spectrum's resolution, "
+                         f"sample rate / n_fft = {resolution:g} Hz")
+    freqs = np.arange(n_fft // 2 + 1) * resolution
     weights = np.full(n_fft // 2 + 1, 2.0)
     weights[0] = weights[-1] = 1.0  # n_fft is a power of two: even, or 1
     energy = np.zeros(n_fft // 2 + 1)
@@ -536,9 +540,8 @@ def fft_spectrum(ts: TraceSet, bin_hz: float) -> SpectrumHistogram:
                             / n_fft]).sum(axis=0)
     energy /= rows.size
     bins = np.floor(freqs / bin_hz).astype(np.int64)
-    mags = np.zeros(int(bins.max()) + 1)
-    np.add.at(mags, bins, energy)
-    return SpectrumHistogram(bin_hz=float(bin_hz), magnitudes=np.sqrt(mags),
+    return SpectrumHistogram(bin_hz=float(bin_hz),
+                             magnitudes=np.sqrt(np.bincount(bins, weights=energy)),
                              n_fft=int(n_fft), sample_rate_hz=rate,
                              n_traces=int(rows.size))
 

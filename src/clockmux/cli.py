@@ -271,7 +271,10 @@ def cmd_fft(cfg: ExperimentConfig, trace_path: str) -> int:
     if ts.failed.all():
         raise TraceFormatError(f"{trace_path}: no usable traces (every trace failed, "
                                f"or the set is empty)")
-    spectrum = fft_spectrum(ts, cfg.fft_bin_hz)
+    try:
+        spectrum = fft_spectrum(ts, cfg.fft_bin_hz)
+    except ValueError as exc:  # a bin below the spectrum's resolution
+        raise ConfigError(f"[fft] {exc}") from None
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows = [(b * spectrum.bin_hz, float(m))
             for b, m in enumerate(spectrum.magnitudes)]

@@ -17,7 +17,8 @@ Sections:
     sets are appended after any selected study sets.
 ``[set2]``
     Second-core frequency set, same keys as ``[set]``.  Required when
-    ``core_count = 2``; its ``base_hz`` must differ from every set's.
+    ``core_count = 2`` and refused otherwise, as is ``key2``; its
+    ``base_hz`` must differ from every set's.
 ``[run]``, ``[simulate]``, ``[traces]``, ``[attack]``, ``[fft]``
     One key per ``ExperimentConfig`` parameter, declared beside its field
     with its type, default and limit; ``key`` and ``key2`` are hex.
@@ -330,6 +331,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
             if fs.base_hz == fs2.base_hz:
                 raise set2.fail("base_hz", f"equals the base_hz of set {i}; "
                                 "the two cores need distinct base clocks")
+    elif set2 is not None:
+        raise ConfigError(f"line {set2.lineno}: [set2] requires [traces] core_count = 2")
+    elif cfg.key2 is not None:
+        raise ConfigError(f"line {lines['key2']}: [traces] key2 requires core_count = 2")
     return cfg
 
 

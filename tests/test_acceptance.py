@@ -134,25 +134,28 @@ def test_edge_count_distribution_is_exact():
 # --------------------------------------------------------------------------
 
 def test_aes_vectors_and_last_round_hypothesis_identity():
-    assert aes.encrypt(
+    _, ct = aes.encrypt_blocks_with_states(
         bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"),
-        bytes.fromhex("3243f6a8885a308d313198a2e0370734"),
-    ) == bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
-    assert aes.encrypt(
+        np.frombuffer(bytes.fromhex("3243f6a8885a308d313198a2e0370734"), np.uint8)[None],
+    )
+    assert ct[0].tobytes() == bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
+    _, ct = aes.encrypt_blocks_with_states(
         bytes.fromhex("000102030405060708090a0b0c0d0e0f"),
-        bytes.fromhex("00112233445566778899aabbccddeeff"),
-    ) == bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+        np.frombuffer(bytes.fromhex("00112233445566778899aabbccddeeff"), np.uint8)[None],
+    )
+    assert ct[0].tobytes() == bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 
     rng = np.random.default_rng(456)
     for _ in range(100):
         key = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
         pt = bytes(rng.integers(0, 256, size=16, dtype=np.uint8))
-        rt = aes.encrypt_with_states(key, pt)
-        last_rk = aes.expand_key(key).round_keys[10]
+        states, cts = aes.encrypt_blocks_with_states(key, np.frombuffer(pt, np.uint8)[None])
+        ciphertext = cts[0].tobytes()
+        last_rk = aes.expand_key(key)[10]
         for p in range(16):
-            actual = aes.hamming_weight(rt.states[9][p] ^ rt.ciphertext[p])
+            actual = aes.HW8[states[9, 0, p] ^ ciphertext[p]]
             guess = last_rk[int(aes.SHIFT_ROWS_IMAGE[p])]
-            hyp = aes.last_round_hypothesis(rt.ciphertext, p, guess)
+            hyp = aes.last_round_hypothesis(ciphertext, p, guess)
             assert hyp == actual, p
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from clockmux import aes
 
-from aes_reference import reference_decrypt
+from aes_reference import _ref_round_keys, reference_decrypt
 
 # ---------------------------------------------------------------------------
 # FIPS-197 known-answer material
@@ -21,41 +21,45 @@ SCHEDULE_LAST_RK = bytes.fromhex("d014f9a8c9ee2589e13f0cc8b6630ca6")
 
 def test_key_expansion_zero_key_first_derived_word():
     ks = aes.expand_key(bytes(16))
-    assert ks.round_keys[1][:4] == bytes.fromhex("62636363")
+    assert ks[1][:4] == bytes.fromhex("62636363")
 
 
 def test_key_expansion_appendix_a_last_round_key():
     ks = aes.expand_key(SCHEDULE_KEY)
-    assert ks.round_keys[10] == SCHEDULE_LAST_RK
+    assert ks[10] == SCHEDULE_LAST_RK
 
 
 def test_key_expansion_round_zero_is_key():
     ks = aes.expand_key(SCHEDULE_KEY)
-    assert ks.round_keys[0] == SCHEDULE_KEY
-    assert len(ks.round_keys) == 11
+    assert ks[0] == SCHEDULE_KEY
+    assert len(ks) == 11
+
+
+def test_key_expansion_matches_reference_schedule():
+    rng = np.random.Generator(np.random.PCG64(17))
+    for _ in range(200):
+        key = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
+        assert aes.expand_key(key) == tuple(bytes(rk) for rk in _ref_round_keys(key))
 
 
 def test_encrypt_appendix_c_vector():
-    rt = aes.encrypt_with_states(KAT_KEY, KAT_PT)
-    assert rt.ciphertext == KAT_CT
-    assert rt.states[10] == KAT_CT
-    assert len(rt.states) == 11
+    states, cts = aes.encrypt_blocks_with_states(KAT_KEY, np.frombuffer(KAT_PT, np.uint8)[None])
+    assert cts[0].tobytes() == KAT_CT
+    assert states[10, 0].tobytes() == KAT_CT
+    assert len(states) == 11
 
 
 def test_first_state_is_initial_add_round_key():
-    rt = aes.encrypt_with_states(KAT_KEY, KAT_PT)
-    assert rt.states[0] == bytes(p ^ k for p, k in zip(KAT_PT, KAT_KEY))
+    states, _ = aes.encrypt_blocks_with_states(KAT_KEY, np.frombuffer(KAT_PT, np.uint8)[None])
+    assert states[0, 0].tobytes() == bytes(p ^ k for p, k in zip(KAT_PT, KAT_KEY))
 
 
-def test_batch_matches_single_block_path():
+def test_batch_round_trips_through_reference_inverse_cipher():
     rng = np.random.Generator(np.random.PCG64(7))
     pts = rng.integers(0, 256, size=(64, 16), dtype=np.uint8)
-    states, cts = aes.encrypt_blocks_with_states(SCHEDULE_KEY, pts)
-    for i in range(pts.shape[0]):
-        rt = aes.encrypt_with_states(SCHEDULE_KEY, pts[i].tobytes())
-        assert rt.ciphertext == cts[i].tobytes()
-        for rnd in range(11):
-            assert rt.states[rnd] == states[rnd, i].tobytes()
+    _, cts = aes.encrypt_blocks_with_states(SCHEDULE_KEY, pts)
+    for pt, ct in zip(pts, cts):
+        assert reference_decrypt(SCHEDULE_KEY, ct.tobytes()) == pt.tobytes()
 
 
 def test_round_trip_against_reference_inverse_cipher():
@@ -63,15 +67,15 @@ def test_round_trip_against_reference_inverse_cipher():
     for _ in range(1000):
         key = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
         pt = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-        ct = aes.encrypt(key, pt)
-        assert reference_decrypt(key, ct) == pt
+        _, cts = aes.encrypt_blocks_with_states(key, np.frombuffer(pt, np.uint8)[None])
+        assert reference_decrypt(key, cts[0].tobytes()) == pt
 
 
 def test_key_schedule_inversion_round_trips():
     rng = np.random.Generator(np.random.PCG64(13))
     for _ in range(50):
         key = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-        last = aes.expand_key(key).round_keys[10]
+        last = aes.expand_key(key)[10]
         assert aes.key_from_last_round_key(last) == key
 
 
@@ -79,9 +83,7 @@ def test_bad_lengths_rejected():
     with pytest.raises(ValueError):
         aes.expand_key(b"\x00" * 15)
     with pytest.raises(ValueError):
-        aes.encrypt_with_states(KAT_KEY, b"\x00" * 17)
-    with pytest.raises(ValueError):
-        aes.hamming_distance(b"\x00", b"\x00\x01")
+        aes.encrypt_blocks_with_states(KAT_KEY, np.zeros((1, 17), np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +91,16 @@ def test_bad_lengths_rejected():
 # ---------------------------------------------------------------------------
 
 def test_hamming_weight_values():
-    assert aes.hamming_weight(0x00) == 0
-    assert aes.hamming_weight(0xFF) == 8
-    assert aes.hamming_weight(0xA5) == 4
+    assert aes.HW8[0x00] == 0
+    assert aes.HW8[0xFF] == 8
+    assert aes.HW8[0xA5] == 4
 
 
 def test_hamming_distance_values():
-    assert aes.hamming_distance(b"\x0f", b"\x3c") == 4
-    assert aes.hamming_distance(KAT_PT, KAT_PT) == 0
-    assert aes.hamming_distance(b"\x00" * 16, b"\xff" * 16) == 128
+    assert aes.HW8[0x0F ^ 0x3C] == 4
+    pt = np.frombuffer(KAT_PT, np.uint8)
+    assert aes.HW8[pt ^ pt].sum() == 0
+    assert aes.HW8[np.zeros(16, np.uint8) ^ np.full(16, 0xFF, np.uint8)].sum() == 128
 
 
 def test_hamming_distance_metric_properties_exhaustive():
@@ -132,13 +135,12 @@ def test_hypothesis_at_true_key_equals_round_state_distance():
     for _ in range(100):
         key = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
         pt = rng.integers(0, 256, 16, dtype=np.uint8).tobytes()
-        rt = aes.encrypt_with_states(key, pt)
-        last_rk = aes.expand_key(key).round_keys[10]
+        states, cts = aes.encrypt_blocks_with_states(key, np.frombuffer(pt, np.uint8)[None])
+        last_rk = aes.expand_key(key)[10]
         for p in range(16):
             g = last_rk[int(aes.SHIFT_ROWS_IMAGE[p])]
-            want = aes.hamming_distance(rt.states[9][p:p + 1],
-                                        rt.states[10][p:p + 1])
-            assert aes.last_round_hypothesis(rt.ciphertext, p, g) == want
+            want = aes.HW8[states[9, 0, p] ^ states[10, 0, p]]
+            assert aes.last_round_hypothesis(cts[0].tobytes(), p, g) == want
 
 
 def test_hypothesis_range_and_bad_args():
@@ -165,14 +167,15 @@ def test_hypothesis_matrix_matches_scalar_path():
 
 
 def test_round_distances_shapes_and_values():
-    rt = aes.encrypt_with_states(KAT_KEY, KAT_PT)
-    d = aes.round_distances(rt)
-    assert d.shape == (10,)
-    assert all(0 <= x <= 128 for x in d)
-    assert d[9] == aes.hamming_distance(rt.states[9], rt.states[10])
-    # batch agrees
     pts = np.frombuffer(KAT_PT, np.uint8)[None, :]
     states, _ = aes.encrypt_blocks_with_states(KAT_KEY, pts)
+    d = aes.round_distances(states)
+    assert d.shape == (10, 1)
+    assert all(0 <= x <= 128 for x in d[:, 0])
+    assert d[9, 0] == aes.HW8[states[9, 0] ^ states[10, 0]].sum()
+    # every transition of a batch, against a bit count that does not use HW8
+    pts = np.random.Generator(np.random.PCG64(31)).integers(0, 256, (8, 16), dtype=np.uint8)
+    states, _ = aes.encrypt_blocks_with_states(KAT_KEY, pts)
     db = aes.round_distances(states)
-    assert db.shape == (10, 1)
-    assert (db[:, 0] == d).all()
+    assert db.shape == (10, 8)
+    assert (db == np.unpackbits(states[:-1] ^ states[1:], axis=-1).sum(axis=-1)).all()

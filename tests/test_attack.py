@@ -568,7 +568,7 @@ def test_min_traces_search_reports_failure_and_validates_step():
 
 def leaking_set(cts):
     """A matrix of ``cts`` whose window column p is byte p's true hypothesis."""
-    true_rk = aes.expand_key(KEY).round_keys[10]
+    true_rk = aes.expand_key(KEY)[10]
     y = np.stack([aes.hypothesis_matrix(cts, p)[:, true_rk[int(aes.SHIFT_ROWS_IMAGE[p])]]
                   for p in range(16)], axis=1).astype(np.float32)
     return AlignedMatrix(rows=y, ciphertexts=cts, peak_positions=np.full(len(cts), -1))
@@ -577,7 +577,7 @@ def leaking_set(cts):
 def twin_ciphertexts():
     """4,000 random ciphertext rows, the mask of those on which byte 5's true
     guess and the next guess have the same hypothesis, and that true guess."""
-    true_rk = aes.expand_key(KEY).round_keys[10]
+    true_rk = aes.expand_key(KEY)[10]
     g_true = int(true_rk[int(aes.SHIFT_ROWS_IMAGE[5])])
     cts = np.random.default_rng(4).integers(0, 256, (4000, 16), dtype=np.uint8)
     h5 = aes.hypothesis_matrix(cts, 5)
@@ -587,7 +587,7 @@ def twin_ciphertexts():
 def test_a_tie_for_first_breaks_neither_the_search_nor_cpa():
     # each window column leaks one byte's true hypothesis; at position 5 every
     # row also gives a later guess the same hypothesis, so that guess ties
-    true_rk = aes.expand_key(KEY).round_keys[10]
+    true_rk = aes.expand_key(KEY)[10]
     cts, twin, g_true = twin_ciphertexts()
     am = leaking_set(cts[:64])
     assert cpa_attack(am, true_key=KEY).broken

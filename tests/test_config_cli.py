@@ -150,6 +150,11 @@ BAD_DOCUMENTS = [
     ("[fft]\nbin_hz = 0\n", "must be positive"),
     ("[set]\nbase_hz = 1e7\nf1 = -1\nf2 = 1e6\nf3 = 1e6\nf4 = 1e6\n", "[set]"),
     ("[traces]\ncore_count = 2\nkey2 = " + "ab" * 16 + "\n", "requires a [set2] section"),
+    ("[sets]\nuse = 1\n[set2]\nbase_hz = 1e7\nf1 = 1e6\nf2 = 1e6\nf3 = 1e6\nf4 = 1e6\n",
+     "line 3: [set2] requires [traces] core_count = 2"),
+    ("[traces]\ncore_count = 1\n[set2]\nbase_hz = 1e7\nf1 = 1e6\nf2 = 1e6\nf3 = 1e6\n"
+     "f4 = 1e6\n", "line 3: [set2] requires [traces] core_count = 2"),
+    ("[traces]\nkey2 = " + "ab" * 16 + "\n", "line 2: [traces] key2 requires core_count = 2"),
     ("[traces]\ncore_count = 2\n[set2]\nbase_hz = 1e7\nf1 = 1e6\nf2 = 1e6\n"
      "f3 = 1e6\nf4 = 1e6\n", "requires key2"),
     ("[simulate]\nn_encryptions = 0\n", "must be at least 1"),
@@ -445,6 +450,52 @@ def test_attack_window_wider_than_any_row_reports_as_no_row_kept(tmp_path, capsy
     report = reports[0][0]
     assert (report["min_traces"], report["broken"], report["recovered_key"]) == (None, False, None)
     assert report["max_delay_samples"] == 0
+
+
+@pytest.fixture(scope="module")
+def study1_file(tmp_path_factory):
+    """An 8-trace study set 1 file: 120 MHz sampling, 512-point FFT."""
+    path = tmp_path_factory.mktemp("study1") / "study1.bin"
+    write_trace_set(generate_set(STUDY_SETS[0].fs, bytes(range(16)), 8, oversampling=12),
+                    path)
+    return path
+
+
+@pytest.mark.parametrize("bin_hz", ["1e-3", "1", "1e5", "just below"])
+def test_fft_bin_below_the_spectrum_resolution_exits_2(tmp_path, capsys, study1_file,
+                                                       bin_hz):
+    # a 1 Hz bin over a 60 MHz Nyquist range would be 60,000,001 bins
+    assert 120e6 / 512 == 234375.0
+    if bin_hz == "just below":
+        bin_hz = repr(float(np.nextafter(234375.0, 0.0)))
+    assert main(["fft", str(study1_file), "--bin", bin_hz, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: [fft] bin_hz:" in err and "resolution" in err and "234375 Hz" in err
+    assert "Traceback" not in err and not (tmp_path / "spectrum.csv").exists()
+
+
+def test_fft_bin_at_the_spectrum_resolution_exits_0(tmp_path, capsys, study1_file):
+    assert main(["fft", str(study1_file), "--bin", "234375", "--out", str(tmp_path)]) == 0
+    spectrum = json.loads((tmp_path / "fft_summary.json").read_text())
+    assert (spectrum["bin_hz"], spectrum["n_fft"]) == (234375.0, 512)
+    rows = [line for line in (tmp_path / "spectrum.csv").read_text().splitlines()
+            if not line.startswith("# ")]
+    assert len(rows) == 1 + 257  # header, then one bin per rfft frequency
+
+
+def test_fft_of_a_consistent_huge_oversampling_header_exits_2(tmp_path, capsys,
+                                                              small_trace_blob):
+    # oversampling 2**31 and the matching sample period pass the reader; the
+    # default 1 MHz bin is far below that rate's resolution
+    blob = bytearray(small_trace_blob)
+    _corrupt(blob, _OVERSAMPLING_AT, "<I", 2**31)
+    _corrupt(blob, _SAMPLE_PERIOD_AT, "<d", STUDY_SETS[0].fs.base_period_s / 2**31)
+    path = tmp_path / "huge.bin"
+    path.write_bytes(bytes(blob))
+    assert read_trace_set(str(path)).oversampling == 2**31
+    assert main(["fft", str(path), "--out", str(tmp_path / "f")]) == 2
+    assert "error: [fft] bin_hz: 1e+06 is below the spectrum's resolution" in \
+        capsys.readouterr().err
 
 
 def test_cli_compare_ranks_and_reruns_byte_identical(tmp_path, capsys):
