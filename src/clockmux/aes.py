@@ -194,14 +194,22 @@ def hypothesis_matrix(ciphertexts: np.ndarray, byte_pos: int) -> np.ndarray:
     The guess indexes the final round key byte at position
     ``SHIFT_ROWS_IMAGE[byte_pos]``.  Each row is one gather from
     ``_INV_SBOX_XOR``; the Hamming weights are counted 8 bytes at a time
-    (a gather from ``HW8`` would first widen every index to intp).
+    (a gather from ``HW8`` would first widen every index to intp), in place
+    with one shifted copy, so the call allocates two (n, 256) byte arrays.
     """
     cts = np.asarray(ciphertexts, dtype=np.uint8)
     if cts.ndim != 2 or cts.shape[1] != 16:
         raise ValueError("ciphertexts must have shape (n, 16)")
     j = int(SHIFT_ROWS_IMAGE[byte_pos])
-    h = (_INV_SBOX_XOR.take(cts[:, j], axis=0) ^ cts[:, byte_pos, None]).view(np.uint64)
+    h = _INV_SBOX_XOR.take(cts[:, j], axis=0)
+    h ^= cts[:, byte_pos, None]
     # per-byte popcount; no sum crosses a byte, so the byte order does not matter
-    h -= (h >> 1) & 0x5555555555555555
-    h = (h & 0x3333333333333333) + ((h >> 2) & 0x3333333333333333)
-    return ((h + (h >> 4)) & 0x0F0F0F0F0F0F0F0F).view(np.uint8)
+    w = h.view(np.uint64)
+    shifted = w >> 1
+    w -= np.bitwise_and(shifted, 0x5555555555555555, out=shifted)
+    np.bitwise_and(np.right_shift(w, 2, out=shifted), 0x3333333333333333, out=shifted)
+    w &= 0x3333333333333333
+    w += shifted
+    w += np.right_shift(w, 4, out=shifted)
+    w &= 0x0F0F0F0F0F0F0F0F
+    return h

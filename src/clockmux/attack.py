@@ -20,7 +20,9 @@ A set is filtered and aligned once into an ``AlignedMatrix`` that carries
 its rows' ciphertexts; steps 3 and 4 take that matrix alone.  Given a true
 key the CLI runs step 4 first: it leaves each byte it built summed over all
 rows in a ``sums`` dict, and step 3 scores those bytes from it, building
-only the rest.  Each pass works on the set's arrays.
+only the rest.  On two usable cores step 4 sums the next byte's blocks on
+a worker thread while it scores this byte.  Each pass works on the set's
+arrays.
 ``filter_traces`` detects peaks in one ``detect_peaks`` pass over the
 non-failed rows (a matrix pass; ``_find_peaks_row``, an exact numpy port of
 scipy's ``find_peaks``, only for rows with a plateau or too-close maxima)
@@ -40,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import aes
+from . import aes, clock
 from .traces import TraceSet
 
 DEFAULT_STEP = 250
@@ -331,18 +333,32 @@ def raw_matrix(ts: TraceSet, round: int = 10,
 # Correlation
 # ---------------------------------------------------------------------------
 
-def _max_abs_rho(n, sh, shh, sy, syy, shy):
+def _max_abs_rho(n, sh, shh, sy, syy, shy, work=None):
     """(max |rho| per guess, zero-variance hypothesis mask) from the sums
     ``sh``, ``shh`` (..., 256), ``sy``, ``syy`` (..., W), ``shy`` (..., 256, W)
     of h, h^2, y, y^2, h*y over ``n`` traces; leading axes are segments.
-    A cell with zero variance on either side scores 0.
+    A cell with zero variance on either side scores 0.  When every
+    variance is positive, so is every cell's product (it is at least the
+    product of the two least), and the cells are divided without the
+    mask: the same operations on every cell, so the same bits.  Given
+    ``work``, a float64 array shaped like ``shy``, the call computes in
+    ``shy`` and ``work``, overwriting both, and allocates no array of
+    their size.
     """
-    num = n * shy - sh[..., :, None] * sy[..., None, :]
+    if work is None:
+        shy, work = shy.astype(np.float64), np.empty(shy.shape)
+    num = np.multiply(shy, n, out=shy)
+    np.subtract(num, np.multiply(sh[..., :, None], sy[..., None, :], out=work), out=num)
     varh = n * shh - sh * sh
     vary = n * syy - sy * sy
-    den = np.sqrt(np.clip(varh[..., :, None] * vary[..., None, :], 0.0, None))
-    rho = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-    return np.abs(rho).max(axis=-1), varh == 0
+    den = np.multiply(varh[..., :, None], vary[..., None, :], out=work)
+    least_h, least_y = (varh.min(), vary.min()) if den.size else (0, 0)
+    if least_h > 0 and least_h * least_y > 0:
+        rho = np.divide(num, np.sqrt(den, out=den), out=num)
+    else:
+        np.sqrt(np.clip(den, 0.0, None, out=den), out=den)
+        rho = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    return np.abs(rho, out=rho).max(axis=-1), varh == 0
 
 
 def _rank(scores: np.ndarray, guess: int) -> np.ndarray:
@@ -436,6 +452,50 @@ def _prefix(block_sums: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Ran:
+    """A call made at once, waited on like the ``Future`` a pool returns."""
+
+    def __init__(self, fn, *args):
+        fn(*args)
+
+    def result(self) -> None:
+        return None
+
+
+def _block_prefix_sums(h: np.ndarray, yb: np.ndarray, tail_y: np.ndarray,
+                       out: tuple, scratch: tuple, total: tuple | None) -> None:
+    """One byte's block prefix sums (ph, phh, phy) of h, h^2 and h*y into
+    ``out``, whose row 0 stays zero; ``total``, when given, gets the sums
+    over every row, the tail past the last block included.
+
+    ``h`` is the byte's (rows, 256) uint8 hypotheses, squared in place,
+    ``yb`` the (blocks, step, W) float64 rows.  Each block is cast into
+    ``scratch``'s (step, 256) float64 matrix for its own BLAS product, added
+    in ``_prefix``'s order; h and h^2 sum exactly in uint32.  numpy alone,
+    into the caller's arrays, so a worker thread may run it.
+    """
+    ph, phh, phy = out
+    hf, block_sums = scratch
+    nblocks, step, _ = yb.shape
+    hb, tail = h[:nblocks * step].reshape(nblocks, step, 256), h[nblocks * step:]
+    for i in range(nblocks):
+        np.copyto(hf, hb[i])
+        np.matmul(hf.T, yb[i], out=phy[i + 1])
+        if i:
+            np.add(phy[i], phy[i + 1], out=phy[i + 1])
+    if total is not None:
+        np.copyto(hf[:len(tail)], tail)
+        np.matmul(hf[:len(tail)].T, tail_y, out=total[2])
+        np.add(phy[-1], total[2], out=total[2])
+    for j, prefix in enumerate((ph, phh)):
+        if j:
+            np.multiply(h, h, out=h)  # h <= 8, so h*h fits uint8
+        np.sum(hb, axis=1, dtype=np.uint32, out=block_sums)
+        np.cumsum(block_sums, axis=0, dtype=np.int64, out=prefix[1:])
+        if total is not None:
+            np.add(prefix[-1], tail.sum(axis=0, dtype=np.uint32), out=total[j])
+
+
 def min_traces_search(am: AlignedMatrix, true_key: bytes, step: int = DEFAULT_STEP,
                       sums: dict | None = None) -> int | None:
     """Smallest segment size (grid of ``step``) whose attack recovers the key.
@@ -444,8 +504,8 @@ def min_traces_search(am: AlignedMatrix, true_key: bytes, step: int = DEFAULT_ST
     ``ciphertexts``, as ``cpa_attack`` does.  The rows are cut into
     consecutive blocks of ``step``; every contiguous run of blocks is a
     segment, scored by ``_max_abs_rho`` from differences of block prefix
-    sums (h and h^2 exact integer sums, each block's h*y sums one batched
-    BLAS product).  A segment succeeds when all 16 true-key bytes rank 1 as
+    sums (h and h^2 exact integer sums, each block's h*y sums one BLAS
+    product).  A segment succeeds when all 16 true-key bytes rank 1 as
     in ``CpaResult.broken`` (``_rank``: a tie for first fails), so each byte
     scores only the segments every earlier byte ranked first, and once none
     is left the remaining bytes are not scored.  Sizes are scored in capped
@@ -457,6 +517,15 @@ def min_traces_search(am: AlignedMatrix, true_key: bytes, step: int = DEFAULT_ST
     (size, offset) finds it, or None when no segment (or not even one block)
     recovers the key.
 
+    With two usable cores, the next byte's prefix sums are computed on one
+    worker thread while this byte's segments are scored.  The next byte is
+    built only once this one has left a segment alive (its range's largest
+    size is scored first, and almost always does), so exactly the bytes a
+    serial search builds are built, in its order.  Its hypotheses are built
+    on the calling thread; the worker writes into arrays allocated here, and
+    it is gone when the call returns or raises.  With one core there is no
+    thread.
+
     Given a dict ``sums``, the search leaves in it, for each byte it builds,
     that byte's (sum h, sum h^2, sum h*y) over all rows of ``am``: its block
     totals plus the rows past the last full block, from the same hypothesis
@@ -464,37 +533,62 @@ def min_traces_search(am: AlignedMatrix, true_key: bytes, step: int = DEFAULT_ST
     """
     if step < 2:
         raise ValueError("step must be at least 2")
-    nblocks = am.rows.shape[0] // step
-    if nblocks == 0:
+    if am.rows.shape[0] < step:
         return None
+    if clock._usable_cores() < 2:
+        return _search(am, true_key, step, sums, _Ran)
+    from concurrent.futures import ThreadPoolExecutor  # as in clock.simulate_mux_clock
+    with ThreadPoolExecutor(1) as pool:
+        return _search(am, true_key, step, sums, pool.submit)
+
+
+def _search(am: AlignedMatrix, true_key: bytes, step: int, sums: dict | None,
+            submit) -> int | None:
+    """``min_traces_search`` with each byte's prefix sums run by ``submit``."""
+    nblocks, width = am.rows.shape[0] // step, am.rows.shape[1]
     rows = nblocks * step
-    yb = am.rows[:rows].astype(np.float64).reshape(nblocks, step, am.rows.shape[1])
+    yb = am.rows[:rows].astype(np.float64).reshape(nblocks, step, width)
     tail_y = am.rows[rows:].astype(np.float64)
     py, pyy = _prefix(yb.sum(axis=1)), _prefix((yb * yb).sum(axis=1))
     guesses = _true_guesses(true_key)
+    # byte p's prefix sums go to buffer p % 2: one is scored, the other filled
+    buffers = [(np.zeros((nblocks + 1, 256), np.int64), np.zeros((nblocks + 1, 256), np.int64),
+                np.zeros((nblocks + 1, 256, width))) for _ in range(2)]
+    scratch = (np.empty((step, 256)), np.empty((nblocks, 256), np.uint32))
+    # a size's gathered h*y sums and the kernel's work array, for every segment
+    gathered = np.empty((2, nblocks, 256, width))
+
+    def build(p: int):
+        h = aes.hypothesis_matrix(am.ciphertexts, p)
+        total = None
+        if sums is not None and p not in sums:
+            total = sums[p] = (np.empty(256, np.int64), np.empty(256, np.int64),
+                               np.empty((256, width)))
+        return submit(_block_prefix_sums, h, yb, tail_y, buffers[p % 2], scratch, total)
+
     first, last = 1, min(SEARCH_CAP, nblocks)
     while True:
         # alive[k][s]: every byte scored so far ranks 1 on the k blocks at s
         alive = {k: np.ones(nblocks - k + 1, dtype=bool) for k in range(first, last + 1)}
+        pending = build(0)
         for p in range(16):
-            if not any(a.any() for a in alive.values()):
+            if pending is None:  # no segment left alive
                 break
-            h = aes.hypothesis_matrix(am.ciphertexts, p)
-            hb, tail = h[:rows].reshape(nblocks, step, 256), h[rows:]
-            ph, phh = (_prefix(x) for x in _hypothesis_sums(hb, axis=1))
-            phy = _prefix(hb.astype(np.float64).transpose(0, 2, 1) @ yb)
-            if sums is not None and p not in sums:
-                th, thh = _hypothesis_sums(tail, axis=0)
-                sums[p] = (ph[-1] + th, phh[-1] + thh,
-                           phy[-1] + tail.astype(np.float64).T @ tail_y)
-            del h, hb, tail  # one byte's hypotheses at a time
-            for k, a in alive.items():
-                s = np.flatnonzero(a)
+            pending.result()
+            pending = None
+            ph, phh, phy = buffers[p % 2]
+            for k in (last, *range(first, last)):
+                s = np.flatnonzero(alive[k])
+                if not s.size:
+                    continue
+                shy, work = gathered[:, :s.size]
+                np.take(phy, s + k, axis=0, out=shy, mode="clip")  # "clip" copies unbuffered
+                np.subtract(shy, np.take(phy, s, axis=0, out=work, mode="clip"), out=shy)
                 sc, _ = _max_abs_rho(k * step, ph[s + k] - ph[s], phh[s + k] - phh[s],
-                                     py[s + k] - py[s], pyy[s + k] - pyy[s],
-                                     phy[s + k] - phy[s])
-                a[s] = _rank(sc, guesses[p]) == 1
-            del ph, phh, phy  # nor do two bytes' prefix sums meet
+                                     py[s + k] - py[s], pyy[s + k] - pyy[s], shy, work)
+                alive[k][s] = survived = _rank(sc, guesses[p]) == 1
+                if pending is None and p < 15 and survived.any():
+                    pending = build(p + 1)  # scored on the next pass, built meanwhile
         found = [k for k, a in alive.items() if a.any()]
         if found:
             return found[0] * step

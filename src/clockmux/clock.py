@@ -244,6 +244,14 @@ def _merge_close(edges: np.ndarray, tol: float) -> np.ndarray:
     return edges
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the platform
+    reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_mux_clock(fs: FrequencySet, n_base_cycles: int, seed: int) -> OutputWaveform:
     """Simulate the mux output over ``n_base_cycles`` base periods.
 
@@ -266,9 +274,7 @@ def simulate_mux_clock(fs: FrequencySet, n_base_cycles: int, seed: int) -> Outpu
                           c0, prev)[0]
 
     starts = range(0, n_base_cycles, SIM_RUN_CYCLES)
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    threads = min(cores, len(starts))
+    threads = min(_usable_cores(), len(starts))
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # ~3.5 ms; only long runs pay it
         with ThreadPoolExecutor(threads) as pool:

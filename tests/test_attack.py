@@ -7,13 +7,15 @@ port of ``find_peaks``, against scipy's reference implementation.
 """
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.stats
 from scipy.signal import find_peaks
 
-from clockmux import aes, attack
+from clockmux import aes, attack, clock
 from clockmux.attack import (
     AlignedMatrix,
     FilterParams,
@@ -515,6 +517,40 @@ def test_cpa_integer_sums_stay_exact_past_32_bits():
     assert np.array_equal(res.scores[1], float_sums)
 
 
+def masked_max_abs_rho(n, sh, shh, sy, syy, shy):
+    """The kernel's general form: every cell divided under a positive-
+    denominator mask, zero-variance cells scored 0."""
+    num = n * shy - sh[..., :, None] * sy[..., None, :]
+    varh = n * shh - sh * sh
+    vary = n * syy - sy * sy
+    den = np.sqrt(np.clip(varh[..., :, None] * vary[..., None, :], 0.0, None))
+    rho = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    return np.abs(rho).max(axis=-1), varh == 0
+
+
+@pytest.mark.parametrize("case", ["random", "zero-variance guess", "constant column"])
+def test_max_abs_rho_divides_unmasked_only_where_the_masked_form_gives_the_same_bits(case):
+    # three segments of 50 rows, 256 guesses, 5 columns
+    rng = np.random.default_rng(17)
+    h = rng.integers(0, 9, (3, 50, 256)).astype(np.int64)
+    y = rng.standard_normal((3, 50, 5))
+    if case == "zero-variance guess":
+        h[1, :, 7] = 4
+    if case == "constant column":
+        y[2, :, 3] = 0.5
+    sums = (h.sum(axis=1), (h * h).sum(axis=1), y.sum(axis=1), (y * y).sum(axis=1),
+            h.transpose(0, 2, 1).astype(np.float64) @ y)
+    # only the random sums take the unmasked form: every variance positive
+    sh, shh, sy, syy, _ = sums
+    positive = (50 * shh - sh * sh > 0).all() and (50 * syy - sy * sy > 0).all()
+    assert positive == (case == "random")
+    expected_scores, expected_mask = masked_max_abs_rho(50, *sums)
+    assert expected_mask.any() == (case == "zero-variance guess")
+    for work in (None, np.empty_like(sums[4])):
+        scores, mask = attack._max_abs_rho(50, *sums[:4], sums[4].copy(), work)
+        assert np.array_equal(scores, expected_scores) and np.array_equal(mask, expected_mask)
+
+
 # ---------------------------------------------------------------------------
 # Minimum-trace search
 # ---------------------------------------------------------------------------
@@ -655,6 +691,78 @@ def test_min_traces_monotone_in_noise():
         minima.append(min_traces_search(aligned(ts, 8), KEY, step=100))
     assert all(m is not None for m in minima)
     assert minima == sorted(minima)
+
+
+def search_on_cores(monkeypatch, cores, am, step):
+    """``min_traces_search`` with ``cores`` usable cores: (result, sums,
+    hypothesis builds, most threads alive during a build)."""
+    monkeypatch.setattr(clock, "_usable_cores", lambda: cores)
+    builds, threads = [], [threading.active_count()]
+    real = aes.hypothesis_matrix
+    monkeypatch.setattr(aes, "hypothesis_matrix",
+                        lambda cts, p: builds.append(p) or threads.append(
+                            threading.active_count()) or real(cts, p))
+    sums = {}
+    result = min_traces_search(am, KEY, step=step, sums=sums)
+    monkeypatch.setattr(aes, "hypothesis_matrix", real)
+    return result, sums, builds, max(threads)
+
+
+@pytest.mark.parametrize("make, step, expected, built", [
+    # analyze-shaped: study set 2, 4,000 traces at oversampling 12, step 250,
+    # the set seed the CLI derives from --seed 1
+    (lambda: generate_set(study_set(2).fs, KEY, 4000, oversampling=12, noise_sigma=0.5,
+                          seed=1 + 1000003), 250, 1000, list(range(16))),
+    # unbroken: no segment survives byte 1
+    (lambda: fixed_clock_set(120, seed=3, noise_sigma=2.0), 60, None, [0, 1]),
+    # k* 30 of 34 blocks: the first two ranges die, the third holds it
+    (lambda: fixed_clock_set(700, seed=13, noise_sigma=2.0), 20, 600, None),
+])
+def test_pipelined_search_equals_the_serial_one(monkeypatch, make, step, expected, built):
+    ts = make()
+    am = aligned(ts, ts.oversampling)
+    start = threading.active_count()
+    one = search_on_cores(monkeypatch, 1, am, step)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the two threads trade the interpreter often
+    try:
+        two = search_on_cores(monkeypatch, 2, am, step)
+    finally:
+        sys.setswitchinterval(interval)
+    assert one[0] == two[0] == expected
+    assert sorted(one[1]) == sorted(two[1])
+    for p in one[1]:
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(one[1][p], two[1][p]))
+    # the same builds in the same order; a range after the first builds anew
+    assert one[2] == two[2]
+    if built is not None:
+        assert one[2] == built
+    else:
+        assert len(one[2]) > 16 and one[2][-16:] == list(range(16))
+    # one core starts no thread, two cores one worker, and none outlives the call
+    assert one[3] == start and two[3] == start + 1
+    assert threading.active_count() == start
+
+
+def test_a_worker_failure_surfaces_unchanged_and_leaves_no_thread(monkeypatch):
+    am = aligned(fixed_clock_set(700, seed=13, noise_sigma=2.0), 8)
+    monkeypatch.setattr(clock, "_usable_cores", lambda: 2)
+    start = threading.active_count()
+    assert min_traces_search(am, KEY, step=20) == 600
+    assert threading.active_count() == start
+    error = FloatingPointError("worker failed")
+    worker = []
+
+    def failing_matmul(*args, **kwargs):
+        worker.append(threading.current_thread() is not threading.main_thread())
+        raise error
+
+    monkeypatch.setattr(np, "matmul", failing_matmul)
+    with pytest.raises(FloatingPointError) as caught:
+        min_traces_search(am, KEY, step=20)
+    assert caught.value is error and worker == [True]
+    assert threading.active_count() == start
 
 
 # ---------------------------------------------------------------------------
