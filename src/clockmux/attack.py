@@ -261,6 +261,12 @@ def _round_peaks(ts: TraceSet, params: FilterParams, round: int) -> np.ndarray:
     return out
 
 
+def _check_round(round: int) -> None:
+    """Refuse an attacked round that ``_round_peaks`` cannot index."""
+    if round < 1:
+        raise ValueError("round must be at least 1")
+
+
 def filter_traces(ts: TraceSet, params: FilterParams | None = None
                   ) -> tuple[TraceSet, float, float]:
     """Drop unusable traces; returns (kept, removed_fraction, failed_fraction).
@@ -289,8 +295,7 @@ def filter_traces(ts: TraceSet, params: FilterParams | None = None
     kept = ts.take(np.flatnonzero(live)[ok],
                    peaks=((params.threshold_k, params.detect_separation),
                           positions[np.repeat(ok, counts)], counts[ok]))
-    n = max(1, len(ts))
-    return kept, (len(counts) - len(kept)) / n, (len(ts) - len(counts)) / n
+    return kept, (len(counts) - len(kept)) / max(1, len(ts)), ts.failed_fraction()
 
 
 def synchronize(ts: TraceSet, round: int = 10,
@@ -304,10 +309,11 @@ def synchronize(ts: TraceSet, round: int = 10,
     than the rows keeps none.  Row order is preserved.  A set
     ``filter_traces`` kept is not detected again.
     """
-    if round < 1:
-        raise ValueError("round must be at least 1")
+    _check_round(round)
     params = (params or FilterParams()).resolved(ts.oversampling)
     w = ts.oversampling if window_halfwidth is None else int(window_halfwidth)
+    if w < 0:
+        raise ValueError("window_halfwidth must be non-negative")
     if 2 * w + 1 > ts.samples.shape[1]:  # in Python ints: w may not fit an int64
         return AlignedMatrix(rows=ts.samples[:0], ciphertexts=ts.ciphertexts[:0],
                              peak_positions=np.empty(0, np.int64))
@@ -324,6 +330,7 @@ def raw_matrix(ts: TraceSet, round: int = 10,
     Peak positions for the attacked round are still recorded (where
     detectable) so delay statistics remain available.
     """
+    _check_round(round)
     params = (params or FilterParams()).resolved(ts.oversampling)
     return AlignedMatrix(rows=ts.samples, ciphertexts=ts.ciphertexts,
                          peak_positions=_round_peaks(ts, params, round))
@@ -444,11 +451,7 @@ SEARCH_CAP = 8
 def _prefix(block_sums: np.ndarray) -> np.ndarray:
     """Prefix sums over blocks: row i holds the sum of blocks [0, i)."""
     out = np.zeros((len(block_sums) + 1,) + block_sums.shape[1:], block_sums.dtype)
-    # cumsum's additions in its order (the first block copied, so -0.0 stays),
-    # one whole row at a time rather than one strided column at a time
-    out[1:2] = block_sums[:1]
-    for i in range(1, len(block_sums)):
-        np.add(out[i], block_sums[i], out=out[i + 1])
+    np.cumsum(block_sums, axis=0, out=out[1:])
     return out
 
 

@@ -13,8 +13,7 @@ trigger-aligned (phase 0), core 2 runs its own base frequency (required to
 be distinct) and a per-trace random base/source phase, as two free-running
 clock domains would.  The stored ciphertext is core 1's.  ``generate_set``
 is the only generator; it returns a ``TraceSet``, one row per trace.  Sets
-made by hand call the ``TraceSet`` constructor.  ``PowerTrace`` is only the
-row view ``TraceSet.traces`` lists, kept for callers that count rows with it.
+made by hand call the ``TraceSet`` constructor.
 
 Per-trace randomness comes from the PCG64 streams of
 ``SeedSequence(seed).spawn(n)``, one per trace, held together in one
@@ -71,34 +70,6 @@ class TraceTruncatedError(TraceFormatError):
     pass
 
 
-@dataclass
-class PowerTrace:
-    """One row of a ``TraceSet``, as ``TraceSet.traces`` lists it.
-
-    ``clock_meta`` is the row of ``clock_edges`` and ``ciphertext2`` the dummy
-    core's result; neither is compared.  The row shares the set's arrays.
-    The view stays only for callers that count a set's rows through it;
-    clockmux itself reads the set's arrays.
-    """
-
-    samples: np.ndarray
-    sample_period_s: float
-    plaintext: bytes
-    ciphertext: bytes
-    failed: bool
-    core_count: int = 1
-    ciphertext2: bytes | None = None
-    clock_meta: np.ndarray | None = None
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerTrace):
-            return NotImplemented
-        def key(t):
-            return (t.sample_period_s, t.plaintext, t.ciphertext, t.failed,
-                    t.core_count, t.samples.dtype)
-        return key(self) == key(other) and np.array_equal(self.samples, other.samples)
-
-
 #: A set's per-row arrays; the first four are persisted and compared.
 _ROW_FIELDS = ("samples", "plaintexts", "ciphertexts", "failed", "ciphertexts2",
                "clock_edges")
@@ -140,15 +111,11 @@ class TraceSet:
         return 2 if self.fs2 is not None else 1
 
     @property
-    def traces(self) -> list[PowerTrace]:
-        """The rows as ``PowerTrace`` views onto this set's arrays."""
-        none = [None] * len(self)
-        return [PowerTrace(s, self.sample_period_s, pt.tobytes(), ct.tobytes(), bool(f),
-                           self.core_count, None if c2 is None else c2.tobytes(), e)
-                for s, pt, ct, f, c2, e in zip(
-                    self.samples, self.plaintexts, self.ciphertexts, self.failed,
-                    none if self.ciphertexts2 is None else self.ciphertexts2,
-                    none if self.clock_edges is None else self.clock_edges)]
+    def traces(self) -> np.ndarray:
+        """``samples``, one row per trace.  Its only reader is the benchmark
+        tracer's row counter, ``len(ts.traces)``; ROADMAP item 1 switches that
+        to ``len(ts)``, after which this property goes too."""
+        return self.samples
 
     def take(self, rows, peaks: tuple | None = None) -> "TraceSet":
         """The set of ``rows`` (indices or a mask), carrying ``peaks``."""

@@ -256,6 +256,13 @@ def test_synchronize_drops_traces_that_cannot_fill_window():
         assert am.peak_positions.shape == (0,) and am.max_delay_samples == 0
     with pytest.raises(ValueError):
         synchronize(ts, round=0)
+    with pytest.raises(ValueError):
+        synchronize(ts, round=0, window_halfwidth=10**10)  # refused before the early return
+    with pytest.raises(ValueError):
+        synchronize(ts, round=10, window_halfwidth=-1)  # would keep (n, 0) rows
+    for r in (0, -3):  # would index the previous row's peaks
+        with pytest.raises(ValueError):
+            raw_matrix(ts, round=r)
 
 
 def expected_sync_rows(kept, w, round=10):
