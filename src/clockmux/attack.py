@@ -647,29 +647,25 @@ def fft_spectrum(ts: TraceSet, bin_hz: float) -> SpectrumHistogram:
 # Duplication (dual-core) analysis
 # ---------------------------------------------------------------------------
 
-def peak_permutation_bound(fs, fs2=None, n_traces: int = 1, rounds: int = 10
-                           ) -> tuple[int, int]:
+def peak_permutation_bound(fs, fs2=None, n_traces: int = 1) -> tuple[int, int]:
     """Brute-force positions of the last peak and the total over a capture.
 
     The final round's peak can land on any slot between the all-fastest and
     all-slowest completion, counted at the slowest period's granularity:
-    1 + rounds * (1 - f_min / f_max) over the union of fundamentals, rounded
-    half-up and clamped to [2, rounds + 1] (2 because duplication alone
-    leaves two final peaks even with zero spread; rounds + 1 slots is all a
-    rounds-edge trace offers).  Returns (per-trace candidates,
+    1 + R * (1 - f_min / f_max) over the union of fundamentals, with R =
+    ``aes.ROUNDS``, rounded half-up and clamped to [2, R + 1] (2 because
+    duplication alone leaves two final peaks even with zero spread; R + 1
+    slots is all an R-edge trace offers).  Returns (per-trace candidates,
     candidates ** n_traces) with exact integer arithmetic.
     """
     if n_traces < 1:
         raise ValueError("n_traces must be at least 1")
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
     funds = list(fs.fundamentals)
     if fs2 is not None:
         funds += list(fs2.fundamentals)
     f_min, f_max = min(funds), max(funds)
-    slots = 1.0 + rounds * (1.0 - f_min / f_max)
-    candidates = int(np.floor(slots + 0.5))
-    candidates = max(2, min(rounds + 1, candidates))
+    slots = 1.0 + aes.ROUNDS * (1.0 - f_min / f_max)
+    candidates = max(2, min(aes.ROUNDS + 1, int(np.floor(slots + 0.5))))
     return candidates, candidates ** n_traces
 
 

@@ -481,34 +481,6 @@ def source_edge_counts(fs: FrequencySet, n_cycles: int) -> np.ndarray:
     return out
 
 
-def per_source_edge_presence(w: OutputWaveform, fs: FrequencySet) -> np.ndarray:
-    """Fraction of cycles, per selected source, containing that source's edge.
-
-    Interior output edges are the selected source's own edges; an edge
-    sitting exactly on a base boundary counts only when the source's grid is
-    exactly aligned there (otherwise it is a switch artifact, which the
-    presence model does not describe).
-    """
-    tau = w.edges_s / w.base_period_s
-    cyc = np.floor(tau).astype(np.int64)
-    cyc = np.minimum(cyc, w.n_base_cycles - 1)
-    interior = tau > cyc
-    has_edge = np.zeros(w.n_base_cycles, dtype=bool)
-    has_edge[cyc[interior]] = True
-    boundary_cycles = cyc[~interior]
-    if len(boundary_cycles):
-        src = w.source_per_cycle[boundary_cycles].astype(np.intp)
-        ratios = fs.ratios()
-        phases = np.asarray(fs.phases, dtype=np.float64)
-        r = np.mod(boundary_cycles / ratios[src] - phases[src], 1.0)
-        has_edge[boundary_cycles[r == 0.0]] = True
-    out = np.empty(4, dtype=np.float64)
-    for i in range(4):
-        mask = w.source_per_cycle == i
-        out[i] = has_edge[mask].mean() if mask.any() else np.nan
-    return out
-
-
 def simulated_edge_count_distribution(fs: FrequencySet, n_cycles: int) -> np.ndarray:
     """Empirical counterpart of edge_count_distribution over ``n_cycles``."""
     presence = source_edge_counts(fs, n_cycles) >= 1

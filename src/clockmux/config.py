@@ -21,7 +21,9 @@ Sections:
     ``base_hz`` must differ from every set's.
 ``[run]``, ``[simulate]``, ``[traces]``, ``[attack]``, ``[fft]``
     One key per ``ExperimentConfig`` parameter, declared beside its field
-    with its type, default and limit; ``key`` and ``key2`` are hex.
+    with its type, default and limit; ``key`` and ``key2`` are hex.  One
+    limit spans three keys: a set's samples, ``n_traces`` x ``window_cycles``
+    x ``oversampling``, may not pass ``MAX_SET_SAMPLES``.
 """
 
 from __future__ import annotations
@@ -30,11 +32,16 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from .aes import ROUNDS
 from .attack import DEFAULT_STEP, FilterParams
 from .clock import DEFAULT_ERROR_THRESHOLD_FACTOR, FrequencySet
 from .presets import STUDY_SETS
+from .traces import WINDOW_CYCLES_PER_ROUND
 
 DEFAULT_KEY = bytes(range(16))
+
+#: Samples one trace set may hold (1 GiB of float32), the same on every machine.
+MAX_SET_SAMPLES = 2**28
 
 #: The FrequencySet field, and the index into it, behind each numeric set key.
 _SET_FIELDS = {"base_hz": ("base_hz", None),
@@ -161,6 +168,19 @@ class ExperimentConfig:
                 continue
             raise _LimitError(f.name, f"[{f.metadata['section']}] {f.metadata['key']}: "
                                       f"{problem}")
+        sizes = self._set_sizes()
+        total = math.prod(sizes.values())
+        if total > MAX_SET_SAMPLES:
+            # the defaults fit, so the factor furthest above its default was set
+            name = max(sizes, key=lambda n: sizes[n] / _DEFAULT_SIZES[n])
+            raise _LimitError(name, f"[traces] {name}: {total} samples per set "
+                                    f"(n_traces x window_cycles x oversampling), "
+                                    f"more than the {MAX_SET_SAMPLES} a set may hold")
+
+    def _set_sizes(self) -> dict[str, int]:
+        """The factors of a trace set's sample count, by field."""
+        return {"n_traces": self.n_traces, "oversampling": self.oversampling,
+                "window_cycles": self.window_cycles or WINDOW_CYCLES_PER_ROUND * ROUNDS}
 
     def filter_params(self) -> FilterParams:
         return FilterParams(expected_peaks=self.expected_peaks,
@@ -183,6 +203,7 @@ class ExperimentConfig:
 
 
 _PARAMS = tuple(f for f in fields(ExperimentConfig) if f.metadata)
+_DEFAULT_SIZES = ExperimentConfig()._set_sizes()
 _PARAM_BY_KEY = {(f.metadata["section"], f.metadata["key"]): f for f in _PARAMS}
 
 _KNOWN_KEYS: dict[str, set[str]] = {"sets": {"use"}, "set": _SET_KEYS,

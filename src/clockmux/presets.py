@@ -74,30 +74,14 @@ def study_set(label_or_index) -> StudyEntry:
     raise KeyError(f"no study set labeled {label_or_index!r}")
 
 
-def fixed_clock_set(f_hz: float = REFERENCE_BASE_HZ,
-                    label: str = "fixed clock") -> FrequencySet:
-    """Degenerate set: all four sources equal the base, output is the base.
+def fixed_clock_set() -> FrequencySet:
+    """Degenerate set: all four sources equal the 10 MHz base, output is the base.
 
     This is the unprotected-device stand-in; attacks against it give the
     baseline trace counts that the randomized sets are measured against.
     """
-    return FrequencySet(base_hz=f_hz, fundamentals=(f_hz,) * 4, label=label)
-
-
-def doubled_window_pair() -> tuple[FrequencySet, FrequencySet]:
-    """Two fixed cores whose summed trace has a doubled capture window.
-
-    Core 2 runs its mux at twice the rate but draws from the same 10 MHz
-    sources, so both cores emit identical waveforms while the generator's
-    bookkeeping (which follows core 1) sees core 2 span twice as many of its
-    own mux cycles.
-    """
     f = REFERENCE_BASE_HZ
-    fs1 = FrequencySet(base_hz=f, fundamentals=(f,) * 4,
-                       label="fixed core, matched mux")
-    fs2 = FrequencySet(base_hz=2 * f, fundamentals=(f,) * 4,
-                       label="fixed core, doubled mux")
-    return fs1, fs2
+    return FrequencySet(base_hz=f, fundamentals=(f,) * 4, label="fixed clock")
 
 
 def dual_reference_pair() -> tuple[FrequencySet, FrequencySet]:

@@ -2,8 +2,8 @@
 
 A trace is a fixed capture window sampled at ``base_period / oversampling``.
 The first output edge of the (randomized) clock loads the state; each of the
-following ``aes.ROUNDS`` edges clocks one AES round and deposits a pulse
-whose amplitude is ``amplitude * HD(state[k-1], state[k])`` over the full
+following ``aes.ROUNDS`` edges clocks one AES round and deposits a triangular
+pulse whose amplitude is ``amplitude * HD(state[k-1], state[k])`` over the full
 128-bit state.  Gaussian noise is added on top.  Encryptions whose clock
 produced a period below the error threshold are marked failed and report a
 uniformly random ciphertext, mimicking a core that violated its timing margin.
@@ -48,8 +48,6 @@ WINDOW_CYCLES_PER_ROUND = 3
 #: Pulse half-width as a fraction of the base period.
 PULSE_HALF_WIDTH_FRACTION = 1.0 / 8.0
 
-PULSE_SHAPES = ("triangular", "rectangular", "raised_cosine")
-
 #: Traces rendered per scatter; bounds the render's working arrays.
 _CHUNK_TRACES = 256
 
@@ -71,8 +69,7 @@ class TraceTruncatedError(TraceFormatError):
 
 
 #: A set's per-row arrays; the first four are persisted and compared.
-_ROW_FIELDS = ("samples", "plaintexts", "ciphertexts", "failed", "ciphertexts2",
-               "clock_edges")
+_ROW_FIELDS = ("samples", "plaintexts", "ciphertexts", "failed", "clock_edges")
 
 
 @dataclass
@@ -82,10 +79,10 @@ class TraceSet:
     Row i of ``samples`` (n, S) float32, ``plaintexts``/``ciphertexts``
     (n, 16) uint8 and ``failed`` (n,) bool is trace i.  Generator-fresh sets
     also carry ``clock_edges``, the (n, cores, aes.ROUNDS + 1) round edge
-    times in seconds, and ``ciphertexts2`` with two cores; neither is
-    persisted or compared.  ``attack.filter_traces`` sets ``peaks`` on the
-    set it keeps: ((threshold_k, detect_separation), flat positions row after
-    row, per-row counts).  It derives from ``samples``: treat them as read-only.
+    times in seconds, which is neither persisted nor compared.
+    ``attack.filter_traces`` sets ``peaks`` on the set it keeps:
+    ((threshold_k, detect_separation), flat positions row after row, per-row
+    counts).  It derives from ``samples``: treat them as read-only.
     """
 
     samples: np.ndarray
@@ -99,7 +96,6 @@ class TraceSet:
     noise_sigma: float
     key2: bytes | None = None
     fs2: FrequencySet | None = None
-    ciphertexts2: np.ndarray | None = None
     clock_edges: np.ndarray | None = None
     peaks: tuple | None = field(default=None, repr=False)
 
@@ -141,15 +137,14 @@ class TraceSet:
 
 def _render_pulses(edge_times_s: np.ndarray, amplitudes: np.ndarray,
                    n_samples: int, sample_period_s: float,
-                   half_width_s: float, pulse: str) -> np.ndarray:
-    """Deposit one pulse per edge onto zero-initialized sample rows.
+                   half_width_s: float) -> np.ndarray:
+    """Deposit one triangular pulse per edge onto zero-initialized sample rows.
 
     Row i of the (m, edges) ``edge_times_s`` and ``amplitudes`` renders into
     row i of the (m, n_samples) result.  A pulse covers the grid samples
     within ``half_width_s`` of its edge; every pulse's samples are computed
     at once and deposited by one ``np.bincount`` in edge order, so a sample
-    where pulses overlap sums them in edge order.  ``pulse`` must be one of
-    ``PULSE_SHAPES``; ``generate_set`` checks it.
+    where pulses overlap sums them in edge order.
     """
     m = len(edge_times_s)
     lo = np.ceil((edge_times_s - half_width_s) / sample_period_s).astype(np.int64)
@@ -162,74 +157,54 @@ def _render_pulses(edge_times_s: np.ndarray, amplitudes: np.ndarray,
     e = np.broadcast_to(edge_times_s[..., None], shape)[keep]
     a = np.broadcast_to(amplitudes[..., None], shape)[keep]
     row = np.broadcast_to(np.arange(m)[:, None, None], shape)[keep]
-    delta = np.abs(idx * sample_period_s - e) / half_width_s
-    if pulse == "triangular":
-        w = 1.0 - delta
-    elif pulse == "rectangular":
-        w = np.ones_like(delta)
-    else:  # raised cosine
-        w = 0.5 * (1.0 + np.cos(np.pi * delta))
+    w = 1.0 - np.abs(idx * sample_period_s - e) / half_width_s
     np.clip(w, 0.0, None, out=w)
     return np.bincount(row * n_samples + idx, weights=a * w,
                        minlength=m * n_samples).reshape(m, n_samples)
 
 
 def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
-                 fixed_plaintext: bytes | None = None,
                  noise_sigma: float = 0.0, oversampling: int = 16,
                  seed: int = 0, amplitude: float = 1.0,
                  error_threshold_factor: float = DEFAULT_ERROR_THRESHOLD_FACTOR,
-                 window_cycles: int | None = None, pulse: str = "triangular",
+                 window_cycles: int | None = None,
                  fs2: FrequencySet | None = None, key2: bytes | None = None,
                  ) -> TraceSet:
     """Generate a set of ``n_traces`` encryptions under ``key``, one row each.
 
-    Each trace encrypts a fresh random block, or ``fixed_plaintext`` when
-    given (correlation attacks are then expected to fail for lack of
-    hypothesis variance).  With ``fs2``/``key2`` a second core encrypts the
-    same block on its own clock.  Every plaintext is drawn first, each from
-    its trace's stream; every key then encrypts the whole set at once, and
-    the arrays are filled ``_CHUNK_TRACES`` rows at a time, one draw at a
-    time: core-2 phases (``random(5)`` is ``random()`` then ``random(4)``),
-    one ``_edges_until`` call per core, failed rows' ciphertexts, noise.
-    Each core's pulses are one ``_render_pulses`` call, rounded to float32
-    and summed, and the noise is added last.
+    Each trace encrypts a fresh random block.  With ``fs2``/``key2`` a second
+    core encrypts the same block on its own clock.  Every plaintext is drawn
+    first, each from its trace's stream; every key then encrypts the whole set
+    at once, and the arrays are filled ``_CHUNK_TRACES`` rows at a time, one
+    draw at a time: core-2 phases (``random(5)`` is ``random()`` then
+    ``random(4)``), one ``_edges_until`` call per core, failed rows'
+    ciphertexts, noise.  Each core's pulses are one ``_render_pulses`` call,
+    rounded to float32 and summed, and the noise is added last.
     """
     if n_traces < 0:
         raise ValueError("n_traces must be non-negative")
     if oversampling < 2:
         raise ValueError("oversampling must be at least 2 (Nyquist floor)")
-    if pulse not in PULSE_SHAPES:
-        raise ValueError(f"unknown pulse shape {pulse!r}")
     if (fs2 is None) != (key2 is None):
         raise ValueError("dual-core generation needs both fs2 and key2")
     if fs2 is not None and fs2.base_hz == fs.base_hz:
         raise ValueError("dual-core base clocks must have distinct frequencies")
-    if fixed_plaintext is not None:
-        fixed_plaintext = bytes(fixed_plaintext)
-        if len(fixed_plaintext) != 16:
-            raise ValueError(f"fixed_plaintext must be 16 bytes, not {len(fixed_plaintext)}")
     if window_cycles is None:
         window_cycles = WINDOW_CYCLES_PER_ROUND * aes.ROUNDS
     sp = fs.base_period_s / oversampling
     hw = fs.base_period_s * PULSE_HALF_WIDTH_FRACTION
     n_samples = int(round(window_cycles * fs.base_period_s / sp))
     bank = StreamBank(seed, n_traces)
-    if fixed_plaintext is None:
-        plaintexts = bank.bytes(np.arange(n_traces), 16)
-    else:
-        plaintexts = np.tile(np.frombuffer(fixed_plaintext, np.uint8), (n_traces, 1))
+    plaintexts = bank.bytes(np.arange(n_traces), 16)
     cores = [(fs, key)] if fs2 is None else [(fs, key), (fs2, key2)]
-    cts, dists = [], []
-    for _, k in cores:
-        states, ct = aes.encrypt_blocks_with_states(k, plaintexts)
-        cts.append(ct)
-        dists.append(amplitude * aes.round_distances(states).T.astype(np.float64))
+    encrypted = [aes.encrypt_blocks_with_states(k, plaintexts) for _, k in cores]
+    dists = [amplitude * aes.round_distances(states).T.astype(np.float64)
+             for states, _ in encrypted]
     samples = np.empty((n_traces, n_samples), np.float32)
     edges = np.empty((n_traces, len(cores), aes.ROUNDS + 1))
     failed = np.empty(n_traces, bool)
-    # the failed flag and the stored ciphertext are core 1's
-    ciphertexts = cts[0].copy()
+    # the failed flag and stored ciphertexts are core 1's, copied off the states they view
+    ciphertexts = encrypted[0][1].copy()
     threshold = error_threshold_factor * fs.base_period_s
     for c0 in range(0, n_traces, _CHUNK_TRACES):
         c1 = min(c0 + _CHUNK_TRACES, n_traces)
@@ -246,15 +221,13 @@ def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
         noise = bank.standard_normal(chunk, n_samples)
         clean = np.zeros((c1 - c0, n_samples))
         for c, d in enumerate(dists):
-            render = _render_pulses(edges[c0:c1, c, 1:], d[c0:c1], n_samples,
-                                    sp, hw, pulse)
+            render = _render_pulses(edges[c0:c1, c, 1:], d[c0:c1], n_samples, sp, hw)
             clean += render.astype(np.float32).astype(np.float64)
         samples[c0:c1] = clean + noise_sigma * noise
     return TraceSet(samples=samples, plaintexts=plaintexts, ciphertexts=ciphertexts,
                     failed=failed, sample_period_s=sp, key=bytes(key), fs=fs,
                     oversampling=int(oversampling), noise_sigma=float(noise_sigma),
-                    key2=None if key2 is None else bytes(key2), fs2=fs2, clock_edges=edges,
-                    ciphertexts2=cts[1].copy() if fs2 is not None else None)
+                    key2=None if key2 is None else bytes(key2), fs2=fs2, clock_edges=edges)
 
 
 def first_round_coincidence_fraction(ts: TraceSet) -> float:
@@ -298,10 +271,10 @@ def first_round_coincidence_fraction(ts: TraceSet) -> float:
 # rejects, a non-finite or non-positive sample period, oversampling below 2,
 # a sample period other than the base period over the oversampling (the grid
 # ``generate_set`` renders on), a trace count whose 37-byte minimum records
-# do not fit in the file (checked before any record is parsed), a sample
-# count past the end of the file, traces with unequal sample counts, or a
-# non-finite (NaN or inf) sample.  ``write_trace_set`` refuses a set with
-# such a sample or sample period with ValueError.
+# do not fit in the file (checked before any record is parsed), traces with
+# no samples, a sample count past the end of the file, traces with unequal
+# sample counts, or a non-finite (NaN or inf) sample.  ``write_trace_set``
+# refuses a set with such samples or sample period with ValueError.
 # ---------------------------------------------------------------------------
 
 def _record_dtype(n_samples: int) -> np.dtype:
@@ -317,12 +290,14 @@ def _pack_fs(fs: FrequencySet) -> bytes:
 
 
 def write_trace_set(ts: TraceSet, path) -> None:
+    if len(ts) and not ts.samples.shape[1]:  # read_trace_set would refuse the file
+        raise ValueError("a set's traces must hold at least one sample")
     records = np.empty(len(ts), _record_dtype(ts.samples.shape[1]))
     for name, column in zip(records.dtype.names, (ts.failed, ts.plaintexts, ts.ciphertexts,
                                                   ts.samples.shape[1], ts.samples)):
         records[name] = column
     bad = np.flatnonzero(~np.isfinite(records["samples"]).all(axis=1))
-    if bad.size:  # read_trace_set would refuse the file
+    if bad.size:  # so would it here
         raise ValueError(f"trace {bad[0]} has a non-finite sample")
     if ts.sample_period_s != ts.fs.base_period_s / ts.oversampling:  # so would it here
         raise ValueError(f"sample period {ts.sample_period_s!r} s is not the base "
@@ -391,6 +366,8 @@ def read_trace_set(path) -> TraceSet:
         raise TraceTruncatedError(f"header claims {n_traces} traces, more than "
                                   f"the {len(data)} bytes left can hold")
     n_samples = struct.unpack_from("<I", data, 33)[0] if n_traces else 0
+    if n_traces and not n_samples:
+        raise TraceFormatError("trace 0 has no samples")
     if n_traces and 37 + 4 * n_samples > len(data):
         raise TraceTruncatedError(f"trace 0 claims {n_samples} samples, "
                                   f"past the end of the file")

@@ -31,12 +31,7 @@ from clockmux.attack import (
 )
 from clockmux.clock import FrequencySet
 from clockmux.presets import STUDY_SETS, dual_reference_pair, study_set
-from clockmux.traces import (
-    PULSE_SHAPES,
-    TraceSet,
-    generate_set,
-    write_trace_set,
-)
+from clockmux.traces import TraceSet, generate_set, write_trace_set
 
 KEY = bytes(range(16))
 KEY2 = bytes(range(16, 32))
@@ -85,14 +80,14 @@ def test_detect_peaks_matches_find_peaks_row_for_row(monkeypatch):
     at_height = np.array([[1, 3] * 3], dtype=np.float32)
     corpus = [(odd, 3.0, 2), (at_height, 1.0, 2), (np.ones((4, 2), dtype=np.float32), 3.0, 2),
               (np.zeros((0, 50), dtype=np.float32), 3.0, 2)]
-    for pulse in PULSE_SHAPES:
-        for sigma in (0.0, 0.5, 5.0):
-            for ov in (12, 24, 32):
-                ts = generate_set(study_set(1).fs, KEY, 24, oversampling=ov, seed=3,
-                                  noise_sigma=sigma, pulse=pulse)
-                own = FilterParams().resolved(ov).detect_separation
-                corpus += [(ts.samples, 3.0, own), (ts.samples, 2.0, 4),
-                           (ts.samples, 1.0, 6)]
+    for sigma in (0.0, 0.5, 5.0):
+        for ov in (12, 24, 32):
+            x = generate_set(study_set(1).fs, KEY, 24, oversampling=ov, seed=3,
+                             noise_sigma=sigma).samples
+            own = FilterParams().resolved(ov).detect_separation
+            # a two-sample running max flattens every pulse's apex into a plateau
+            for rows in (x, np.maximum(x[:, 1:], x[:, :-1])):
+                corpus += [(rows, 3.0, own), (rows, 2.0, 4), (rows, 1.0, 6)]
     plateau, close = [], []
     for rows, k, sep in corpus:
         positions, counts = detect_peaks(rows, k, sep)
@@ -296,7 +291,8 @@ def test_dual_core_matrices_carry_core_one_ciphertexts():
     kept, _, _ = filter_traces(ts)
     rows = expected_sync_rows(kept, 70)
     assert 0 < len(rows) < len(kept)
-    assert not (kept.ciphertexts == kept.ciphertexts2).all(axis=1).any()
+    _, ct2 = aes.encrypt_blocks_with_states(KEY2, kept.plaintexts)
+    assert not (kept.ciphertexts == ct2).all(axis=1).any()
     am = synchronize(kept, round=10, window_halfwidth=70)
     assert np.array_equal(am.ciphertexts, kept.ciphertexts[rows])
     assert np.array_equal(raw_matrix(kept, round=10).ciphertexts, kept.ciphertexts)
@@ -452,9 +448,11 @@ def test_cpa_fails_on_mismatched_ciphertexts():
 
 
 def test_cpa_flags_constant_hypotheses_instead_of_claiming_recovery():
-    ts = generate_set(degenerate(), KEY, 100, oversampling=8, seed=2,
-                      fixed_plaintext=bytes(16))
+    ts = generate_set(degenerate(), KEY, 100, oversampling=8, seed=2)
     am = synchronize(ts, round=10, window_halfwidth=8)
+    # every row scored against one ciphertext: each guess's hypothesis is constant
+    am = dataclasses.replace(am, ciphertexts=np.repeat(am.ciphertexts[:1],
+                                                       len(am.ciphertexts), axis=0))
     res = cpa_attack(am, true_key=KEY)
     assert res.undefined_fraction == 1.0
     assert np.all(res.scores == 0.0)
@@ -843,8 +841,6 @@ def test_candidate_count_endpoints_and_exponent():
     assert both == max(2, min(11, int(np.floor(slots + 0.5))))
     with pytest.raises(ValueError):
         peak_permutation_bound(fs1, n_traces=0)
-    with pytest.raises(ValueError):
-        peak_permutation_bound(fs1, rounds=0)
 
 
 def dual_hand_set(trace_samples, sp=12.5e-9):

@@ -23,7 +23,6 @@ from clockmux.clock import (
     overhead_and_error,
     period_histogram,
     permutation_count,
-    per_source_edge_presence,
     presence_probabilities,
     reference_bin_width,
     rising_edge_probability,
@@ -325,7 +324,7 @@ def test_single_core_set_matches_serial_runs_per_generator():
         if failed:
             ct = rng.integers(0, 256, 16, dtype=np.uint8)[None]
         dist = aes.round_distances(states).T.astype(np.float64)
-        clean = _render_pulses(edges[None, 1:], dist, n_samples, sp, hw, "triangular")
+        clean = _render_pulses(edges[None, 1:], dist, n_samples, sp, hw)
         noise = sigma * rng.standard_normal(n_samples)
         sample = (clean[0].astype(np.float32).astype(np.float64) + noise).astype(np.float32)
         assert np.array_equal(ts.samples[i], sample)
@@ -598,6 +597,34 @@ def test_simulated_edge_count_distribution_is_a_distribution():
     assert dist.shape == (5,)
     assert dist.sum() == pytest.approx(1.0)
     assert (dist >= 0).all()
+
+
+def per_source_edge_presence(w, fs):
+    """Fraction of cycles, per selected source, containing that source's edge.
+
+    Interior output edges are the selected source's own edges; an edge
+    sitting exactly on a base boundary counts only when the source's grid is
+    exactly aligned there (otherwise it is a switch artifact, which the
+    presence model does not describe).
+    """
+    tau = w.edges_s / w.base_period_s
+    cyc = np.floor(tau).astype(np.int64)
+    cyc = np.minimum(cyc, w.n_base_cycles - 1)
+    interior = tau > cyc
+    has_edge = np.zeros(w.n_base_cycles, dtype=bool)
+    has_edge[cyc[interior]] = True
+    boundary_cycles = cyc[~interior]
+    if len(boundary_cycles):
+        src = w.source_per_cycle[boundary_cycles].astype(np.intp)
+        ratios = fs.ratios()
+        phases = np.asarray(fs.phases, dtype=np.float64)
+        r = np.mod(boundary_cycles / ratios[src] - phases[src], 1.0)
+        has_edge[boundary_cycles[r == 0.0]] = True
+    out = np.empty(4, dtype=np.float64)
+    for i in range(4):
+        mask = w.source_per_cycle == i
+        out[i] = has_edge[mask].mean() if mask.any() else np.nan
+    return out
 
 
 def test_selected_presence_agrees_with_free_running_presence():

@@ -165,6 +165,14 @@ BAD_DOCUMENTS = [
     ("[attack]\nwindow_halfwidth = -3\n",
      "line 2: [attack] window_halfwidth: must not be negative"),
     ("[traces]\nwindow_cycles = -5\n", "line 2: [traces] window_cycles: must be at least 1"),
+    # one set's samples, n_traces x window_cycles x oversampling, are capped at 2**28
+    ("[traces]\noversampling = 1000000000\n",
+     "line 2: [traces] oversampling: 30000000000000 samples per set"),
+    ("[traces]\nwindow_cycles = 1000000000\n",
+     "line 2: [traces] window_cycles: 12000000000000 samples per set"),
+    ("[traces]\nn_traces = 4000000000\n", "line 2: [traces] n_traces: 1440000000000 samples"),
+    ("[run]\nseed = 2\n[traces]\nnoise_sigma = 1\nn_traces = 100000000\n",
+     "line 5: [traces] n_traces: 36000000000 samples per set"),
     ("[run]\nseed = -1\n", "line 2: [run] seed: must not be negative"),
     ("[sets]\nuse = 1\n[traces]\ncore_count = 2\nkey2 = " + "ab" * 16 + "\n[set2]\n"
      "base_hz = 10e6\nf1 = 1e6\nf2 = 1e6\nf3 = 1e6\nf4 = 1e6\n",
@@ -236,10 +244,21 @@ def test_replace_checks_the_same_limits():
             ("seed", -1, "[run] seed: must not be negative"),
             ("step", 1, "[attack] step: must be at least 2"),
             ("fft_bin_hz", float("inf"), "[fft] bin_hz: must be finite"),
-            ("fft_bin_hz", -1.0, "[fft] bin_hz: must be positive")]:
+            ("fft_bin_hz", -1.0, "[fft] bin_hz: must be positive"),
+            ("n_traces", 10**8, "[traces] n_traces: 36000000000 samples per set (n_traces "
+                                "x window_cycles x oversampling), more than the 268435456 "
+                                "a set may hold")]:
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(cfg, **{name: value})
         assert str(err.value) == message
+
+
+def test_set_sample_cap_is_inclusive():
+    # 2**19 traces of 32 cycles at oversampling 16 hold exactly 2**28 samples
+    at_cap = "[traces]\nwindow_cycles = 32\noversampling = 16\nn_traces = {}\n"
+    assert parse_config_text(at_cap.format(2**19)).n_traces == 2**19
+    with pytest.raises(ConfigError, match="line 4: .* 268435968 samples per set"):
+        parse_config_text(at_cap.format(2**19 + 1))
 
 
 def test_parse_config_missing_file(tmp_path):
@@ -646,6 +665,15 @@ def _sample_at(blob, index, sample, n_traces=4):
     return header + index * ((len(blob) - header) // n_traces) + 37 + 4 * sample
 
 
+def _no_samples(blob, n_traces=4):
+    """Cut every trace of ``blob`` to zero samples, as no writer does."""
+    header = _LABEL_AT + _label_len(blob) + 48
+    item = (len(blob) - header) // n_traces
+    records = [blob[at:at + 33] + struct.pack("<I", 0)
+               for at in range(header, len(blob), item)]
+    blob[header:] = b"".join(records)
+
+
 CORRUPT_HEADERS = {
     "label not utf-8": lambda b: _corrupt(b, _LABEL_AT, "<B", 0xFF),
     "negative base_hz": lambda b: _corrupt(b, _LABEL_AT + _label_len(b), "<d", -10e6),
@@ -662,6 +690,7 @@ CORRUPT_HEADERS = {
     "trace count past the end": lambda b: _corrupt(b, _N_TRACES_AT, "<I", 0xFFFFFFFF),
     "nan sample": lambda b: _corrupt(b, _sample_at(b, 2, 7), "<f", float("nan")),
     "inf sample": lambda b: _corrupt(b, _sample_at(b, 3, 0), "<f", float("-inf")),
+    "zero samples": _no_samples,
 }
 
 

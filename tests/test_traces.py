@@ -15,10 +15,9 @@ import pytest
 
 from clockmux import aes, traces
 from clockmux.clock import FrequencySet
-from clockmux.presets import doubled_window_pair, dual_reference_pair, study_set
+from clockmux.presets import REFERENCE_BASE_HZ, dual_reference_pair, study_set
 from clockmux.traces import (
     PULSE_HALF_WIDTH_FRACTION,
-    PULSE_SHAPES,
     TraceMagicError,
     TraceSet,
     TraceTruncatedError,
@@ -33,7 +32,6 @@ from clockmux.traces import (
 
 KEY = bytes(range(16))
 KEY2 = bytes(range(16, 32))
-PT = bytes.fromhex("00112233445566778899aabbccddeeff")
 
 
 def degenerate(base_hz=10e6):
@@ -41,8 +39,8 @@ def degenerate(base_hz=10e6):
 
 
 def one_trace(fs, **kw):
-    """A one-trace set encrypting PT; tests read its row 0."""
-    return generate_set(fs, KEY, 1, fixed_plaintext=PT, seed=1, **kw)
+    """A one-trace set; tests read its row 0."""
+    return generate_set(fs, KEY, 1, seed=1, **kw)
 
 
 def round_hds(key, pt):
@@ -62,7 +60,7 @@ def test_fixed_clock_render_is_exact():
     fs = degenerate()
     ts = one_trace(fs, oversampling=8)
     samples = ts.samples[0]
-    hds = round_hds(KEY, PT)
+    hds = round_hds(KEY, ts.plaintexts[0].tobytes())
     expected = np.zeros(240, dtype=np.float32)
     for k in range(1, 11):
         expected[8 * k] = hds[k - 1]
@@ -73,14 +71,14 @@ def test_fixed_clock_render_is_exact():
         assert samples[8 * k] == hds[k - 1]
     assert np.allclose(samples, expected, atol=1e-9)
     assert not ts.failed[0]
-    _, ct = aes.encrypt_blocks_with_states(KEY, np.frombuffer(PT, np.uint8)[None])
+    _, ct = aes.encrypt_blocks_with_states(KEY, ts.plaintexts)
     assert bytes(ts.ciphertexts[0]) == ct[0].tobytes()
     assert ts.sample_period_s == pytest.approx(fs.base_period_s / 8)
 
 
 def _render_per_edge(edge_times_s, amplitudes, n_samples, sample_period_s,
-                     half_width_s, pulse):
-    """Reference render of one trace: one pulse at a time, in edge order."""
+                     half_width_s):
+    """Reference render of one trace: one triangular pulse at a time, in edge order."""
     out = np.zeros(n_samples, dtype=np.float64)
     for e, a in zip(edge_times_s, amplitudes):
         lo = max(0, int(np.ceil((e - half_width_s) / sample_period_s)))
@@ -88,21 +86,14 @@ def _render_per_edge(edge_times_s, amplitudes, n_samples, sample_period_s,
         if hi < lo:
             continue
         t = np.arange(lo, hi + 1) * sample_period_s
-        delta = np.abs(t - e) / half_width_s
-        if pulse == "triangular":
-            w = 1.0 - delta
-        elif pulse == "rectangular":
-            w = np.ones_like(delta)
-        else:  # raised cosine
-            w = 0.5 * (1.0 + np.cos(np.pi * delta))
+        w = 1.0 - np.abs(t - e) / half_width_s
         np.clip(w, 0.0, None, out=w)
         out[lo:hi + 1] += a * w
     return out
 
 
 @pytest.mark.parametrize("oversampling", [2, 3, 8, 12, 16, 33])
-@pytest.mark.parametrize("pulse", PULSE_SHAPES)
-def test_batched_render_matches_per_edge_loop(pulse, oversampling):
+def test_batched_render_matches_per_edge_loop(oversampling):
     # the one-scatter render must give the reference loop's bytes row for
     # row, including pulses cut by either end of the window and overlaps
     tb = 1e-7
@@ -114,13 +105,13 @@ def test_batched_render_matches_per_edge_loop(pulse, oversampling):
     edges[0] = [-3 * hw, -hw / 2, 0.0, 5 * tb + 0.05e-9, 5 * tb + 0.15e-9,
                 5 * tb + 0.25e-9, end - hw / 2, end - sp + hw / 2, end, end + 3 * hw]
     amps = rng.uniform(0.0, 100.0, edges.shape)
-    got = _render_pulses(edges, amps, n_samples, sp, hw, pulse)
+    got = _render_pulses(edges, amps, n_samples, sp, hw)
     assert got.shape == (40, n_samples) and got.dtype == np.float64
     for row, e, a in zip(got, edges, amps):
-        assert np.array_equal(row, _render_per_edge(e, a, n_samples, sp, hw, pulse))
+        assert np.array_equal(row, _render_per_edge(e, a, n_samples, sp, hw))
     # the special row does exercise both cut ends and three overlapping
     # pulses (with three, the order of the sum shows in the bytes)
-    one = [_render_per_edge([e], [1.0], n_samples, sp, hw, pulse) for e in edges[0]]
+    one = [_render_per_edge([e], [1.0], n_samples, sp, hw) for e in edges[0]]
     assert not one[0].any() and not one[-1].any()
     assert one[1][0] > 0 and one[7][-1] > 0
     assert ((one[3] > 0) & (one[4] > 0) & (one[5] > 0)).any()
@@ -139,10 +130,22 @@ def test_window_override_and_nyquist_floor():
     assert len(ts.samples[0]) == 40 * 8
     with pytest.raises(ValueError):
         one_trace(fs, oversampling=1)
-    with pytest.raises(ValueError, match="unknown pulse shape"):
-        one_trace(fs, oversampling=8, pulse="sawtooth")
-    with pytest.raises(ValueError, match="unknown pulse shape"):
-        generate_set(fs, KEY, 0, pulse="sawtooth")
+
+
+def doubled_window_pair():
+    """Two fixed cores whose summed trace has a doubled capture window.
+
+    Core 2 runs its mux at twice the rate but draws from the same 10 MHz
+    sources, so both cores emit identical waveforms while the generator's
+    bookkeeping (which follows core 1) sees core 2 span twice as many of its
+    own mux cycles.
+    """
+    f = REFERENCE_BASE_HZ
+    fs1 = FrequencySet(base_hz=f, fundamentals=(f,) * 4,
+                       label="fixed core, matched mux")
+    fs2 = FrequencySet(base_hz=2 * f, fundamentals=(f,) * 4,
+                       label="fixed core, doubled mux")
+    return fs1, fs2
 
 
 def test_doubling_base_frequency_halves_window_seconds():
@@ -204,15 +207,6 @@ def test_failed_flag_matches_short_periods_and_randomizes_ciphertext():
     assert 0 < n_failed < len(ts)
 
 
-def test_fixed_plaintext_mode():
-    fs = degenerate()
-    ts = generate_set(fs, KEY, 5, oversampling=8, seed=2, fixed_plaintext=PT)
-    assert [bytes(pt) for pt in ts.plaintexts] == [PT] * 5
-    for wrong in (PT[:15], PT + b"\x00"):
-        with pytest.raises(ValueError, match="fixed_plaintext must be 16 bytes"):
-            generate_set(fs, KEY, 5, fixed_plaintext=wrong)
-
-
 # ---------------------------------------------------------------------------
 # Dual-core rendering
 # ---------------------------------------------------------------------------
@@ -222,20 +216,21 @@ def test_dual_trace_is_sum_of_single_renders():
     # own render, both on core 1's grid and pulse width
     fs1 = degenerate(10e6)
     fs2 = degenerate(20e6)
-    dual = generate_set(fs1, KEY, 1, fixed_plaintext=PT, oversampling=8, seed=4,
-                        fs2=fs2, key2=KEY2)
+    dual = generate_set(fs1, KEY, 1, oversampling=8, seed=4, fs2=fs2, key2=KEY2)
+    pt = dual.plaintexts[0].tobytes()
     hw = fs1.base_period_s * PULSE_HALF_WIDTH_FRACTION
-    s1, s2 = (_render_pulses(dual.clock_edges[:, c, 1:], round_hds(k, PT)[None] * 1.0,
-                             240, dual.sample_period_s, hw, "triangular").astype(np.float32)
+    s1, s2 = (_render_pulses(dual.clock_edges[:, c, 1:], round_hds(k, pt)[None] * 1.0,
+                             240, dual.sample_period_s, hw).astype(np.float32)
               for c, k in enumerate((KEY, KEY2)))
     assert dual.samples.shape == s1.shape == s2.shape == (1, 240)
     assert s2.any()
     total = (s1.astype(np.float64) + s2.astype(np.float64)).astype(np.float32)
     assert np.array_equal(dual.samples, total)
     assert dual.core_count == 2
-    pt = np.frombuffer(PT, np.uint8)[None]
-    assert bytes(dual.ciphertexts[0]) == aes.encrypt_blocks_with_states(KEY, pt)[1][0].tobytes()
-    assert bytes(dual.ciphertexts2[0]) == aes.encrypt_blocks_with_states(KEY2, pt)[1][0].tobytes()
+    # the stored ciphertext is core 1's, not core 2's
+    _, ct1 = aes.encrypt_blocks_with_states(KEY, dual.plaintexts)
+    _, ct2 = aes.encrypt_blocks_with_states(KEY2, dual.plaintexts)
+    assert np.array_equal(dual.ciphertexts, ct1) and not np.array_equal(dual.ciphertexts, ct2)
 
 
 def test_dual_requires_distinct_bases_and_paired_keys():
@@ -266,8 +261,8 @@ def test_first_round_coincidence_fraction():
         first_round_coincidence_fraction(single)
 
 
-@pytest.mark.parametrize("cores, pulse", [(1, "triangular"), (2, "raised_cosine")])
-def test_sets_do_not_depend_on_the_render_chunk(cores, pulse, monkeypatch):
+@pytest.mark.parametrize("cores", [1, 2])
+def test_sets_do_not_depend_on_the_render_chunk(cores, monkeypatch):
     # 600 traces span three 256-row render chunks, failures included; a
     # 7-row chunk must give every array bit for bit
     fs1, fs2 = dual_reference_pair()
@@ -275,15 +270,14 @@ def test_sets_do_not_depend_on_the_render_chunk(cores, pulse, monkeypatch):
 
     def make():
         return generate_set(fs1, KEY, 600, oversampling=8, seed=9, noise_sigma=0.5,
-                            pulse=pulse, **dual)
+                            **dual)
 
     big = make()
     monkeypatch.setattr(traces, "_CHUNK_TRACES", 7)
     small = make()
     assert big.failed.any()
     assert big == small
-    assert (big.ciphertexts2 is None) == (cores == 1)
-    for name in ("samples", "ciphertexts", "ciphertexts2", "clock_edges"):
+    for name in ("samples", "ciphertexts", "clock_edges"):
         assert np.array_equal(getattr(big, name), getattr(small, name)), name
     assert big.clock_edges.shape == (600, cores, 11)
 
@@ -334,6 +328,14 @@ def test_writer_refuses_a_sample_the_reader_rejects(tmp_path, value):
     path = tmp_path / "bad.bin"
     with pytest.raises(ValueError, match="trace 1 has a non-finite sample"):
         write_trace_set(dataclasses.replace(ts, samples=samples), path)
+    assert not path.exists()
+
+
+def test_writer_refuses_traces_without_samples(tmp_path):
+    ts = generate_set(degenerate(), KEY, 4, oversampling=8, seed=1)
+    path = tmp_path / "bad.bin"
+    with pytest.raises(ValueError, match="must hold at least one sample"):
+        write_trace_set(dataclasses.replace(ts, samples=ts.samples[:, :0]), path)
     assert not path.exists()
 
 
