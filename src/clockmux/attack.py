@@ -106,15 +106,14 @@ class CpaResult:
     """Scores and rankings of one correlation attack.
 
     ``scores[p, g]`` is max |rho| over the window for guess g of the final
-    round key byte at position SHIFT_ROWS_IMAGE[p]; ``recovered_round_key``
-    assembles the argmax guesses, ``recovered_key`` walks the schedule back
-    to the cipher key.  ``undefined_fraction`` counts (guess, byte) cells
-    whose hypothesis had zero variance (scored 0, flagged here).
+    round key byte at position SHIFT_ROWS_IMAGE[p]; ``recovered_key`` walks
+    the round key of the argmax guesses back to the cipher key.
+    ``undefined_fraction`` counts (guess, byte) cells whose hypothesis had
+    zero variance (scored 0, flagged here).
     """
 
     scores: np.ndarray
     recovered_key: bytes
-    recovered_round_key: bytes
     rank_of_true_key: tuple[int, ...] | None
     undefined_fraction: float
 
@@ -434,7 +433,6 @@ def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None,
     if true_key is not None:
         ranks = tuple(int(_rank(scores[p], g)) for p, g in enumerate(_true_guesses(true_key)))
     return CpaResult(scores=scores, recovered_key=aes.key_from_last_round_key(bytes(rec_rk)),
-                     recovered_round_key=bytes(rec_rk),
                      rank_of_true_key=ranks,
                      undefined_fraction=undefined / (16 * 256))
 

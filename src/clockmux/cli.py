@@ -148,32 +148,24 @@ def _clock_summary(cfg: ExperimentConfig, fs, index: int, out_dir: str) -> dict:
             for idx in sorted(hist.bins)]
     _write_csv(os.path.join(out_dir, f"histogram_set{index}.csv"), cfg,
                ("bin_index", "period_low_s", "count"), rows)
+    sources = range(1, 5)
     return {
         "set": index,
         "label": _set_label(fs, index),
         "base_hz": fs.base_hz,
-        "fundamentals_hz": [float(f) for f in fs.fundamentals],
+        **{f"f{i}_hz": float(f) for i, f in zip(sources, fs.fundamentals)},
         "n_edges": len(wave.edges_s),
         "unique_bins": hist.unique_bins,
-        "p_edge": list(presence_probabilities(fs)),
-        "p_double": [double_edge_probability(p, fs.base_period_s)
-                     for p in fs.periods_s],
+        **{f"p_edge_{i}": p for i, p in zip(sources, presence_probabilities(fs))},
+        **{f"p_double_{i}": double_edge_probability(p, fs.base_period_s)
+           for i, p in zip(sources, fs.periods_s)},
     }
 
 
 def _overhead(cfg: ExperimentConfig, fs, rounds: int, seed: int) -> dict:
-    rep = overhead_and_error(fs, rounds=rounds, n_encryptions=cfg.n_encryptions,
-                             seed=seed,
-                             error_threshold_factor=cfg.error_threshold_factor)
-    return {"mean_overhead": rep.mean_overhead,
-            "worst_overhead": rep.worst_overhead,
-            "error_risk": rep.error_risk}
-
-
-def _summary_row(m: dict) -> list:
-    return [m["set"], m["label"], m["base_hz"], *m["fundamentals_hz"],
-            m["n_edges"], m["unique_bins"], *m["p_edge"], *m["p_double"],
-            m["mean_overhead"], m["worst_overhead"], m["error_risk"]]
+    return dataclasses.asdict(overhead_and_error(
+        fs, rounds=rounds, n_encryptions=cfg.n_encryptions, seed=seed,
+        error_threshold_factor=cfg.error_threshold_factor))
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -184,7 +176,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     for i, fs in enumerate(cfg.sets, start=1):
         m = {**_clock_summary(cfg, fs, i, out_dir),
              **_overhead(cfg, fs, rounds=10, seed=_set_seed(cfg, i))}
-        rows.append(_summary_row(m))
+        rows.append([m[c] for c in _SUMMARY_COLUMNS])
         print(f"set {i} ({m['label']}): edges={m['n_edges']} "
               f"unique_bins={m['unique_bins']} "
               f"mean_overhead={m['mean_overhead']:.4f} "
@@ -339,13 +331,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Randomized-clock side-channel simulation lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # An override flag's dest is the ExperimentConfig field it sets; an
+    # absent flag leaves no attribute, so the config's value stands.
     def common(sp, config_required: bool):
         sp.add_argument("--config", metavar="PATH", required=config_required,
                         help="experiment config file")
-        sp.add_argument("--seed", metavar="N", type=int,
-                        help="override the config seed")
-        sp.add_argument("--out", metavar="DIR",
-                        help="override the output directory")
+        sp.add_argument("--seed", metavar="N", type=int, dest="seed",
+                        default=argparse.SUPPRESS, help="override the config seed")
+        sp.add_argument("--out", metavar="DIR", dest="out_dir",
+                        default=argparse.SUPPRESS, help="override the output directory")
+
+    def search(sp):
+        sp.add_argument("--no-sync", action="store_true", dest="no_sync",
+                        default=argparse.SUPPRESS,
+                        help="skip synchronization before the CPA (ablation)")
+        sp.add_argument("--step", metavar="N", type=int, dest="step",
+                        default=argparse.SUPPRESS, help="minimum-trace search grid step")
 
     sp = sub.add_parser("simulate", help="clock statistics per frequency set")
     common(sp, True)
@@ -358,43 +359,25 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, False)
     sp.add_argument("--evaluate", metavar="KEYHEX", type=_hex_key,
                     help="true key; enables ranks and the minimum-trace search")
-    sp.add_argument("--no-sync", action="store_true",
-                    help="skip synchronization (ablation)")
-    sp.add_argument("--step", metavar="N", type=int,
-                    help="minimum-trace search grid step")
+    search(sp)
 
     sp = sub.add_parser("fft", help="averaged spectrum of a trace file")
     sp.add_argument("trace_file", help="binary trace file from gen")
     common(sp, False)
-    sp.add_argument("--bin", metavar="HZ", type=float,
-                    help="spectrum bin width in Hz")
+    sp.add_argument("--bin", metavar="HZ", type=float, dest="fft_bin_hz",
+                    default=argparse.SUPPRESS, help="spectrum bin width in Hz")
 
     sp = sub.add_parser("compare", help="rank frequency sets end to end")
     common(sp, True)
-    sp.add_argument("--step", metavar="N", type=int,
-                    help="minimum-trace search grid step")
-    sp.add_argument("--no-sync", action="store_true",
-                    help="skip synchronization in the attacks")
+    search(sp)
     return parser
 
 
 def _effective_config(args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = parse_config(args.config)
-    else:
-        cfg = ExperimentConfig()
-    updates: dict = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if getattr(args, "step", None) is not None:
-        updates["step"] = args.step
-    if getattr(args, "no_sync", False):
-        updates["no_sync"] = True
-    if getattr(args, "bin", None) is not None:
-        updates["fft_bin_hz"] = args.bin
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    cfg = parse_config(args.config) if args.config else ExperimentConfig()
+    return dataclasses.replace(cfg, **{f.name: getattr(args, f.name)
+                                       for f in dataclasses.fields(cfg)
+                                       if hasattr(args, f.name)})
 
 
 def main(argv: list[str] | None = None) -> int:

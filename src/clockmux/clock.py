@@ -128,15 +128,12 @@ class OutputWaveform:
 
     edges_s: np.ndarray
     source_per_cycle: np.ndarray
-    n_base_cycles: int
-    base_period_s: float
 
 
 @dataclass(frozen=True)
 class PeriodHistogram:
     bin_width_s: float
     bins: dict[int, int]
-    total_periods: int
 
     @property
     def unique_bins(self) -> int:
@@ -158,11 +155,7 @@ class EdgeCountDistribution:
 class OverheadReport:
     mean_overhead: float
     worst_overhead: float
-    max_delay_s: float
     error_risk: float
-    rounds: int
-    n_encryptions: int
-    error_threshold_s: float
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +277,7 @@ def simulate_mux_clock(fs: FrequencySet, n_base_cycles: int, seed: int) -> Outpu
     tb = fs.base_period_s
     edges = parts[0] if len(parts) == 1 else np.concatenate(parts)  # a lone run is not copied
     edges = _merge_close(edges[None], EDGE_COINCIDENCE_TOL_S / tb)[0]
-    return OutputWaveform(edges_s=edges[~np.isnan(edges)] * tb, source_per_cycle=sel,
-                          n_base_cycles=int(n_base_cycles), base_period_s=tb)
+    return OutputWaveform(edges_s=edges[~np.isnan(edges)] * tb, source_per_cycle=sel)
 
 
 def _edges_until(fs: FrequencySet, bank: StreamBank, rows, n_edges: int, base_phases=0.0,
@@ -348,11 +340,8 @@ def period_histogram(periods: np.ndarray, bin_width_s: float) -> PeriodHistogram
         raise ValueError("periods must be non-negative")
     idx = np.floor(periods / bin_width_s).astype(np.int64)
     uniq, counts = np.unique(idx, return_counts=True)
-    return PeriodHistogram(
-        bin_width_s=float(bin_width_s),
-        bins={int(u): int(c) for u, c in zip(uniq, counts)},
-        total_periods=int(periods.size),
-    )
+    return PeriodHistogram(bin_width_s=float(bin_width_s),
+                           bins={int(u): int(c) for u, c in zip(uniq, counts)})
 
 
 def reference_bin_width(fs: FrequencySet) -> float:
@@ -510,21 +499,13 @@ def overhead_and_error(fs: FrequencySet, rounds: int = 10,
         raise ValueError("rounds must be at least 1")
     if n_encryptions < 1:
         raise ValueError("n_encryptions must be at least 1")
-    tb = fs.base_period_s
-    threshold = error_threshold_factor  # base units
     edges = _edges_until(fs, StreamBank(seed, n_encryptions), np.arange(n_encryptions),
                          rounds + 1)
-    completions = edges[:, rounds]
+    completions = edges[:, rounds]  # base units
     periods = np.diff(edges, axis=1)
     nominal = float(rounds)
-    mean_overhead = float(completions.mean() / nominal - 1.0)
-    worst_overhead = float(completions.max() / nominal - 1.0)
     return OverheadReport(
-        mean_overhead=mean_overhead,
-        worst_overhead=worst_overhead,
-        max_delay_s=float(completions.max() * tb),
-        error_risk=int(np.count_nonzero(periods < threshold)) / periods.size,
-        rounds=int(rounds),
-        n_encryptions=int(n_encryptions),
-        error_threshold_s=float(threshold * tb),
+        mean_overhead=float(completions.mean() / nominal - 1.0),
+        worst_overhead=float(completions.max() / nominal - 1.0),
+        error_risk=int(np.count_nonzero(periods < error_threshold_factor)) / periods.size,
     )

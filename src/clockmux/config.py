@@ -13,15 +13,16 @@ Sections:
     ``use = 1 2 5`` or ``use = all`` selects study sets by table position.
 ``[set]``
     One explicit frequency set (``base_hz``, ``f1`` .. ``f4``, optional
-    ``duty``, ``phase1`` .. ``phase4``, ``label``).  May repeat; explicit
-    sets are appended after any selected study sets.
+    ``duty``, ``phase1`` .. ``phase4``, ``label`` of at most
+    ``MAX_LABEL_BYTES`` UTF-8 bytes).  May repeat; explicit sets are
+    appended after any selected study sets.
 ``[set2]``
     Second-core frequency set, same keys as ``[set]``.  Required when
     ``core_count = 2`` and refused otherwise, as is ``key2``; its
     ``base_hz`` must differ from every set's.
 ``[run]``, ``[simulate]``, ``[traces]``, ``[attack]``, ``[fft]``
     One key per ``ExperimentConfig`` parameter, declared beside its field
-    with its type, default and limit; ``key`` and ``key2`` are hex.  One
+    with its type, default and limits; ``key`` and ``key2`` are hex.  One
     limit spans three keys: a set's samples, ``n_traces`` x ``window_cycles``
     x ``oversampling``, may not pass ``MAX_SET_SAMPLES``.
 """
@@ -36,7 +37,7 @@ from .aes import ROUNDS
 from .attack import DEFAULT_STEP, FilterParams
 from .clock import DEFAULT_ERROR_THRESHOLD_FACTOR, FrequencySet
 from .presets import STUDY_SETS
-from .traces import WINDOW_CYCLES_PER_ROUND
+from .traces import MAX_LABEL_BYTES, WINDOW_CYCLES_PER_ROUND
 
 DEFAULT_KEY = bytes(range(16))
 
@@ -89,22 +90,34 @@ def _parse_key(text: str) -> bytes:
     return raw
 
 
+def _parse_label(text: str) -> str:
+    size = len(text.encode("utf-8"))
+    if size > MAX_LABEL_BYTES:
+        raise ValueError(f"{size} UTF-8 bytes, more than the {MAX_LABEL_BYTES} "
+                         f"a trace file holds")
+    return text
+
+
 def _at_least(low: int):
     return (lambda v: v >= low), f"must be at least {low}"
+
+
+def _at_most(high: int):
+    return (lambda v: v <= high), f"must be at most {high}"
 
 
 _NON_NEGATIVE = (lambda v: v >= 0), "must not be negative"
 _POSITIVE = (lambda v: v > 0), "must be positive"
 
 
-def _param(section: str, key: str, default, parse, limit=None, digest=True):
-    """Declare one parameter: its ``[section] key``, parser, default and limit.
+def _param(section: str, key: str, default, parse, *limits, digest=True):
+    """Declare one parameter: its ``[section] key``, parser, default and limits.
 
-    ``limit`` is a (predicate, problem) pair; ``digest=False`` leaves the
-    parameter out of ``ExperimentConfig.digest``.
+    Each limit is a (predicate, problem) pair, checked in order;
+    ``digest=False`` leaves the parameter out of ``ExperimentConfig.digest``.
     """
     return field(default=default, metadata={
-        "section": section, "key": key, "parse": parse, "limit": limit,
+        "section": section, "key": key, "parse": parse, "limits": limits,
         "digest": digest})
 
 
@@ -116,7 +129,9 @@ class ExperimentConfig:
     ``_param``.  The parser, the known-key table and ``digest`` read the
     declarations, and ``__post_init__`` checks every limit (and that every
     float is finite), so a config file, a CLI flag through
-    ``dataclasses.replace`` and a library call meet the same limits.
+    ``dataclasses.replace`` and a library call meet the same limits.  The
+    upper limits on sizes hold each command's peak memory to about 1 GiB,
+    and are the same on every machine.
     """
 
     sets: tuple[FrequencySet, ...] = ()
@@ -128,13 +143,19 @@ class ExperimentConfig:
     seed: int = _param("run", "seed", 1, _parse_int, _NON_NEGATIVE)
     # where the artifacts go, not what they hold: left out of the digest
     out_dir: str = _param("run", "out_dir", ".", str, digest=False)
-    n_base_cycles: int = _param("simulate", "n_base_cycles", 32000, _parse_int, _at_least(1))
-    n_encryptions: int = _param("simulate", "n_encryptions", 200, _parse_int, _at_least(1))
+    # about 60 B per base cycle of a study set: its edges, selections and periods
+    n_base_cycles: int = _param("simulate", "n_base_cycles", 32000, _parse_int, _at_least(1),
+                                _at_most(2**24))
+    # about 3.3 KB per encryption of the overhead Monte Carlo
+    n_encryptions: int = _param("simulate", "n_encryptions", 200, _parse_int, _at_least(1),
+                                _at_most(2**18))
     error_threshold_factor: float = _param("simulate", "error_threshold_factor",
                                            DEFAULT_ERROR_THRESHOLD_FACTOR, _parse_float,
                                            ((lambda v: 0 < v < 1),
                                             "must be between 0 and 1, exclusive"))
-    n_traces: int = _param("traces", "n_traces", 1000, _parse_int, _at_least(1))
+    # about 0.6 KB per trace beside its samples (0.85 KB with two cores)
+    n_traces: int = _param("traces", "n_traces", 1000, _parse_int, _at_least(1),
+                           _at_most(2**20))
     oversampling: int = _param("traces", "oversampling", 12, _parse_int, _at_least(2))
     noise_sigma: float = _param("traces", "noise_sigma", 0.0, _parse_float, _NON_NEGATIVE)
     amplitude: float = _param("traces", "amplitude", 1.0, _parse_float, _POSITIVE)
@@ -159,14 +180,13 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in _PARAMS:
             value = getattr(self, f.name)
-            limit = f.metadata["limit"]
             if isinstance(value, float) and not math.isfinite(value):
                 problem = "must be finite"
-            elif value is not None and limit and not limit[0](value):
-                problem = limit[1]
             else:
-                continue
-            raise _LimitError(f.name, f"[{f.metadata['section']}] {f.metadata['key']}: "
+                problem = next((p for ok, p in f.metadata["limits"]
+                                if value is not None and not ok(value)), None)
+            if problem:
+                raise _LimitError(f.name, f"[{f.metadata['section']}] {f.metadata['key']}: "
                                       f"{problem}")
         sizes = self._set_sizes()
         total = math.prod(sizes.values())
@@ -278,7 +298,7 @@ def _build_set(sec: _Section) -> FrequencySet:
     """The section's set, its entries applied one at a time to a valid set,
     so that a value FrequencySet rejects is reported at its own line."""
     fs = FrequencySet(base_hz=1.0, fundamentals=(1.0,) * 4,
-                      label=sec.get("label", default=""))
+                      label=sec.get("label", _parse_label, default=""))
     given = {"fundamentals": list(fs.fundamentals), "phases": list(fs.phases)}
     for key, (name, index) in _SET_FIELDS.items():
         value = sec.get(key, _parse_float)

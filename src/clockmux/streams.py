@@ -93,10 +93,6 @@ class StreamBank:
         self.hi[rows], self.lo[rows] = hi[at], lo[at]
         return _xsl_rr(hi[:, 1:], lo[:, 1:])
 
-    def raw(self, rows, k: int) -> np.ndarray:
-        """``bit_generator.random_raw(k)``: (len(rows), k) uint64."""
-        return self._walk(rows, k)
-
     def random(self, rows, k: int) -> np.ndarray:
         """``random(k)``: (len(rows), k) float64."""
         return (self._walk(rows, k) >> np.uint64(11)) * 2.0 ** -53

@@ -39,6 +39,8 @@ from .streams import StreamBank
 
 TRACE_MAGIC = b"CLKBTRC1"
 TRACE_FORMAT_VERSION = 1
+#: UTF-8 bytes a frequency-set label may take: its length is a u16 field.
+MAX_LABEL_BYTES = 0xFFFF
 
 #: Capture window length in base cycles per AES round (the randomized clock
 #: can stretch an encryption well past the nominal 10 cycles; encryptions
@@ -274,7 +276,8 @@ def first_round_coincidence_fraction(ts: TraceSet) -> float:
 # do not fit in the file (checked before any record is parsed), traces with
 # no samples, a sample count past the end of the file, traces with unequal
 # sample counts, or a non-finite (NaN or inf) sample.  ``write_trace_set``
-# refuses a set with such samples or sample period with ValueError.
+# refuses a set with such samples or sample period, or one whose header
+# values do not fit their fields, with ValueError before it opens the file.
 # ---------------------------------------------------------------------------
 
 def _record_dtype(n_samples: int) -> np.dtype:
@@ -283,9 +286,15 @@ def _record_dtype(n_samples: int) -> np.dtype:
                      ("samples", "<f4", (n_samples,))])
 
 
-def _pack_fs(fs: FrequencySet) -> bytes:
+def _pack_core(key: bytes, fs: FrequencySet) -> bytes:
+    """One core's key and frequency set, as the header stores them."""
+    if len(key) != 16:
+        raise ValueError(f"a key must be 16 bytes, got {len(key)}")
     label = fs.label.encode("utf-8")
-    return (struct.pack("<H", len(label)) + label
+    if len(label) > MAX_LABEL_BYTES:
+        raise ValueError(f"label of {len(label)} UTF-8 bytes; the format holds "
+                         f"{MAX_LABEL_BYTES}")
+    return (key + struct.pack("<H", len(label)) + label
             + struct.pack("<6d", fs.base_hz, *fs.fundamentals, fs.duty_cycle))
 
 
@@ -302,15 +311,16 @@ def write_trace_set(ts: TraceSet, path) -> None:
     if ts.sample_period_s != ts.fs.base_period_s / ts.oversampling:  # so would it here
         raise ValueError(f"sample period {ts.sample_period_s!r} s is not the base "
                          f"period over oversampling {ts.oversampling}")
+    for name, value in (("n_traces", len(ts)), ("oversampling", ts.oversampling)):
+        if not 0 <= value <= 0xFFFFFFFF:
+            raise ValueError(f"{name} {value} does not fit the format's u32 field")
+    header = (TRACE_MAGIC
+              + struct.pack("<III", TRACE_FORMAT_VERSION, ts.core_count, len(ts))
+              + struct.pack("<dId", ts.sample_period_s, ts.oversampling, ts.noise_sigma)
+              + _pack_core(ts.key, ts.fs)
+              + (_pack_core(ts.key2, ts.fs2) if ts.core_count == 2 else b""))
     with open(path, "wb") as f:
-        f.write(TRACE_MAGIC)
-        f.write(struct.pack("<III", TRACE_FORMAT_VERSION, ts.core_count, len(ts)))
-        f.write(struct.pack("<dId", ts.sample_period_s, ts.oversampling, ts.noise_sigma))
-        f.write(ts.key)
-        f.write(_pack_fs(ts.fs))
-        if ts.core_count == 2:
-            f.write(ts.key2)
-            f.write(_pack_fs(ts.fs2))
+        f.write(header)
         f.write(records.tobytes())
 
 

@@ -638,7 +638,7 @@ def test_a_tie_for_first_breaks_neither_the_search_nor_cpa():
     assert res.rank_of_true_key == (1,) * 5 + (2,) + (1,) * 10
     assert res.scores[5, g_true] == res.scores[5, g_true + 1]
     # the first maximum is the true guess, yet a tie does not rank 1
-    assert res.recovered_round_key == bytes(true_rk) and not res.broken
+    assert aes.expand_key(res.recovered_key)[10] == bytes(true_rk) and not res.broken
     assert min_traces_search(am, KEY, step=64) is None
 
 

@@ -170,9 +170,26 @@ BAD_DOCUMENTS = [
      "line 2: [traces] oversampling: 30000000000000 samples per set"),
     ("[traces]\nwindow_cycles = 1000000000\n",
      "line 2: [traces] window_cycles: 12000000000000 samples per set"),
-    ("[traces]\nn_traces = 4000000000\n", "line 2: [traces] n_traces: 1440000000000 samples"),
+    ("[run]\nseed = 2\n[traces]\nnoise_sigma = 1\nn_traces = 1000000\n",
+     "line 5: [traces] n_traces: 360000000 samples per set"),
+    # each size has an upper limit of its own, checked before the sample cap
+    ("[traces]\nn_traces = 4000000000\n", "line 2: [traces] n_traces: must be at most 1048576"),
     ("[run]\nseed = 2\n[traces]\nnoise_sigma = 1\nn_traces = 100000000\n",
-     "line 5: [traces] n_traces: 36000000000 samples per set"),
+     "line 5: [traces] n_traces: must be at most 1048576"),
+    ("[traces]\nwindow_cycles = 1\noversampling = 2\nn_traces = 134217728\n",
+     "line 4: [traces] n_traces: must be at most 1048576"),
+    ("[simulate]\nn_base_cycles = 4000000000\n",
+     "line 2: [simulate] n_base_cycles: must be at most 16777216"),
+    ("[run]\nseed = 3\n[simulate]\nn_base_cycles = 10000000000\n",
+     "line 4: [simulate] n_base_cycles: must be at most 16777216"),
+    ("[simulate]\nn_encryptions = 1000000000\n",
+     "line 2: [simulate] n_encryptions: must be at most 262144"),
+    # a label's length is a u16 in the trace file
+    ("[set]\nlabel = " + "é" * 32768 + "\nbase_hz = 1e7\nf1 = 1e6\nf2 = 1e6\nf3 = 1e6\n"
+     "f4 = 1e6\n", "line 2: [set] label: 65536 UTF-8 bytes, more than the 65535"),
+    ("[sets]\nuse = 1\n[traces]\ncore_count = 2\nkey2 = " + "ab" * 16 + "\n[set2]\n"
+     "base_hz = 12e6\nf1 = 1e6\nf2 = 1e6\nf3 = 1e6\nf4 = 1e6\nlabel = " + "é" * 32768 + "\n",
+     "line 12: [set2] label: 65536 UTF-8 bytes"),
     ("[run]\nseed = -1\n", "line 2: [run] seed: must not be negative"),
     ("[sets]\nuse = 1\n[traces]\ncore_count = 2\nkey2 = " + "ab" * 16 + "\n[set2]\n"
      "base_hz = 10e6\nf1 = 1e6\nf2 = 1e6\nf3 = 1e6\nf4 = 1e6\n",
@@ -245,9 +262,12 @@ def test_replace_checks_the_same_limits():
             ("step", 1, "[attack] step: must be at least 2"),
             ("fft_bin_hz", float("inf"), "[fft] bin_hz: must be finite"),
             ("fft_bin_hz", -1.0, "[fft] bin_hz: must be positive"),
-            ("n_traces", 10**8, "[traces] n_traces: 36000000000 samples per set (n_traces "
+            ("n_traces", 10**8, "[traces] n_traces: must be at most 1048576"),
+            ("n_traces", 10**6, "[traces] n_traces: 360000000 samples per set (n_traces "
                                 "x window_cycles x oversampling), more than the 268435456 "
-                                "a set may hold")]:
+                                "a set may hold"),
+            ("n_base_cycles", 2**24 + 1, "[simulate] n_base_cycles: must be at most 16777216"),
+            ("n_encryptions", 2**18 + 1, "[simulate] n_encryptions: must be at most 262144")]:
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(cfg, **{name: value})
         assert str(err.value) == message
@@ -377,7 +397,8 @@ def test_command_line_loads_no_scipy(tmp_path):
     # the runtime is numpy-only: start-up pays for no scipy import
     cfg = write_config(tmp_path, CLI_CONFIG.replace("n_base_cycles = 4000",
                                                     "n_base_cycles = 200"))
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, cfg, str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                           NO_SCIPY_PROBE, cfg, str(tmp_path / "out")],
                           cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -390,7 +411,8 @@ def test_command_line_import_leaves_out_the_thread_pool(tmp_path):
     # only a simulation long enough to run in pieces loads concurrent.futures,
     # so start-up does not pay for it
     probe = "import sys, clockmux.cli; print('concurrent.futures' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_src_env(),
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", probe],
+                          cwd=tmp_path, env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "False"
@@ -910,3 +932,40 @@ def test_attack_builds_hypotheses_once_per_byte_and_search_range(
     # min_traces_search builds each byte once per range it scores, then
     # cpa_attack builds only the bytes the search never built
     assert calls == search_builds + cpa_builds
+
+
+OVERRIDE_CONFIG = ("[sets]\nuse = 1\n[run]\nseed = 7\nout_dir = results\n"
+                   "[attack]\nstep = 30\nno_sync = {no_sync}\n[fft]\nbin_hz = 2e6\n")
+
+
+@pytest.mark.parametrize("argv, no_sync, changes", [
+    (["simulate", "--seed", "0"], "false", {"seed": 0}),
+    (["simulate"], "false", {}),
+    (["gen", "--out", "elsewhere"], "false", {"out_dir": "elsewhere"}),
+    (["gen"], "false", {}),
+    (["attack", "t.bin", "--step", "40"], "false", {"step": 40}),
+    (["compare", "--step", "40"], "false", {"step": 40}),
+    (["compare"], "false", {}),
+    (["attack", "t.bin", "--no-sync"], "false", {"no_sync": True}),
+    (["compare", "--no-sync"], "false", {"no_sync": True}),
+    (["attack", "t.bin"], "true", {}),
+    (["compare"], "true", {}),
+    (["fft", "t.bin", "--bin", "3e6"], "false", {"fft_bin_hz": 3e6}),
+    (["fft", "t.bin"], "false", {}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_each_override_flag_sets_exactly_its_config_field(tmp_path, argv, no_sync, changes):
+    # a flag replaces its field, --seed 0 included; without the flag the
+    # config's value stands (step = 30, no_sync = true, bin_hz = 2e6)
+    cfg = write_config(tmp_path, OVERRIDE_CONFIG.format(no_sync=no_sync))
+    args = cli._build_parser().parse_args([*argv, "--config", cfg])
+    assert cli._effective_config(args) == dataclasses.replace(parse_config(cfg), **changes)
+
+
+def test_gen_refuses_a_label_too_long_for_the_trace_file(tmp_path, capsys):
+    # a trace file stores a label's length in a u16: exit 2, and no file
+    cfg = write_config(tmp_path, "[set]\nlabel = " + "x" * 70000 + "\nbase_hz = 1e7\n"
+                       "f1 = 1e6\nf2 = 1e6\nf3 = 1e6\nf4 = 1e6\n[traces]\nn_traces = 4\n")
+    out = tmp_path / "out"
+    assert main(["gen", "--config", cfg, "--out", str(out)]) == 2
+    assert "error: line 2: [set] label: 70000 UTF-8 bytes" in capsys.readouterr().err
+    assert not (out / "traces_set1.bin").exists()

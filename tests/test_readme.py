@@ -20,7 +20,8 @@ def test_minimal_attack_block_recovers_the_key(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", readme_block("A minimal attack in code:")],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-c", readme_block("A minimal attack in code:")],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -23,7 +23,7 @@ def _generators(seed, n):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_raw_words_match_numpy(seed, n):
     bank = StreamBank(seed, n)
-    got = bank.raw(np.arange(n), 7)
+    got = bank._walk(np.arange(n), 7)
     assert got.shape == (n, 7) and got.dtype == np.uint64
     for row, gen in zip(got, _generators(seed, n)):
         assert np.array_equal(row, gen.bit_generator.random_raw(7))

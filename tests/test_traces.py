@@ -348,6 +348,30 @@ def test_writer_refuses_a_sample_period_the_reader_rejects(tmp_path, change):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"fs": FrequencySet(10e6, (10e6,) * 4, label="é" * 32768)}, "label of 65536 UTF-8 bytes"),
+    ({"fs2": FrequencySet(12e6, (12e6,) * 4, label="é" * 32768)}, "label of 65536 UTF-8 bytes"),
+    ({"key": KEY[:15]}, "a key must be 16 bytes, got 15"),
+    ({"key2": KEY2 + b"\0"}, "a key must be 16 bytes, got 17"),
+    ({"oversampling": 2**32, "sample_period_s": 1e-7 / 2**32},
+     "oversampling 4294967296 does not fit the format's u32 field"),
+])
+def test_writer_refuses_a_header_value_its_field_cannot_hold(tmp_path, change, message):
+    ts = generate_set(degenerate(), KEY, 4, oversampling=8, seed=1,
+                      fs2=degenerate(12e6), key2=KEY2)
+    path = tmp_path / "bad.bin"
+    with pytest.raises(ValueError, match=message):
+        write_trace_set(dataclasses.replace(ts, **change), path)
+    assert not path.exists()
+
+
+def test_a_label_of_the_largest_size_round_trips(tmp_path):
+    fs = dataclasses.replace(degenerate(), label="é" * 32767 + "e")  # 65,535 bytes
+    ts = generate_set(fs, KEY, 2, oversampling=8, seed=1)
+    write_trace_set(ts, tmp_path / "label.bin")
+    assert read_trace_set(tmp_path / "label.bin").fs.label == fs.label
+
+
 def test_ciphertext_matrix_stacks_ciphertexts():
     ts = generate_set(study_set(2).fs, KEY, 6, oversampling=8, seed=9)
     m = ts.ciphertexts
