@@ -17,18 +17,20 @@ The pipeline mirrors how captures are processed in practice:
    guess ranks 1 (``_rank``; a tie fails).
 
 A set is filtered and aligned once into an ``AlignedMatrix`` that carries
-its rows' ciphertexts; steps 3 and 4 take that matrix alone.  Given a true
-key the CLI runs step 4 first: it leaves each byte it built summed over all
-rows in a ``sums`` dict, and step 3 scores those bytes from it, building
-only the rest.  On two usable cores step 4 sums the next byte's blocks on
-a worker thread while it scores this byte.  Each pass works on the set's
-arrays.
+its rows' ciphertexts; steps 3 and 4 take that matrix alone, and both sum a
+byte's hypotheses through ``_block_prefix_sums`` (step 3 with all rows as
+one block).  Given a true key the CLI runs step 4 first: it leaves each byte
+it built summed over all rows in a ``sums`` dict, and step 3 scores those
+bytes from it, building only the rest.  Step 4 sums the next byte's blocks
+on one worker thread while it scores this byte.  Each pass works on the
+set's arrays.
 ``filter_traces`` detects peaks in one ``detect_peaks`` pass over the
-non-failed rows (a matrix pass; ``_find_peaks_row``, an exact numpy port of
-scipy's ``find_peaks``, only for rows with a plateau or too-close maxima)
-and the set it keeps carries them, so ``synchronize``, ``raw_matrix`` and
-``overlap_exploit`` with the same (threshold_k, detect_separation) do not
-detect again; other passes detect inside the call and store nothing.
+non-failed rows, by index (a matrix pass; ``_find_peaks_row``, an exact
+numpy port of scipy's ``find_peaks``, only for rows with a plateau or
+too-close maxima) and the set it keeps carries them, so ``synchronize``,
+``raw_matrix`` and ``overlap_exploit`` with the same (threshold_k,
+detect_separation) do not detect again; other passes detect inside the
+call and store nothing.
 
 ``fft_spectrum`` summarizes sets in the frequency domain and
 ``peak_permutation_bound`` / ``overlap_exploit`` quantify the brute-force
@@ -42,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import aes, clock
+from . import aes
 from .traces import TraceSet
 
 DEFAULT_STEP = 250
@@ -187,28 +189,30 @@ def _find_peaks_row(x: np.ndarray, height: float, distance: float) -> np.ndarray
     return peaks[keep]
 
 
-def detect_peaks(rows, threshold_k: float = 3.0,
-                 min_separation: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def detect_peaks(samples: np.ndarray, threshold_k: float = 3.0, min_separation: int = 2,
+                 rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each row's local maxima at or above its mean + k * std, greedily
-    separated; returns (flat positions, per-row counts) for an (n, S) matrix,
-    or for any ``rows`` with that ``shape`` whose slices ``rows[a:b]`` are
-    arrays (``_row_peaks`` passes a ``_RowGather``).
+    separated; returns (flat positions, per-row counts) for the rows of an
+    (n, S) matrix ``samples``, or for ``samples[rows]`` given an index array
+    ``rows``.
 
     The peaks are scipy ``find_peaks``'s with that height and a distance of
     ``min_separation`` (which keeps the tallest peak of any cluster).  256
-    float64 rows at a time, a peak is a strict local maximum at or above the
-    height.  Only a row with a plateau at or above its height, or with two
-    such maxima closer than ``min_separation``, goes to ``_find_peaks_row``,
-    the exact port of ``find_peaks``: a plateau below the height fails its
-    height filter too, and strict maxima are never adjacent, so a distance
-    of 2 suppresses none.  Positions are ascending within a row, rows in
-    order.
+    float64 rows at a time (gathered by ``rows``, so they are never copied
+    whole), a peak is a strict local maximum at or above the height.  Only
+    a row with a plateau at or above its height, or with two such maxima
+    closer than ``min_separation``, goes to ``_find_peaks_row``, the exact
+    port of ``find_peaks``: a plateau below the height fails its height
+    filter too, and strict maxima are never adjacent, so a distance of 2
+    suppresses none.  Positions are ascending within a row, rows in order.
     """
-    n, width = rows.shape
+    n = samples.shape[0] if rows is None else len(rows)
+    width = samples.shape[1]
     distance = max(1, int(min_separation))
     found_rows, found_pos = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for c0 in range(0, n if width >= 3 else 0, 256):
-        x = rows[c0:c0 + 256].astype(np.float64)
+        chunk = samples[c0:c0 + 256] if rows is None else samples[rows[c0:c0 + 256]]
+        x = chunk.astype(np.float64)
         height = (x.mean(axis=1) + threshold_k * x.std(axis=1))[:, None]
         mid = x[:, 1:-1]
         r, p = np.nonzero((mid > x[:, :-2]) & (mid > x[:, 2:]) & (mid >= height))
@@ -226,19 +230,6 @@ def detect_peaks(rows, threshold_k: float = 3.0,
     return np.concatenate(found_pos)[order].astype(np.int64), np.bincount(r, minlength=n)
 
 
-class _RowGather:
-    """Rows ``index`` of ``samples`` as ``detect_peaks`` reads them: a shape
-    and row slices, each gathered when sliced, so the rows are never copied
-    whole."""
-
-    def __init__(self, samples: np.ndarray, index: np.ndarray):
-        self.samples, self.index = samples, index
-        self.shape = (len(index), samples.shape[1])
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return self.samples[self.index[rows]]
-
-
 def _row_peaks(ts: TraceSet, params: FilterParams, rows: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Peaks of ``ts``'s ``rows`` (a mask) under resolved ``params``, as (flat
@@ -248,7 +239,7 @@ def _row_peaks(ts: TraceSet, params: FilterParams, rows: np.ndarray
     if ts.peaks is not None and ts.peaks[0] == key:
         _, positions, counts = ts.peaks
         return positions[np.repeat(rows, counts)], counts[rows]
-    return detect_peaks(_RowGather(ts.samples, np.flatnonzero(rows)), *key)
+    return detect_peaks(ts.samples, *key, rows=np.flatnonzero(rows))
 
 
 def _round_peaks(ts: TraceSet, params: FilterParams, round: int) -> np.ndarray:
@@ -374,23 +365,48 @@ def _rank(scores: np.ndarray, guess: int) -> np.ndarray:
     return (scores >= scores[..., guess, None]).sum(axis=-1)
 
 
-def _hypothesis_sums(h: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of the uint8 hypotheses ``h`` and of ``h*h`` along ``axis``.
-
-    Exact: h <= 8, so h*h fits uint8 and uint32 accumulators hold any sum
-    over fewer than 2**26 rows (the float64 (n, 256) matrix of that many
-    rows is 137 GB); they add up about twice as fast as int64 ones.  The
-    sums are widened to int64 because ``_max_abs_rho``'s variance term,
-    n*sum(h*h) - sum(h)**2, can pass 2**32 from 16,384 rows on.
-    """
-    return (h.sum(axis=axis, dtype=np.uint32).astype(np.int64),
-            (h * h).sum(axis=axis, dtype=np.uint32).astype(np.int64))
-
-
 def _true_guesses(true_key: bytes) -> list[int]:
     """Per register byte position, the true last-round key byte's guess."""
     true_rk = aes.expand_key(true_key)[10]
     return [int(true_rk[int(aes.SHIFT_ROWS_IMAGE[p])]) for p in range(16)]
+
+
+def _block_prefix_sums(h: np.ndarray, yb: np.ndarray, tail_y: np.ndarray,
+                       out: tuple, scratch: tuple, total: tuple | None) -> None:
+    """One byte's block prefix sums (ph, phh, phy) of h, h^2 and h*y into
+    ``out``, whose row 0 stays zero; ``total``, when given, gets the sums
+    over every row, the tail past the last block included.
+
+    ``h`` is the byte's (rows, 256) uint8 hypotheses, squared in place,
+    ``yb`` the (blocks, step, W) float64 rows.  Each block is cast into
+    ``scratch``'s (step, 256) float64 matrix for its own BLAS product, added
+    in ``_prefix``'s order.  h and h^2 sum exactly in uint32 (h <= 8, so any
+    block of fewer than 2**26 rows fits; its float64 matrix would be
+    137 GB), about twice as fast as in int64, and are widened to int64
+    because ``_max_abs_rho``'s n*sum(h*h) - sum(h)**2 passes 2**32 from
+    16,384 rows on.  numpy alone, into the caller's arrays, so a worker
+    thread may run it.
+    """
+    ph, phh, phy = out
+    hf, block_sums = scratch
+    nblocks, step, _ = yb.shape
+    hb, tail = h[:nblocks * step].reshape(nblocks, step, 256), h[nblocks * step:]
+    for i in range(nblocks):
+        np.copyto(hf, hb[i])
+        np.matmul(hf.T, yb[i], out=phy[i + 1])
+        if i:
+            np.add(phy[i], phy[i + 1], out=phy[i + 1])
+    if total is not None:
+        np.copyto(hf[:len(tail)], tail)
+        np.matmul(hf[:len(tail)].T, tail_y, out=total[2])
+        np.add(phy[-1], total[2], out=total[2])
+    for j, prefix in enumerate((ph, phh)):
+        if j:
+            np.multiply(h, h, out=h)  # h <= 8, so h*h fits uint8
+        np.sum(hb, axis=1, dtype=np.uint32, out=block_sums)
+        np.cumsum(block_sums, axis=0, dtype=np.int64, out=prefix[1:])
+        if total is not None:
+            np.add(prefix[-1], tail.sum(axis=0, dtype=np.uint32), out=total[j])
 
 
 def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None,
@@ -402,29 +418,34 @@ def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None,
     guess's score is its maximum absolute correlation (``_max_abs_rho`` over
     all rows).  Cells with zero variance score 0; zero-variance guesses
     count in ``undefined_fraction``.
-    Sums of h and h^2 are exact integer sums of the uint8 hypotheses; sums
-    of h*y are one BLAS product per byte, and only that byte's float64
-    matrix is alive.  ``sums`` maps a byte position to its (sum h, sum h^2,
-    sum h*y) over all rows of ``am``, as ``min_traces_search`` leaves them:
-    those bytes are scored from the sums and only the others are built.
-    Their h*y sums add block products, so their scores may differ from a
-    single product's in the last bits.
+    A byte is summed as ``min_traces_search`` sums a block, by
+    ``_block_prefix_sums`` with all rows as one block: exact integer sums of
+    h and h^2, one BLAS product for h*y, all in arrays allocated once per
+    call.  ``sums`` maps a byte position to its (sum h, sum h^2, sum h*y)
+    over all rows of ``am``, as ``min_traces_search`` leaves them: those
+    bytes are scored from the sums and only the others are built.  Their h*y
+    sums add block products, so their scores may differ from a single
+    product's in the last bits.
     """
     if am.rows.shape[0] < 2:
         raise ValueError("need at least 2 traces to correlate")
     y = am.rows.astype(np.float64)
+    n, width = y.shape
     sy, syy = y.sum(axis=0), (y * y).sum(axis=0)
+    # one block of all n rows: row 1 of its prefix sums is the byte's sums
+    prefix = (np.zeros((2, 256), np.int64), np.zeros((2, 256), np.int64),
+              np.zeros((2, 256, width)))
+    scratch = (np.empty((n, 256)), np.empty((1, 256), np.uint32))
     scores = np.zeros((16, 256), dtype=np.float64)
     undefined = 0
     for p in range(16):
         if sums and p in sums:
             sh, shh, shy = sums[p]
         else:
-            h = aes.hypothesis_matrix(am.ciphertexts, p)
-            sh, shh = _hypothesis_sums(h, axis=0)
-            shy = h.astype(np.float64).T @ y
-            del h  # the next byte's matrices replace these, never join them
-        scores[p], constant = _max_abs_rho(len(y), sh, shh, sy, syy, shy)
+            _block_prefix_sums(aes.hypothesis_matrix(am.ciphertexts, p), y[None], y[:0],
+                               prefix, scratch, None)
+            sh, shh, shy = (a[1] for a in prefix)
+        scores[p], constant = _max_abs_rho(n, sh, shh, sy, syy, shy)
         undefined += int(constant.sum())
     rec_rk = bytearray(16)
     for p in range(16):
@@ -453,50 +474,6 @@ def _prefix(block_sums: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Ran:
-    """A call made at once, waited on like the ``Future`` a pool returns."""
-
-    def __init__(self, fn, *args):
-        fn(*args)
-
-    def result(self) -> None:
-        return None
-
-
-def _block_prefix_sums(h: np.ndarray, yb: np.ndarray, tail_y: np.ndarray,
-                       out: tuple, scratch: tuple, total: tuple | None) -> None:
-    """One byte's block prefix sums (ph, phh, phy) of h, h^2 and h*y into
-    ``out``, whose row 0 stays zero; ``total``, when given, gets the sums
-    over every row, the tail past the last block included.
-
-    ``h`` is the byte's (rows, 256) uint8 hypotheses, squared in place,
-    ``yb`` the (blocks, step, W) float64 rows.  Each block is cast into
-    ``scratch``'s (step, 256) float64 matrix for its own BLAS product, added
-    in ``_prefix``'s order; h and h^2 sum exactly in uint32.  numpy alone,
-    into the caller's arrays, so a worker thread may run it.
-    """
-    ph, phh, phy = out
-    hf, block_sums = scratch
-    nblocks, step, _ = yb.shape
-    hb, tail = h[:nblocks * step].reshape(nblocks, step, 256), h[nblocks * step:]
-    for i in range(nblocks):
-        np.copyto(hf, hb[i])
-        np.matmul(hf.T, yb[i], out=phy[i + 1])
-        if i:
-            np.add(phy[i], phy[i + 1], out=phy[i + 1])
-    if total is not None:
-        np.copyto(hf[:len(tail)], tail)
-        np.matmul(hf[:len(tail)].T, tail_y, out=total[2])
-        np.add(phy[-1], total[2], out=total[2])
-    for j, prefix in enumerate((ph, phh)):
-        if j:
-            np.multiply(h, h, out=h)  # h <= 8, so h*h fits uint8
-        np.sum(hb, axis=1, dtype=np.uint32, out=block_sums)
-        np.cumsum(block_sums, axis=0, dtype=np.int64, out=prefix[1:])
-        if total is not None:
-            np.add(prefix[-1], tail.sum(axis=0, dtype=np.uint32), out=total[j])
-
-
 def min_traces_search(am: AlignedMatrix, true_key: bytes, step: int = DEFAULT_STEP,
                       sums: dict | None = None) -> int | None:
     """Smallest segment size (grid of ``step``) whose attack recovers the key.
@@ -518,14 +495,13 @@ def min_traces_search(am: AlignedMatrix, true_key: bytes, step: int = DEFAULT_ST
     (size, offset) finds it, or None when no segment (or not even one block)
     recovers the key.
 
-    With two usable cores, the next byte's prefix sums are computed on one
-    worker thread while this byte's segments are scored.  The next byte is
-    built only once this one has left a segment alive (its range's largest
-    size is scored first, and almost always does), so exactly the bytes a
-    serial search builds are built, in its order.  Its hypotheses are built
-    on the calling thread; the worker writes into arrays allocated here, and
-    it is gone when the call returns or raises.  With one core there is no
-    thread.
+    The next byte's prefix sums are computed on one worker thread while
+    this byte's segments are scored.  The next byte is built only once this
+    one has left a segment alive (its range's largest size is scored first,
+    and almost always does), so a byte is built only when it will be scored,
+    in byte order.  Its hypotheses are built on the calling thread; the
+    worker writes into arrays allocated here, and it is gone when the call
+    returns or raises.
 
     Given a dict ``sums``, the search leaves in it, for each byte it builds,
     that byte's (sum h, sum h^2, sum h*y) over all rows of ``am``: its block
@@ -536,8 +512,6 @@ def min_traces_search(am: AlignedMatrix, true_key: bytes, step: int = DEFAULT_ST
         raise ValueError("step must be at least 2")
     if am.rows.shape[0] < step:
         return None
-    if clock._usable_cores() < 2:
-        return _search(am, true_key, step, sums, _Ran)
     from concurrent.futures import ThreadPoolExecutor  # as in clock.simulate_mux_clock
     with ThreadPoolExecutor(1) as pool:
         return _search(am, true_key, step, sums, pool.submit)

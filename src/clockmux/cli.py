@@ -56,7 +56,7 @@ from .clock import (
     reference_bin_width,
     simulate_mux_clock,
 )
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, _parse_key, parse_config
 from .traces import TraceFormatError, generate_set, read_trace_set, write_trace_set
 
 EXIT_OK = 0
@@ -316,13 +316,11 @@ def cmd_compare(cfg: ExperimentConfig) -> int:
 
 
 def _hex_key(text: str) -> bytes:
+    """``--evaluate``'s key, parsed as a config's ``key`` is."""
     try:
-        raw = bytes.fromhex(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected 32 hex digits") from None
-    if len(raw) != 16:
-        raise argparse.ArgumentTypeError("expected 16 bytes (32 hex digits)")
-    return raw
+        return _parse_key(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -414,9 +412,5 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
-def run() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    run()
+    raise SystemExit(main())

@@ -59,6 +59,13 @@ DEFAULT_ERROR_THRESHOLD_FACTOR = 0.25
 #: Safety cap (in base cycles per required edge) for open-ended simulations.
 STALL_CAP_CYCLES_PER_EDGE = 64
 
+#: A fundamental may be at most this multiple of ``base_hz``.  Edges per base
+#: cycle, and with them the memory of a simulation or of the overhead Monte
+#: Carlo, grow with the ratio; at 5 the largest sizes a config allows still
+#: fit in 4 GB.  The study sets stay below 1.5; the acceptance tests' error-
+#: risk set reaches 4.5.
+MAX_FUNDAMENTAL_RATIO = 5.0
+
 #: Base cycles per run of a long ``simulate_mux_clock``: runs are computed on
 #: a few threads and joined in cycle order, so the edges do not depend on it.
 SIM_RUN_CYCLES = 1 << 15
@@ -95,6 +102,9 @@ class FrequencySet:
             raise ValueError("exactly 4 fundamentals required")
         if any(not (f > 0 and math.isfinite(f)) for f in self.fundamentals):
             raise ValueError("fundamentals must be positive finite frequencies")
+        if max(self.fundamentals) > MAX_FUNDAMENTAL_RATIO * self.base_hz:
+            raise ValueError(f"fundamentals must be at most {MAX_FUNDAMENTAL_RATIO:g} "
+                             f"x base_hz")
         if not 0.0 < self.duty_cycle < 1.0:
             raise ValueError("duty_cycle must lie strictly between 0 and 1")
         if len(self.phases) != 4:

@@ -321,7 +321,7 @@ def write_trace_set(ts: TraceSet, path) -> None:
               + (_pack_core(ts.key2, ts.fs2) if ts.core_count == 2 else b""))
     with open(path, "wb") as f:
         f.write(header)
-        f.write(records.tobytes())
+        records.tofile(f)
 
 
 def _read_exact(f, n: int, what: str) -> bytes:

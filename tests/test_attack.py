@@ -15,7 +15,7 @@ import pytest
 import scipy.stats
 from scipy.signal import find_peaks
 
-from clockmux import aes, attack, clock
+from clockmux import aes, attack
 from clockmux.attack import (
     AlignedMatrix,
     FilterParams,
@@ -78,8 +78,10 @@ def test_detect_peaks_matches_find_peaks_row_for_row(monkeypatch):
     odd[2, 10::20] = 1.0
     # mean 2, std 1: at k = 1 both peaks sit exactly at the height
     at_height = np.array([[1, 3] * 3], dtype=np.float32)
-    corpus = [(odd, 3.0, 2), (at_height, 1.0, 2), (np.ones((4, 2), dtype=np.float32), 3.0, 2),
-              (np.zeros((0, 50), dtype=np.float32), 3.0, 2)]
+    # (samples, k, separation, row index or None for every row)
+    corpus = [(odd, 3.0, 2, None), (at_height, 1.0, 2, None),
+              (np.ones((4, 2), dtype=np.float32), 3.0, 2, None),
+              (np.zeros((0, 50), dtype=np.float32), 3.0, 2, None)]
     for sigma in (0.0, 0.5, 5.0):
         for ov in (12, 24, 32):
             x = generate_set(study_set(1).fs, KEY, 24, oversampling=ov, seed=3,
@@ -87,10 +89,20 @@ def test_detect_peaks_matches_find_peaks_row_for_row(monkeypatch):
             own = FilterParams().resolved(ov).detect_separation
             # a two-sample running max flattens every pulse's apex into a plateau
             for rows in (x, np.maximum(x[:, 1:], x[:, :-1])):
-                corpus += [(rows, 3.0, own), (rows, 2.0, 4), (rows, 1.0, 6)]
+                corpus += [(rows, 3.0, own, None), (rows, 2.0, 4, None), (rows, 1.0, 6, None)]
+    # indexed rows: every other row (of 600, so the index spans two 256-row
+    # chunks), one row, and none
+    stack = np.concatenate([x + np.float32(i) * x[::-1] for i in range(25)])
+    corpus += [(stack, 3.0, own, np.arange(0, len(stack), 2)), (x, 2.0, 4, np.array([5])),
+               (x, 3.0, own, np.empty(0, np.intp))]
     plateau, close = [], []
-    for rows, k, sep in corpus:
-        positions, counts = detect_peaks(rows, k, sep)
+    for samples, k, sep, index in corpus:
+        positions, counts = detect_peaks(samples, k, sep, rows=index)
+        rows = samples if index is None else samples[index]
+        if index is not None:
+            gathered = detect_peaks(rows, k, sep)
+            assert np.array_equal(positions, gathered[0])
+            assert np.array_equal(counts, gathered[1])
         ref = []
         for row in rows.astype(np.float64):
             if row.size < 3:
@@ -321,7 +333,8 @@ def test_pipeline_detects_each_trace_once(monkeypatch):
     calls = []
     real = attack.detect_peaks
     monkeypatch.setattr(attack, "detect_peaks",
-                        lambda rows, *a: calls.append(rows[:]) or real(rows, *a))
+                        lambda samples, *a, rows=None: calls.append(samples[rows])
+                        or real(samples, *a, rows=rows))
     ts = study_set_with_failures()
     kept, _, _ = filter_traces(ts)
     min_traces_search(synchronize(kept, round=10), KEY, step=10)
@@ -349,7 +362,8 @@ def test_attack_leaves_the_set_equal_and_its_bytes_unchanged(tmp_path, monkeypat
     calls = []
     real = attack.detect_peaks
     monkeypatch.setattr(attack, "detect_peaks",
-                        lambda rows, *a: calls.append(rows[:]) or real(rows, *a))
+                        lambda samples, *a, rows=None: calls.append(samples[rows])
+                        or real(samples, *a, rows=rows))
     ts = study_set_with_failures()
     before = tmp_path / "before.bin"
     write_trace_set(ts, before)
@@ -698,10 +712,9 @@ def test_min_traces_monotone_in_noise():
     assert minima == sorted(minima)
 
 
-def search_on_cores(monkeypatch, cores, am, step):
-    """``min_traces_search`` with ``cores`` usable cores: (result, sums,
-    hypothesis builds, most threads alive during a build)."""
-    monkeypatch.setattr(clock, "_usable_cores", lambda: cores)
+def traced_search(monkeypatch, am, step):
+    """``min_traces_search`` traced: (result, sums, hypothesis builds, most
+    threads alive during a build)."""
     builds, threads = [], [threading.active_count()]
     real = aes.hypothesis_matrix
     monkeypatch.setattr(aes, "hypothesis_matrix",
@@ -723,36 +736,40 @@ def search_on_cores(monkeypatch, cores, am, step):
     # k* 30 of 34 blocks: the first two ranges die, the third holds it
     (lambda: fixed_clock_set(700, seed=13, noise_sigma=2.0), 20, 600, None),
 ])
-def test_pipelined_search_equals_the_serial_one(monkeypatch, make, step, expected, built):
+def test_pipelined_search_pins_its_result_builds_and_worker(monkeypatch, make, step,
+                                                            expected, built):
     ts = make()
     am = aligned(ts, ts.oversampling)
     start = threading.active_count()
-    one = search_on_cores(monkeypatch, 1, am, step)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the two threads trade the interpreter often
     try:
-        two = search_on_cores(monkeypatch, 2, am, step)
+        result, sums, builds, most = traced_search(monkeypatch, am, step)
     finally:
         sys.setswitchinterval(interval)
-    assert one[0] == two[0] == expected
-    assert sorted(one[1]) == sorted(two[1])
-    for p in one[1]:
-        assert all(np.array_equal(a, b) and a.dtype == b.dtype
-                   for a, b in zip(one[1][p], two[1][p]))
-    # the same builds in the same order; a range after the first builds anew
-    assert one[2] == two[2]
+    assert result == expected
+    # each range builds bytes 0, 1, ... in order until none is left alive
     if built is not None:
-        assert one[2] == built
+        assert builds == built
     else:
-        assert len(one[2]) > 16 and one[2][-16:] == list(range(16))
-    # one core starts no thread, two cores one worker, and none outlives the call
-    assert one[3] == start and two[3] == start + 1
+        starts = [i for i, p in enumerate(builds) if p == 0]
+        ranges = [builds[i:j] for i, j in zip(starts, starts[1:] + [len(builds)])]
+        assert len(ranges) > 1 and ranges[-1] == list(range(16))
+        assert all(r == list(range(len(r))) for r in ranges)
+    # the sums left behind are the built bytes' sums over every row
+    assert sorted(sums) == sorted(set(builds))
+    y = am.rows.astype(np.float64)
+    for p, (sh, shh, shy) in sums.items():
+        h = aes.hypothesis_matrix(am.ciphertexts, p).astype(np.int64)
+        assert np.array_equal(sh, h.sum(axis=0)) and np.array_equal(shh, (h * h).sum(axis=0))
+        np.testing.assert_allclose(shy, h.T.astype(np.float64) @ y, rtol=1e-12)
+    # one worker beside the caller, and none outlives the call
+    assert most == start + 1
     assert threading.active_count() == start
 
 
 def test_a_worker_failure_surfaces_unchanged_and_leaves_no_thread(monkeypatch):
     am = aligned(fixed_clock_set(700, seed=13, noise_sigma=2.0), 8)
-    monkeypatch.setattr(clock, "_usable_cores", lambda: 2)
     start = threading.active_count()
     assert min_traces_search(am, KEY, step=20) == 600
     assert threading.active_count() == start

@@ -200,6 +200,14 @@ BAD_DOCUMENTS = [
      "line 4: [set] f2: fundamentals must be positive finite frequencies"),
     ("[set]\nbase_hz = 1e7\nf1 = 1e6\nf2 = 1e6\nf3 = 1e6\nf4 = 1e6\nduty = 1.5\n",
      "line 7: [set] duty: duty_cycle must lie strictly between 0 and 1"),
+    # a fundamental far above its base clock needs memory no size limit bounds
+    ("[set]\nbase_hz = 1e7\nf1 = 1e6\nf2 = 6e7\nf3 = 1e6\nf4 = 1e6\n",
+     "line 4: [set] f2: fundamentals must be at most 5 x base_hz"),
+    ("[set]\nbase_hz = 0.1\nf1 = 0.51\nf2 = 0.5\nf3 = 0.05\nf4 = 0.01\n",
+     "line 3: [set] f1: fundamentals must be at most 5 x base_hz"),
+    ("[sets]\nuse = 1\n[traces]\ncore_count = 2\nkey2 = " + "ab" * 16 + "\n[set2]\n"
+     "base_hz = 12e6\nf1 = 1e6\nf2 = 1e6\nf3 = 1e6\nf4 = 72e6\n",
+     "line 11: [set2] f4: fundamentals must be at most 5 x base_hz"),
     ("[attack]\nexpected_peaks = 0\n", "line 2: [attack] expected_peaks: must be at least 1"),
     ("[attack]\nmin_peak_separation = 0\n",
      "line 2: [attack] min_peak_separation: must be at least 1"),
@@ -279,6 +287,13 @@ def test_set_sample_cap_is_inclusive():
     assert parse_config_text(at_cap.format(2**19)).n_traces == 2**19
     with pytest.raises(ConfigError, match="line 4: .* 268435968 samples per set"):
         parse_config_text(at_cap.format(2**19 + 1))
+
+
+def test_fundamental_limit_is_inclusive_and_relative_to_the_set_base():
+    # the placeholder a set is built on starts at the parsed base_hz, so a
+    # base far below 1 Hz is not refused at its own line
+    text = "[set]\nbase_hz = 0.1\nf1 = 0.5\nf2 = 0.5\nf3 = 0.05\nf4 = 0.01\n"
+    assert parse_config_text(text).sets[0].fundamentals == (0.5, 0.5, 0.05, 0.01)
 
 
 def test_parse_config_missing_file(tmp_path):
@@ -416,6 +431,24 @@ def test_command_line_import_leaves_out_the_thread_pool(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "False"
+
+
+def test_module_entry_point_exits_with_the_command_s_code(tmp_path):
+    # ``python -m clockmux.cli`` exits as the ``clockmux`` console script does
+    cfg = write_config(tmp_path, CLI_CONFIG.replace("n_base_cycles = 4000",
+                                                    "n_base_cycles = 200"))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "clockmux.cli", *argv], cwd=tmp_path, env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+
+    missing = module("simulate", "--config", str(tmp_path / "nope.cfg"))
+    assert missing.returncode == 2 and "cannot read config" in missing.stderr
+    ran = module("simulate", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert ran.returncode == 0, ran.stderr[-2000:]
+    assert (tmp_path / "out" / "simulate_summary.csv").is_file()
+
 
 def test_gen_prints_failed_fraction_as_a_plain_float(tmp_path, capsys):
     # study set 1 fails some encryptions; the fixed probe fails none
@@ -631,7 +664,12 @@ def test_cli_seed_override_changes_artifacts(tmp_path, capsys):
 def test_cli_usage_and_config_errors_exit_2(tmp_path, capsys):
     assert main([]) == 2
     assert main(["simulate"]) == 2  # --config is required
-    assert main(["attack", "x.bin", "--evaluate", "nothex"]) == 2
+    capsys.readouterr()
+    # --evaluate parses its key as a config's key is parsed
+    for key, message in (("nothex", "expected 32 hex digits"),
+                         ("aabb", "expected 16 bytes, got 2")):
+        assert main(["attack", "x.bin", "--evaluate", key]) == 2
+        assert message in capsys.readouterr().err
     bad = tmp_path / "bad.cfg"
     bad.write_text("[traces]\nwarp = 9\n")
     assert main(["simulate", "--config", str(bad)]) == 2
@@ -869,8 +907,9 @@ def count_pipeline_calls(monkeypatch):
         def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             if _name == "detect_peaks":
-                # all rows as one array; the pass slices them a chunk at a time
-                calls["detected_rows"] = args[0][:]
+                # the rows the pass reads, gathered whole: it reads them a chunk at a time
+                rows = kwargs.get("rows")
+                calls["detected_rows"] = args[0] if rows is None else args[0][rows]
             return _real(*args, **kwargs)
 
         for module in (attack, cli):

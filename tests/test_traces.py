@@ -434,6 +434,15 @@ def test_corrupt_files_raise_specific_errors(tmp_path):
         with pytest.raises(TraceFormatError, match="is not the base period"):
             read_trace_set(off_grid)
 
+    # a fundamental more than 5 x base_hz (f1 follows the key, the empty
+    # label's length and base_hz)
+    fast = tmp_path / "fast.bin"
+    at = 40 + 16 + 2 + 8
+    assert struct.unpack_from("<2d", blob, at - 8) == (10e6, 10e6)
+    fast.write_bytes(blob[:at] + struct.pack("<d", 60e6) + blob[at + 8:])
+    with pytest.raises(TraceFormatError, match="at most 5 x base_hz"):
+        read_trace_set(fast)
+
 
 def test_equality_ignores_generation_metadata():
     ts = one_trace(degenerate(), oversampling=8)
