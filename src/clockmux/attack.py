@@ -18,12 +18,13 @@ The pipeline mirrors how captures are processed in practice:
 
 A set is filtered and aligned once into an ``AlignedMatrix`` that carries
 its rows' ciphertexts; steps 3 and 4 take that matrix alone, and both sum a
-byte's hypotheses through ``_block_prefix_sums`` (step 3 with all rows as
-one block).  Given a true key the CLI runs step 4 first: it leaves each byte
-it built summed over all rows in a ``sums`` dict, and step 3 scores those
-bytes from it, building only the rest.  Step 4 sums the next byte's blocks
-on one worker thread while it scores this byte.  Each pass works on the
-set's arrays.
+byte's hypotheses through ``_block_prefix_sums`` in blocks of rows (step 3
+of ``DEFAULT_STEP`` rows, keeping only the running sum).  Given a true key
+the CLI runs step 4 first: it leaves each byte it built summed over all
+rows in a ``sums`` dict, and step 3 scores those bytes from it, building
+only the rest; at ``DEFAULT_STEP`` those are the sums step 3 would build.
+Step 4 sums the next byte's blocks on one worker thread while it scores
+this byte.  Each pass works on the set's arrays.
 ``filter_traces`` detects peaks in one ``detect_peaks`` pass over the
 non-failed rows, by index (a matrix pass; ``_find_peaks_row``, an exact
 numpy port of scipy's ``find_peaks``, only for rows with a plateau or
@@ -379,9 +380,12 @@ def _block_prefix_sums(h: np.ndarray, yb: np.ndarray, tail_y: np.ndarray,
 
     ``h`` is the byte's (rows, 256) uint8 hypotheses, squared in place,
     ``yb`` the (blocks, step, W) float64 rows.  Each block is cast into
-    ``scratch``'s (step, 256) float64 matrix for its own BLAS product, added
-    in ``_prefix``'s order.  h and h^2 sum exactly in uint32 (h <= 8, so any
-    block of fewer than 2**26 rows fits; its float64 matrix would be
+    ``scratch``'s (step, 256) float64 matrix for its own BLAS product and
+    added to the sum of the blocks before it.  ``phy`` holds prefix row i
+    at row i modulo its length: blocks + 1 rows keep every prefix (the
+    search), 2 rows only the running sum (the CPA), which adds the same
+    products in the same order.  h and h^2 sum exactly in uint32 (h <= 8,
+    so any block of fewer than 2**26 rows fits; its float64 matrix would be
     137 GB), about twice as fast as in int64, and are widened to int64
     because ``_max_abs_rho``'s n*sum(h*h) - sum(h)**2 passes 2**32 from
     16,384 rows on.  numpy alone, into the caller's arrays, so a worker
@@ -390,16 +394,17 @@ def _block_prefix_sums(h: np.ndarray, yb: np.ndarray, tail_y: np.ndarray,
     ph, phh, phy = out
     hf, block_sums = scratch
     nblocks, step, _ = yb.shape
+    m = len(phy)
     hb, tail = h[:nblocks * step].reshape(nblocks, step, 256), h[nblocks * step:]
     for i in range(nblocks):
         np.copyto(hf, hb[i])
-        np.matmul(hf.T, yb[i], out=phy[i + 1])
+        np.matmul(hf.T, yb[i], out=phy[(i + 1) % m])
         if i:
-            np.add(phy[i], phy[i + 1], out=phy[i + 1])
+            np.add(phy[i % m], phy[(i + 1) % m], out=phy[(i + 1) % m])
     if total is not None:
         np.copyto(hf[:len(tail)], tail)
         np.matmul(hf[:len(tail)].T, tail_y, out=total[2])
-        np.add(phy[-1], total[2], out=total[2])
+        np.add(phy[nblocks % m], total[2], out=total[2])
     for j, prefix in enumerate((ph, phh)):
         if j:
             np.multiply(h, h, out=h)  # h <= 8, so h*h fits uint8
@@ -418,33 +423,39 @@ def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None,
     guess's score is its maximum absolute correlation (``_max_abs_rho`` over
     all rows).  Cells with zero variance score 0; zero-variance guesses
     count in ``undefined_fraction``.
-    A byte is summed as ``min_traces_search`` sums a block, by
-    ``_block_prefix_sums`` with all rows as one block: exact integer sums of
-    h and h^2, one BLAS product for h*y, all in arrays allocated once per
-    call.  ``sums`` maps a byte position to its (sum h, sum h^2, sum h*y)
-    over all rows of ``am``, as ``min_traces_search`` leaves them: those
-    bytes are scored from the sums and only the others are built.  Their h*y
-    sums add block products, so their scores may differ from a single
-    product's in the last bits.
+    A byte is summed as ``min_traces_search`` sums it at ``DEFAULT_STEP``,
+    by ``_block_prefix_sums`` over blocks of that many rows plus the rows
+    past the last block: exact integer sums of h and h^2, one BLAS product
+    per block for h*y, added into a running sum.  Its scratch is one
+    block's (step, 256) float64 matrix, so it does not grow with the rows.
+    ``sums`` maps a byte position to its (sum h, sum h^2, sum h*y) over all
+    rows of ``am``, as ``min_traces_search`` leaves them: those bytes are
+    scored from the sums and only the others are built.  A search at
+    ``DEFAULT_STEP`` leaves the very sums built here, so the scores are
+    the same bits either way; at another step its h*y sums add other
+    blocks and may differ in the last bits.
     """
     if am.rows.shape[0] < 2:
         raise ValueError("need at least 2 traces to correlate")
     y = am.rows.astype(np.float64)
     n, width = y.shape
     sy, syy = y.sum(axis=0), (y * y).sum(axis=0)
-    # one block of all n rows: row 1 of its prefix sums is the byte's sums
-    prefix = (np.zeros((2, 256), np.int64), np.zeros((2, 256), np.int64),
+    nblocks = n // DEFAULT_STEP
+    yb = y[:nblocks * DEFAULT_STEP].reshape(nblocks, DEFAULT_STEP, width)
+    # h and h^2 keep every block prefix (256 int64 per block), h*y a running sum
+    prefix = (np.zeros((nblocks + 1, 256), np.int64), np.zeros((nblocks + 1, 256), np.int64),
               np.zeros((2, 256, width)))
-    scratch = (np.empty((n, 256)), np.empty((1, 256), np.uint32))
+    scratch = (np.empty((DEFAULT_STEP, 256)), np.empty((nblocks, 256), np.uint32))
+    own = (np.empty(256, np.int64), np.empty(256, np.int64), np.empty((256, width)))
     scores = np.zeros((16, 256), dtype=np.float64)
     undefined = 0
     for p in range(16):
         if sums and p in sums:
             sh, shh, shy = sums[p]
         else:
-            _block_prefix_sums(aes.hypothesis_matrix(am.ciphertexts, p), y[None], y[:0],
-                               prefix, scratch, None)
-            sh, shh, shy = (a[1] for a in prefix)
+            _block_prefix_sums(aes.hypothesis_matrix(am.ciphertexts, p), yb,
+                               y[nblocks * DEFAULT_STEP:], prefix, scratch, own)
+            sh, shh, shy = own
         scores[p], constant = _max_abs_rho(n, sh, shh, sy, syy, shy)
         undefined += int(constant.sum())
     rec_rk = bytearray(16)

@@ -17,7 +17,9 @@ Subcommands:
 ``compare``
     Run simulate, gen, and attack for every configured set and emit one
     ranked table: most traces to break first, ties broken by lower mean
-    overhead.
+    overhead.  One worker thread prepares the next set (clock, traces,
+    file, filter and alignment) while this set is searched and correlated;
+    sets are taken in order, so output and errors are the serial run's.
 
 Every artifact starts with a header (JSON: a ``meta`` object) recording the
 tool version, the canonical config digest, and the seed, and every command
@@ -212,7 +214,9 @@ def cmd_gen(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _attack_trace_set(cfg: ExperimentConfig, ts, true_key: bytes | None) -> dict:
+def _align(cfg: ExperimentConfig, ts):
+    """A set's first stage: filter, then synchronize (or take the raw rows).
+    Returns the aligned matrix and the result fields known once it stands."""
     params = cfg.filter_params()
     kept, removed_fraction, failed_fraction = filter_traces(ts, params)
     if cfg.no_sync:
@@ -220,14 +224,15 @@ def _attack_trace_set(cfg: ExperimentConfig, ts, true_key: bytes | None) -> dict
     else:
         am = synchronize(kept, round=cfg.attack_round,
                          window_halfwidth=cfg.window_halfwidth, params=params)
-    result = {
-        "failed_fraction": failed_fraction,
-        "removed_fraction": removed_fraction,
-        "max_delay_samples": am.max_delay_samples,
-        "min_traces": None,
-        "broken": None,
-        "recovered_key": None,
-    }
+    return am, {"failed_fraction": failed_fraction,
+                "removed_fraction": removed_fraction,
+                "max_delay_samples": am.max_delay_samples}
+
+
+def _score(cfg: ExperimentConfig, am, fs, true_key: bytes | None) -> dict:
+    """A set's second stage: the search (given a key), the CPA and the
+    overhead of the set's clock ``fs``."""
+    result = {"min_traces": None, "broken": None, "recovered_key": None}
     # the search leaves each byte it built summed over all rows for the CPA
     sums = {}
     if true_key is not None:
@@ -236,8 +241,13 @@ def _attack_trace_set(cfg: ExperimentConfig, ts, true_key: bytes | None) -> dict
     if am.rows.shape[0] >= 2:
         cpa = cpa_attack(am, true_key=true_key, sums=sums)
         result["recovered_key"] = cpa.recovered_key.hex()
-    result.update(_overhead(cfg, ts.fs, rounds=cfg.attack_round, seed=cfg.seed))
+    result.update(_overhead(cfg, fs, rounds=cfg.attack_round, seed=cfg.seed))
     return result
+
+
+def _attack_trace_set(cfg: ExperimentConfig, ts, true_key: bytes | None) -> dict:
+    am, aligned = _align(cfg, ts)
+    return {**aligned, **_score(cfg, am, ts.fs, true_key)}
 
 
 def cmd_attack(cfg: ExperimentConfig, trace_path: str,
@@ -284,16 +294,33 @@ def cmd_fft(cfg: ExperimentConfig, trace_path: str) -> int:
     return EXIT_OK
 
 
+def _prepare(cfg: ExperimentConfig, fs, index: int):
+    """Everything of set ``index`` up to its aligned matrix: clock summary
+    and histogram, trace generation and file, filter and alignment.  The
+    generated and kept sets die here; only the matrix leaves (unsynchronized,
+    its rows are the kept set's samples)."""
+    clock = _clock_summary(cfg, fs, index, cfg.out_dir)
+    ts = _generate_one(cfg, fs, index)
+    write_trace_set(ts, os.path.join(cfg.out_dir, f"traces_set{index}.bin"))
+    am, aligned = _align(cfg, ts)
+    return {**clock, **aligned}, am
+
+
 def cmd_compare(cfg: ExperimentConfig) -> int:
     _require_sets(cfg, minimum=2)
     os.makedirs(cfg.out_dir, exist_ok=True)
+    from concurrent.futures import ThreadPoolExecutor  # as in attack.min_traces_search
     entries = []
-    for i, fs in enumerate(cfg.sets, start=1):
-        clock = _clock_summary(cfg, fs, i, cfg.out_dir)
-        ts = _generate_one(cfg, fs, i)
-        write_trace_set(ts, os.path.join(cfg.out_dir, f"traces_set{i}.bin"))
-        # the ranking's overhead is the attack run's (attack round, base seed)
-        entries.append({**clock, **_attack_trace_set(cfg, ts, cfg.key)})
+    # set i+1 is prepared on the worker while set i is scored here; results
+    # are taken in set order, so the first error is the serial run's
+    with ThreadPoolExecutor(1) as pool:
+        pending = pool.submit(_prepare, cfg, cfg.sets[0], 1)
+        for i, fs in enumerate(cfg.sets, start=1):
+            entry, am = pending.result()
+            if i < len(cfg.sets):
+                pending = pool.submit(_prepare, cfg, cfg.sets[i], i + 1)
+            # the ranking's overhead is the attack run's (attack round, base seed)
+            entries.append({**entry, **_score(cfg, am, fs, cfg.key)})
     # Most secure first: higher min_traces wins, an unbroken attack beats
     # any finite count, and ties fall back to the cheaper (lower mean
     # overhead) set.

@@ -132,7 +132,10 @@ class ExperimentConfig:
     ``dataclasses.replace`` and a library call meet the same limits.  The
     upper limits on sizes, with ``clock.MAX_FUNDAMENTAL_RATIO``, keep each
     command's peak memory under 4 GB (3.2 GB measured, for ``simulate`` at
-    2**24 cycles on a set at the ratio), and are the same on every machine.
+    2**24 cycles on a set at the ratio; 2.4 GB for ``attack`` on a file at
+    the sample cap, with or without a key), and are the same on every
+    machine.  ``attack --no-sync`` at the sample cap does not fit: its
+    unsynchronized rows' float64 cast passes 4 GB (README).
     """
 
     sets: tuple[FrequencySet, ...] = ()

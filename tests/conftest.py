@@ -1,4 +1,9 @@
-"""Shared pytest hooks: a per-criterion summary for the acceptance suite.
+"""Shared pytest hooks: no test may leave a thread alive, and a
+per-criterion summary for the acceptance suite.
+
+Threads are started by ``clock.simulate_mux_clock``'s runs, the min-traces
+search's worker and ``compare``'s preparing worker; each must be joined
+before the call that started it returns or raises.
 
 Every acceptance criterion maps to one or more test functions in
 ``test_acceptance.py``.  After a run that touched any of them, the terminal
@@ -8,7 +13,25 @@ simulation, marked strict-xfail in the suite) are reported as FAIL with a
 note, never silently folded into a pass.
 """
 
+import threading
+
+import pytest
+
 ACCEPTANCE_FILE = "test_acceptance.py"
+#: How long a thread that outlived its test may take to finish ending.
+THREAD_END_S = 1.0
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_alive():
+    before = set(threading.enumerate())
+    yield
+    new = [t for t in threading.enumerate() if t not in before]
+    for t in new:  # one that has returned may still be on its way out
+        t.join(THREAD_END_S)
+    alive = [t.name for t in new if t.is_alive()]
+    assert not alive, f"threads left alive: {alive}"
+
 
 ACCEPTANCE_CRITERIA = (
     ("permutation counts for sources without a rising edge",

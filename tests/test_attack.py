@@ -9,6 +9,7 @@ port of ``find_peaks``, against scipy's reference implementation.
 import dataclasses
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -701,6 +702,48 @@ def test_cpa_from_search_sums_keeps_an_exact_tie():
     res = cpa_attack(am, true_key=KEY, sums=sums)
     assert res.scores[5, g_true] == res.scores[5, g_true + 1]
     assert res.rank_of_true_key == (1,) * 5 + (2,) + (1,) * 10
+
+
+@pytest.mark.parametrize("rows, leak, expected, built", [
+    # broken at one block of 250; 5 blocks and 50 rows past them
+    (1300, 1.0, 250, list(range(16))),
+    # unbroken, no leak: only byte 0 is built; 4 blocks and 100 rows past them
+    (1100, 0.0, None, [0]),
+])
+def test_search_sums_at_the_default_step_are_the_cpa_s_own(rows, leak, expected, built):
+    # the CPA sums a byte over blocks of DEFAULT_STEP rows, as the search
+    # does, so the hand-off only saves the build: the scores are the same
+    # bits.  Noise spanning nine decades makes the h*y sums round, so a sum
+    # in another order (one product over all rows) gives other bits.
+    cts, _, _ = twin_ciphertexts()
+    am = leaking_set(cts[:rows])
+    noise = np.random.default_rng(5).standard_normal((rows, 16))
+    noise *= 10.0 ** np.random.default_rng(6).uniform(-8, 1, (rows, 16))
+    am = dataclasses.replace(am, rows=(leak * am.rows + noise).astype(np.float32))
+    sums = {}
+    assert min_traces_search(am, KEY, step=attack.DEFAULT_STEP, sums=sums) == expected
+    assert sorted(sums) == built
+    plain, shared = cpa_attack(am, true_key=KEY), cpa_attack(am, true_key=KEY, sums=sums)
+    assert np.array_equal(plain.scores, shared.scores)
+    assert plain.rank_of_true_key == shared.rank_of_true_key
+
+
+def test_cpa_scratch_does_not_grow_with_rows_times_guesses():
+    # 20,000 x 9: one (n, 256) float64 cast of the hypotheses would take
+    # 41 MB, and a byte's uint8 hypotheses take two (n, 256) byte arrays
+    # (10.2 MB) while they are built
+    n = 20000
+    rng = np.random.default_rng(11)
+    am = AlignedMatrix(rows=rng.standard_normal((n, 9)).astype(np.float32),
+                       ciphertexts=rng.integers(0, 256, size=(n, 16), dtype=np.uint8),
+                       peak_positions=np.full(n, -1))
+    tracemalloc.start()
+    try:
+        cpa_attack(am)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_min_traces_monotone_in_noise():

@@ -7,6 +7,8 @@ import os
 import struct
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -423,8 +425,8 @@ def test_command_line_loads_no_scipy(tmp_path):
 
 
 def test_command_line_import_leaves_out_the_thread_pool(tmp_path):
-    # only a simulation long enough to run in pieces loads concurrent.futures,
-    # so start-up does not pay for it
+    # only a call that starts a thread (a long simulation, the min-traces
+    # search, compare) loads concurrent.futures, so start-up does not pay for it
     probe = "import sys, clockmux.cli; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", probe],
                           cwd=tmp_path, env=_src_env(),
@@ -859,6 +861,89 @@ def test_stalling_trace_file_set_exits_3(tmp_path, capsys, small_trace_blob):
     assert read_trace_set(str(path)).fs.fundamentals == (0.1e6,) * 4
     assert main(["attack", str(path), "--out", str(tmp_path / "a")]) == 3
     assert capsys.readouterr().err.rstrip().splitlines() == [f"data error: {STALL_MESSAGE}"]
+
+
+PIPELINE_CONFIG = """\
+[sets]
+use = 1 2 3
+
+[simulate]
+n_base_cycles = 4000
+n_encryptions = 50
+
+[traces]
+n_traces = 300
+oversampling = 8
+
+[attack]
+step = 50
+"""
+
+
+def compare_artifacts(cfg_path, out, capsys):
+    """Run ``compare``; its files by name with their bytes, and its stdout."""
+    assert main(["compare", "--config", cfg_path, "--out", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr().out
+
+
+def test_compare_pipeline_keeps_bytes_and_order(tmp_path, capsys, monkeypatch):
+    # set 2 is prepared while set 1 is scored, then scored while set 3 is prepared
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    default = compare_artifacts(cfg, tmp_path / "default", capsys)
+    start = threading.active_count()
+    alive = [start]
+    real_start = threading.Thread.start
+
+    def counted_start(thread):
+        real_start(thread)
+        alive.append(threading.active_count())
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads trade the interpreter often
+    try:
+        switching = compare_artifacts(cfg, tmp_path / "switching", capsys)
+    finally:
+        sys.setswitchinterval(interval)
+    assert switching == default
+    files, stdout = switching
+    assert len(files) == 7 and len(stdout.splitlines()) == 3  # per set: histogram, traces
+    # beside the caller: the preparing worker and the search's worker
+    assert max(alive) == start + 2
+    assert threading.active_count() == start
+
+
+def test_compare_errors_keep_the_serial_order(tmp_path, capsys, monkeypatch):
+    # the third set stalls: sets 1 and 2 are scored and written first
+    cfg = write_config(tmp_path, STALL_CONFIG.replace("use = 1", "use = 1 2"))
+    out = tmp_path / "stall"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.rstrip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: stalled clock: ")
+    for i in (1, 2):
+        assert (out / f"histogram_set{i}.csv").is_file() and (out / f"traces_set{i}.bin").is_file()
+    assert not (out / "compare_ranking.csv").exists()
+    # set 1's scoring fails while set 2 is still being prepared: compare
+    # waits for set 2's files, prepares no further set, and leaves no thread
+    start = threading.active_count()
+    real_generate = cli._generate_one
+
+    def slow_generate(*args):
+        time.sleep(0.2)
+        return real_generate(*args)
+
+    def failing_search(*args, **kwargs):
+        raise RuntimeError("search failed")
+
+    monkeypatch.setattr(cli, "_generate_one", slow_generate)
+    monkeypatch.setattr(cli, "min_traces_search", failing_search)
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    out = tmp_path / "fail"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.rstrip().splitlines()[-1] == (
+        "internal error: RuntimeError: search failed")
+    assert threading.active_count() == start
+    assert (out / "traces_set2.bin").is_file() and not (out / "histogram_set3.csv").exists()
 
 
 def test_internal_error_prints_traceback_and_exits_4(tmp_path, capsys, monkeypatch):
