@@ -5,7 +5,8 @@ Everything here is built for power-analysis work rather than bulk encryption:
 so that round-to-round Hamming distances (``round_distances``) can drive a
 leakage simulator, and ``hypothesis_matrix`` computes the classic final-round
 register-overwrite distance used by the correlation attack, every key guess
-at once (``last_round_hypothesis`` is its one-cell scalar form).
+at once (``last_round_hypothesis`` is its one-cell scalar form, through the
+``HW8`` table).  Both batch paths count bits with ``np.bitwise_count``.
 
 State convention: a block is 16 bytes in transmission order; byte ``i`` sits
 in state row ``i % 4``, column ``i // 4`` (column-major), and the ShiftRows
@@ -48,7 +49,8 @@ INV_SBOX[SBOX] = np.arange(256, dtype=np.uint8)
 XTIME = np.array([((v << 1) ^ 0x1B) & 0xFF if v & 0x80 else v << 1
                   for v in range(256)], dtype=np.uint8)
 
-# Hamming weight of every byte value.
+# Hamming weight of every byte value, counted without np.bitwise_count: the
+# scalar reference (last_round_hypothesis) that hypothesis_matrix is tested on.
 HW8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 # INV_SBOX[a ^ g] at [a, g] (64 KB): a trace's 256 guesses are one row gather.
 _INV_SBOX_XOR = INV_SBOX[np.bitwise_xor.outer(np.arange(256), np.arange(256))]
@@ -160,12 +162,12 @@ def encrypt_blocks_with_states(key: bytes, plaintexts: np.ndarray):
 
 def round_distances(states: np.ndarray) -> np.ndarray:
     """Full-state Hamming distance of each round transition: the (10, n)
-    int64 distances of an (11, n, 16) uint8 batch of round states."""
+    int64 distances of an (11, n, 16) uint8 batch of round states, each
+    byte's flipped bits counted by ``np.bitwise_count``."""
     arr = np.asarray(states, dtype=np.uint8)
     if arr.shape[0] != ROUNDS + 1:
         raise ValueError("expected 11 round states")
-    flips = HW8[arr[:-1] ^ arr[1:]]
-    return flips.sum(axis=-1).astype(np.int64)
+    return np.bitwise_count(arr[:-1] ^ arr[1:]).sum(axis=-1, dtype=np.int64)
 
 
 def last_round_hypothesis(ciphertext: bytes, byte_pos: int, key_guess: int) -> int:
@@ -193,9 +195,8 @@ def hypothesis_matrix(ciphertexts: np.ndarray, byte_pos: int) -> np.ndarray:
     Column g holds ``last_round_hypothesis(ct, byte_pos, g)`` for each trace.
     The guess indexes the final round key byte at position
     ``SHIFT_ROWS_IMAGE[byte_pos]``.  Each row is one gather from
-    ``_INV_SBOX_XOR``; the Hamming weights are counted 8 bytes at a time
-    (a gather from ``HW8`` would first widen every index to intp), in place
-    with one shifted copy, so the call allocates two (n, 256) byte arrays.
+    ``_INV_SBOX_XOR``, XORed with the ciphertext byte and counted in place
+    by ``np.bitwise_count``, so the call allocates one (n, 256) byte array.
     """
     cts = np.asarray(ciphertexts, dtype=np.uint8)
     if cts.ndim != 2 or cts.shape[1] != 16:
@@ -203,13 +204,4 @@ def hypothesis_matrix(ciphertexts: np.ndarray, byte_pos: int) -> np.ndarray:
     j = int(SHIFT_ROWS_IMAGE[byte_pos])
     h = _INV_SBOX_XOR.take(cts[:, j], axis=0)
     h ^= cts[:, byte_pos, None]
-    # per-byte popcount; no sum crosses a byte, so the byte order does not matter
-    w = h.view(np.uint64)
-    shifted = w >> 1
-    w -= np.bitwise_and(shifted, 0x5555555555555555, out=shifted)
-    np.bitwise_and(np.right_shift(w, 2, out=shifted), 0x3333333333333333, out=shifted)
-    w &= 0x3333333333333333
-    w += shifted
-    w += np.right_shift(w, 4, out=shifted)
-    w &= 0x0F0F0F0F0F0F0F0F
-    return h
+    return np.bitwise_count(h, out=h)

@@ -478,13 +478,6 @@ def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None,
 SEARCH_CAP = 8
 
 
-def _prefix(block_sums: np.ndarray) -> np.ndarray:
-    """Prefix sums over blocks: row i holds the sum of blocks [0, i)."""
-    out = np.zeros((len(block_sums) + 1,) + block_sums.shape[1:], block_sums.dtype)
-    np.cumsum(block_sums, axis=0, out=out[1:])
-    return out
-
-
 def min_traces_search(am: AlignedMatrix, true_key: bytes, step: int = DEFAULT_STEP,
                       sums: dict | None = None) -> int | None:
     """Smallest segment size (grid of ``step``) whose attack recovers the key.
@@ -535,7 +528,9 @@ def _search(am: AlignedMatrix, true_key: bytes, step: int, sums: dict | None,
     rows = nblocks * step
     yb = am.rows[:rows].astype(np.float64).reshape(nblocks, step, width)
     tail_y = am.rows[rows:].astype(np.float64)
-    py, pyy = _prefix(yb.sum(axis=1)), _prefix((yb * yb).sum(axis=1))
+    # row i of a prefix holds the sum of blocks [0, i)
+    py, pyy = (np.cumulative_sum(b, axis=0, include_initial=True)
+               for b in (yb.sum(axis=1), (yb * yb).sum(axis=1)))
     guesses = _true_guesses(true_key)
     # byte p's prefix sums go to buffer p % 2: one is scored, the other filled
     buffers = [(np.zeros((nblocks + 1, 256), np.int64), np.zeros((nblocks + 1, 256), np.int64),

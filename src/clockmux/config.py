@@ -161,16 +161,22 @@ class ExperimentConfig:
     n_traces: int = _param("traces", "n_traces", 1000, _parse_int, _at_least(1),
                            _at_most(2**20))
     oversampling: int = _param("traces", "oversampling", 12, _parse_int, _at_least(2))
-    noise_sigma: float = _param("traces", "noise_sigma", 0.0, _parse_float, _NON_NEGATIVE)
-    amplitude: float = _param("traces", "amplitude", 1.0, _parse_float, _POSITIVE)
+    # a sample sums at most 2 cores x 10 round pulses x 128 flipped bits of amplitude,
+    # plus noise: at 1e30 it stays far below float32's 3.4e38
+    noise_sigma: float = _param("traces", "noise_sigma", 0.0, _parse_float, _NON_NEGATIVE,
+                                _at_most(1e30))
+    amplitude: float = _param("traces", "amplitude", 1.0, _parse_float, _POSITIVE,
+                              _at_most(1e30))
     window_cycles: int | None = _param("traces", "window_cycles", None, _parse_int,
                                        _at_least(1))
     step: int = _param("attack", "step", DEFAULT_STEP, _parse_int, _at_least(2))
     attack_round: int = _param("attack", "round", 10, _parse_int,
                                ((lambda v: 1 <= v <= 10), "must be between 1 and 10"))
     no_sync: bool = _param("attack", "no_sync", False, _parse_bool)
+    # no sample of a row of S <= 2**28 samples lies more than sqrt(S - 1) <
+    # 16,384 standard deviations above its mean, so a larger k finds no peak
     threshold_k: float = _param("attack", "threshold_k", FilterParams.threshold_k,
-                                _parse_float, _NON_NEGATIVE)
+                                _parse_float, _NON_NEGATIVE, _at_most(10**6))
     expected_peaks: int = _param("attack", "expected_peaks", FilterParams.expected_peaks,
                                  _parse_int, _at_least(1))
     min_peak_separation: int | None = _param("attack", "min_peak_separation", None,

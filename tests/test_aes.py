@@ -1,5 +1,7 @@
 """Known-answer vectors, metric properties, and the last-round leakage model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,20 @@ def test_hypothesis_matrix_matches_scalar_path():
         assert m.dtype == np.uint8 and m.shape == (256, 256)
         ref = [[aes.last_round_hypothesis(b, p, g) for g in range(256)] for b in blocks]
         assert np.array_equal(m, ref)
+
+
+def test_hypothesis_matrix_allocates_one_byte_per_cell():
+    # the popcount runs in place: one (n, 256) uint8 array, no second scratch
+    n = 20000
+    cts = np.random.Generator(np.random.PCG64(37)).integers(0, 256, (n, 16), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        h = aes.hypothesis_matrix(cts, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.shape == (n, 256)
+    assert peak < 1.5 * n * 256
 
 
 def test_round_distances_shapes_and_values():

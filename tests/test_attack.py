@@ -730,8 +730,8 @@ def test_search_sums_at_the_default_step_are_the_cpa_s_own(rows, leak, expected,
 
 def test_cpa_scratch_does_not_grow_with_rows_times_guesses():
     # 20,000 x 9: one (n, 256) float64 cast of the hypotheses would take
-    # 41 MB, and a byte's uint8 hypotheses take two (n, 256) byte arrays
-    # (10.2 MB) while they are built
+    # 41 MB, and a byte's uint8 hypotheses take one (n, 256) byte array
+    # (5.1 MB)
     n = 20000
     rng = np.random.default_rng(11)
     am = AlignedMatrix(rows=rng.standard_normal((n, 9)).astype(np.float32),

@@ -221,6 +221,12 @@ BAD_DOCUMENTS = [
      "line 2: [simulate] error_threshold_factor: must be between 0 and 1, exclusive"),
     ("[simulate]\nerror_threshold_factor = 1\n",
      "line 2: [simulate] error_threshold_factor: must be between 0 and 1, exclusive"),
+    # scales whose float32 samples or float64 peak height would overflow
+    ("[run]\nseed = 2\n[traces]\namplitude = 1e39\n",
+     "line 4: [traces] amplitude: must be at most 1e+30"),
+    ("[traces]\nnoise_sigma = 1e39\n", "line 2: [traces] noise_sigma: must be at most 1e+30"),
+    ("[attack]\nthreshold_k = 1e308\n",
+     "line 2: [attack] threshold_k: must be at most 1000000"),
 ]
 
 
@@ -277,7 +283,10 @@ def test_replace_checks_the_same_limits():
                                 "x window_cycles x oversampling), more than the 268435456 "
                                 "a set may hold"),
             ("n_base_cycles", 2**24 + 1, "[simulate] n_base_cycles: must be at most 16777216"),
-            ("n_encryptions", 2**18 + 1, "[simulate] n_encryptions: must be at most 262144")]:
+            ("n_encryptions", 2**18 + 1, "[simulate] n_encryptions: must be at most 262144"),
+            ("amplitude", 1e39, "[traces] amplitude: must be at most 1e+30"),
+            ("noise_sigma", 1e39, "[traces] noise_sigma: must be at most 1e+30"),
+            ("threshold_k", 1e308, "[attack] threshold_k: must be at most 1000000")]:
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(cfg, **{name: value})
         assert str(err.value) == message
@@ -502,6 +511,26 @@ def test_cli_gen_attack_fft_round_trip(tmp_path, capsys):
     top = max(spectrum["top_bins"], key=lambda e: e["magnitude"])
     assert top["bin_low_hz"] == pytest.approx(10e6)
     assert (out / "spectrum.csv").is_file()
+
+
+def test_commands_at_the_scale_limits_exit_0(tmp_path, capsys):
+    # amplitude and noise at 1e30 keep every float32 sample finite, and
+    # threshold_k at 1e6 keeps the peak height finite (RuntimeWarning is an error)
+    cfg = write_config(tmp_path, COMPARE_CONFIG.replace(
+        "n_traces = 600", "n_traces = 400\namplitude = 1e30\nnoise_sigma = 1e30").replace(
+        "step = 150", "step = 150\nthreshold_k = 1e6"))
+    out = tmp_path / "out"
+    assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
+    trace_path = out / "traces_set1.bin"
+    samples = read_trace_set(str(trace_path)).samples
+    assert np.isfinite(samples).all() and np.abs(samples).max() > 1e30
+    key_hex = bytes(range(16)).hex()
+    for no_sync in ([], ["--no-sync"]):
+        assert main(["attack", str(trace_path), "--config", cfg, "--out", str(out),
+                     "--evaluate", key_hex] + no_sync) == 0
+    assert main(["fft", str(trace_path), "--out", str(out)]) == 0
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_attack_window_wider_than_any_row_reports_as_no_row_kept(tmp_path, capsys):
