@@ -19,12 +19,11 @@ The pipeline mirrors how captures are processed in practice:
 A set is filtered and aligned once into an ``AlignedMatrix`` that carries
 its rows' ciphertexts; steps 3 and 4 take that matrix alone, and both sum a
 byte's hypotheses through ``_block_prefix_sums`` in blocks of rows (step 3
-of ``DEFAULT_STEP`` rows, keeping only the running sum).  Given a true key
-the CLI runs step 4 first: it leaves each byte it built summed over all
-rows in a ``sums`` dict, and step 3 scores those bytes from it, building
-only the rest; at ``DEFAULT_STEP`` those are the sums step 3 would build.
-Step 4 sums the next byte's blocks on one worker thread while it scores
-this byte.  Each pass works on the set's arrays.
+of ``DEFAULT_STEP`` rows, keeping only the running sum).  Step 4 at
+``DEFAULT_STEP`` leaves each byte it built summed over all rows on the
+matrix, the very sums step 3 would build, and step 3 builds only the other
+bytes.  Step 4 sums the next byte's blocks on one worker thread while it
+scores this byte.  Each pass works on the set's arrays.
 ``filter_traces`` detects peaks in one ``detect_peaks`` pass over the
 non-failed rows, by index (a matrix pass; ``_find_peaks_row``, an exact
 numpy port of scipy's ``find_peaks``, only for rows with a plateau or
@@ -41,7 +40,7 @@ search left to an attacker facing a duplicated (dual-core) device.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,11 +88,15 @@ class AlignedMatrix:
     order (kept rows keep their input order); ``peak_positions`` holds the
     attacked round's original sample index per row (-1 when unknown).  A
     synchronized matrix has the attacked round's peak in its centre column.
+    ``_sums`` maps a byte position to its (sum h, sum h^2, sum h*y) over all
+    rows, as ``min_traces_search`` at ``DEFAULT_STEP`` leaves them for
+    ``cpa_attack``; ``dataclasses.replace`` starts a changed matrix empty.
     """
 
     rows: np.ndarray
     ciphertexts: np.ndarray
     peak_positions: np.ndarray
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def max_delay_samples(self) -> int:
@@ -414,8 +417,7 @@ def _block_prefix_sums(h: np.ndarray, yb: np.ndarray, tail_y: np.ndarray,
             np.add(prefix[-1], tail.sum(axis=0, dtype=np.uint32), out=total[j])
 
 
-def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None,
-               sums: dict | None = None) -> CpaResult:
+def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None) -> CpaResult:
     """Correlation attack over an aligned matrix.
 
     For every register byte position the 256 last-round hypotheses of
@@ -428,12 +430,9 @@ def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None,
     past the last block: exact integer sums of h and h^2, one BLAS product
     per block for h*y, added into a running sum.  Its scratch is one
     block's (step, 256) float64 matrix, so it does not grow with the rows.
-    ``sums`` maps a byte position to its (sum h, sum h^2, sum h*y) over all
-    rows of ``am``, as ``min_traces_search`` leaves them: those bytes are
-    scored from the sums and only the others are built.  A search at
-    ``DEFAULT_STEP`` leaves the very sums built here, so the scores are
-    the same bits either way; at another step its h*y sums add other
-    blocks and may differ in the last bits.
+    A byte that a search at ``DEFAULT_STEP`` left on ``am`` is scored from
+    those sums, the very ones built here, so the result is the same bits
+    whether or not a search ran first.
     """
     if am.rows.shape[0] < 2:
         raise ValueError("need at least 2 traces to correlate")
@@ -450,8 +449,8 @@ def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None,
     scores = np.zeros((16, 256), dtype=np.float64)
     undefined = 0
     for p in range(16):
-        if sums and p in sums:
-            sh, shh, shy = sums[p]
+        if p in am._sums:
+            sh, shh, shy = am._sums[p]
         else:
             _block_prefix_sums(aes.hypothesis_matrix(am.ciphertexts, p), yb,
                                y[nblocks * DEFAULT_STEP:], prefix, scratch, own)
@@ -478,8 +477,8 @@ def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None,
 SEARCH_CAP = 8
 
 
-def min_traces_search(am: AlignedMatrix, true_key: bytes, step: int = DEFAULT_STEP,
-                      sums: dict | None = None) -> int | None:
+def min_traces_search(am: AlignedMatrix, true_key: bytes,
+                      step: int = DEFAULT_STEP) -> int | None:
     """Smallest segment size (grid of ``step``) whose attack recovers the key.
 
     Scores the rows of ``am`` over its full width against its own
@@ -507,10 +506,10 @@ def min_traces_search(am: AlignedMatrix, true_key: bytes, step: int = DEFAULT_ST
     worker writes into arrays allocated here, and it is gone when the call
     returns or raises.
 
-    Given a dict ``sums``, the search leaves in it, for each byte it builds,
-    that byte's (sum h, sum h^2, sum h*y) over all rows of ``am``: its block
-    totals plus the rows past the last full block, from the same hypothesis
-    build.  ``cpa_attack(..., sums=sums)`` then builds only the other bytes.
+    At ``DEFAULT_STEP`` the search leaves each byte it builds summed over
+    all rows in ``am._sums`` (block totals plus the rows past the last block,
+    stored once the worker is done), for ``cpa_attack``; at another step
+    its h*y totals would add other blocks than the CPA's, so it leaves none.
     """
     if step < 2:
         raise ValueError("step must be at least 2")
@@ -518,11 +517,10 @@ def min_traces_search(am: AlignedMatrix, true_key: bytes, step: int = DEFAULT_ST
         return None
     from concurrent.futures import ThreadPoolExecutor  # as in clock.simulate_mux_clock
     with ThreadPoolExecutor(1) as pool:
-        return _search(am, true_key, step, sums, pool.submit)
+        return _search(am, true_key, step, pool.submit)
 
 
-def _search(am: AlignedMatrix, true_key: bytes, step: int, sums: dict | None,
-            submit) -> int | None:
+def _search(am: AlignedMatrix, true_key: bytes, step: int, submit) -> int | None:
     """``min_traces_search`` with each byte's prefix sums run by ``submit``."""
     nblocks, width = am.rows.shape[0] // step, am.rows.shape[1]
     rows = nblocks * step
@@ -542,10 +540,9 @@ def _search(am: AlignedMatrix, true_key: bytes, step: int, sums: dict | None,
     def build(p: int):
         h = aes.hypothesis_matrix(am.ciphertexts, p)
         total = None
-        if sums is not None and p not in sums:
-            total = sums[p] = (np.empty(256, np.int64), np.empty(256, np.int64),
-                               np.empty((256, width)))
-        return submit(_block_prefix_sums, h, yb, tail_y, buffers[p % 2], scratch, total)
+        if step == DEFAULT_STEP and p not in am._sums:
+            total = (np.empty(256, np.int64), np.empty(256, np.int64), np.empty((256, width)))
+        return submit(_block_prefix_sums, h, yb, tail_y, buffers[p % 2], scratch, total), total
 
     first, last = 1, min(SEARCH_CAP, nblocks)
     while True:
@@ -555,7 +552,10 @@ def _search(am: AlignedMatrix, true_key: bytes, step: int, sums: dict | None,
         for p in range(16):
             if pending is None:  # no segment left alive
                 break
-            pending.result()
+            future, total = pending
+            future.result()
+            if total is not None:
+                am._sums[p] = total
             pending = None
             ph, phh, phy = buffers[p % 2]
             for k in (last, *range(first, last)):

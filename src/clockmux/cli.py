@@ -233,13 +233,11 @@ def _score(cfg: ExperimentConfig, am, fs, true_key: bytes | None) -> dict:
     """A set's second stage: the search (given a key), the CPA and the
     overhead of the set's clock ``fs``."""
     result = {"min_traces": None, "broken": None, "recovered_key": None}
-    # the search leaves each byte it built summed over all rows for the CPA
-    sums = {}
     if true_key is not None:
-        result["min_traces"] = min_traces_search(am, true_key, step=cfg.step, sums=sums)
+        result["min_traces"] = min_traces_search(am, true_key, step=cfg.step)
         result["broken"] = result["min_traces"] is not None
     if am.rows.shape[0] >= 2:
-        cpa = cpa_attack(am, true_key=true_key, sums=sums)
+        cpa = cpa_attack(am, true_key=true_key)
         result["recovered_key"] = cpa.recovered_key.hex()
     result.update(_overhead(cfg, fs, rounds=cfg.attack_round, seed=cfg.seed))
     return result

@@ -16,7 +16,7 @@ import pytest
 import scipy.stats
 from scipy.signal import find_peaks
 
-from clockmux import aes, attack
+from clockmux import aes, attack, cli
 from clockmux.attack import (
     AlignedMatrix,
     FilterParams,
@@ -31,6 +31,7 @@ from clockmux.attack import (
     synchronize,
 )
 from clockmux.clock import FrequencySet
+from clockmux.config import ExperimentConfig
 from clockmux.presets import STUDY_SETS, dual_reference_pair, study_set
 from clockmux.traces import TraceSet, generate_set, write_trace_set
 
@@ -666,15 +667,21 @@ def test_a_tie_for_first_breaks_neither_the_search_nor_cpa():
     (600, 13, 60, 599, list(range(11))),
     # fewer rows than one block: the search builds nothing
     (120, 3, 200, 120, []),
+    # the default step: k* 3 blocks, every byte built; 49 rows past the last block
+    (1100, 13, attack.DEFAULT_STEP, 1099, list(range(16))),
+    # the default step, unbroken: bytes 0-7 built; 199 rows past the last block
+    (700, 13, attack.DEFAULT_STEP, 699, list(range(8))),
 ])
 def test_cpa_from_search_sums_matches_one_product(monkeypatch, n_traces, seed, step,
                                                   rows, built):
     am = aligned(fixed_clock_set(n_traces, seed=seed, noise_sigma=2.0), 8)
     assert am.rows.shape[0] == rows
     plain = cpa_attack(am, true_key=KEY)
-    sums = {}
-    min_traces_search(am, KEY, step=step, sums=sums)
-    assert sorted(sums) == built
+    assert am._sums == {}  # the CPA leaves nothing behind
+    _, sums, builds, _ = traced_search(monkeypatch, am, step)
+    assert sorted(set(builds)) == built
+    # only a search at the default step leaves its sums, the CPA's own
+    assert sorted(sums) == (built if step == attack.DEFAULT_STEP else [])
     cts = am.ciphertexts
     for p, (sh, shh, _) in sums.items():
         # exact integer sums over every row, the tail past the last block included
@@ -684,24 +691,32 @@ def test_cpa_from_search_sums_matches_one_product(monkeypatch, n_traces, seed, s
     real = aes.hypothesis_matrix
     monkeypatch.setattr(aes, "hypothesis_matrix",
                         lambda cts, p: builds.append(p) or real(cts, p))
-    shared = cpa_attack(am, true_key=KEY, sums=sums)
+    shared = cpa_attack(am, true_key=KEY)
     assert builds == [p for p in range(16) if p not in sums]
-    assert np.abs(shared.scores - plain.scores).max() <= 1e-12
+    assert np.array_equal(shared.scores, plain.scores)
     assert shared.recovered_key == plain.recovered_key
     assert shared.rank_of_true_key == plain.rank_of_true_key
     assert shared.undefined_fraction == plain.undefined_fraction
 
 
 def test_cpa_from_search_sums_keeps_an_exact_tie():
-    # one block of 64 rows and 36 past it; the search dies at byte 5's tie
+    # one block of 250 rows and 50 past it; the search dies at byte 5's tie
     cts, twin, g_true = twin_ciphertexts()
-    am = leaking_set(cts[twin][:100])
-    sums = {}
-    assert min_traces_search(am, KEY, step=64, sums=sums) is None
-    assert sorted(sums) == list(range(6))
-    res = cpa_attack(am, true_key=KEY, sums=sums)
+    am = leaking_set(cts[twin][:300])
+    assert min_traces_search(am, KEY, step=attack.DEFAULT_STEP) is None
+    assert sorted(am._sums) == list(range(6))
+    res = cpa_attack(am, true_key=KEY)
     assert res.scores[5, g_true] == res.scores[5, g_true + 1]
     assert res.rank_of_true_key == (1,) * 5 + (2,) + (1,) * 10
+
+
+def nine_decade_noise(am, leak):
+    """``am`` with its rows scaled by ``leak`` plus noise spanning nine
+    decades, so h*y sums round and a sum in another order gives other bits."""
+    rows = len(am.rows)
+    noise = np.random.default_rng(5).standard_normal((rows, 16))
+    noise *= 10.0 ** np.random.default_rng(6).uniform(-8, 1, (rows, 16))
+    return dataclasses.replace(am, rows=(leak * am.rows + noise).astype(np.float32))
 
 
 @pytest.mark.parametrize("rows, leak, expected, built", [
@@ -712,20 +727,37 @@ def test_cpa_from_search_sums_keeps_an_exact_tie():
 ])
 def test_search_sums_at_the_default_step_are_the_cpa_s_own(rows, leak, expected, built):
     # the CPA sums a byte over blocks of DEFAULT_STEP rows, as the search
-    # does, so the hand-off only saves the build: the scores are the same
-    # bits.  Noise spanning nine decades makes the h*y sums round, so a sum
-    # in another order (one product over all rows) gives other bits.
+    # does, so the sums the search leaves only save the build: the scores
+    # are the same bits as those of a CPA that ran first
     cts, _, _ = twin_ciphertexts()
-    am = leaking_set(cts[:rows])
-    noise = np.random.default_rng(5).standard_normal((rows, 16))
-    noise *= 10.0 ** np.random.default_rng(6).uniform(-8, 1, (rows, 16))
-    am = dataclasses.replace(am, rows=(leak * am.rows + noise).astype(np.float32))
-    sums = {}
-    assert min_traces_search(am, KEY, step=attack.DEFAULT_STEP, sums=sums) == expected
-    assert sorted(sums) == built
-    plain, shared = cpa_attack(am, true_key=KEY), cpa_attack(am, true_key=KEY, sums=sums)
+    am = nine_decade_noise(leaking_set(cts[:rows]), leak)
+    plain = cpa_attack(am, true_key=KEY)
+    assert min_traces_search(am, KEY, step=attack.DEFAULT_STEP) == expected
+    assert sorted(am._sums) == built
+    shared = cpa_attack(am, true_key=KEY)
     assert np.array_equal(plain.scores, shared.scores)
     assert plain.rank_of_true_key == shared.rank_of_true_key
+
+
+def test_cpa_scores_do_not_depend_on_whether_the_cli_searched_first(monkeypatch):
+    # at step 64 the search's h*y sums add other blocks than the CPA's; with
+    # a key the CLI searches first, and the CPA must still give its own bits
+    cts, _, _ = twin_ciphertexts()
+    am = nine_decade_noise(leaking_set(cts[:1300]), 1.0)
+    ts = fixed_clock_set(1)
+    monkeypatch.setattr(cli, "_align", lambda cfg, ts: (dataclasses.replace(am), {}))
+    scores = []
+
+    def traced_cpa(am, **kw):
+        res = cpa_attack(am, **kw)
+        scores.append(res.scores)
+        return res
+
+    monkeypatch.setattr(cli, "cpa_attack", traced_cpa)
+    cfg = dataclasses.replace(ExperimentConfig(), step=64)
+    assert cli._attack_trace_set(cfg, ts, KEY)["min_traces"] == 64
+    assert cli._attack_trace_set(cfg, ts, None)["min_traces"] is None
+    assert len(scores) == 2 and np.array_equal(scores[0], scores[1])
 
 
 def test_cpa_scratch_does_not_grow_with_rows_times_guesses():
@@ -756,17 +788,16 @@ def test_min_traces_monotone_in_noise():
 
 
 def traced_search(monkeypatch, am, step):
-    """``min_traces_search`` traced: (result, sums, hypothesis builds, most
-    threads alive during a build)."""
+    """``min_traces_search`` traced: (result, the sums it left on ``am``,
+    hypothesis builds, most threads alive during a build)."""
     builds, threads = [], [threading.active_count()]
     real = aes.hypothesis_matrix
     monkeypatch.setattr(aes, "hypothesis_matrix",
                         lambda cts, p: builds.append(p) or threads.append(
                             threading.active_count()) or real(cts, p))
-    sums = {}
-    result = min_traces_search(am, KEY, step=step, sums=sums)
+    result = min_traces_search(am, KEY, step=step)
     monkeypatch.setattr(aes, "hypothesis_matrix", real)
-    return result, sums, builds, max(threads)
+    return result, am._sums, builds, max(threads)
 
 
 @pytest.mark.parametrize("make, step, expected, built", [
@@ -799,8 +830,9 @@ def test_pipelined_search_pins_its_result_builds_and_worker(monkeypatch, make, s
         ranges = [builds[i:j] for i, j in zip(starts, starts[1:] + [len(builds)])]
         assert len(ranges) > 1 and ranges[-1] == list(range(16))
         assert all(r == list(range(len(r))) for r in ranges)
-    # the sums left behind are the built bytes' sums over every row
-    assert sorted(sums) == sorted(set(builds))
+    # at the default step, the sums left behind are the built bytes' sums
+    # over every row; at another step none is left
+    assert sorted(sums) == (sorted(set(builds)) if step == attack.DEFAULT_STEP else [])
     y = am.rows.astype(np.float64)
     for p, (sh, shh, shy) in sums.items():
         h = aes.hypothesis_matrix(am.ciphertexts, p).astype(np.int64)
@@ -817,9 +849,13 @@ def test_a_worker_failure_surfaces_unchanged_and_leaves_no_thread(monkeypatch):
     assert min_traces_search(am, KEY, step=20) == 600
     assert threading.active_count() == start
     error = FloatingPointError("worker failed")
-    worker = []
+    real_matmul = np.matmul
+    worker, allowed = [], [0]
 
     def failing_matmul(*args, **kwargs):
+        if allowed[0]:
+            allowed[0] -= 1
+            return real_matmul(*args, **kwargs)
         worker.append(threading.current_thread() is not threading.main_thread())
         raise error
 
@@ -828,6 +864,22 @@ def test_a_worker_failure_surfaces_unchanged_and_leaves_no_thread(monkeypatch):
         min_traces_search(am, KEY, step=20)
     assert caught.value is error and worker == [True]
     assert threading.active_count() == start
+
+    # at the default step a byte takes 3 products (2 blocks and the tail):
+    # byte 4's worker fails, and the search leaves the sums of bytes 0-3 only
+    worker.clear()
+    allowed[0] = 12
+    with pytest.raises(FloatingPointError) as caught:
+        min_traces_search(am, KEY, step=attack.DEFAULT_STEP)
+    monkeypatch.setattr(np, "matmul", real_matmul)
+    assert caught.value is error and worker == [True]
+    assert threading.active_count() == start
+    assert sorted(am._sums) == [0, 1, 2, 3]
+    after, fresh = cpa_attack(am, true_key=KEY), cpa_attack(dataclasses.replace(am), true_key=KEY)
+    assert np.array_equal(after.scores, fresh.scores)
+    assert after.recovered_key == fresh.recovered_key
+    assert after.rank_of_true_key == fresh.rank_of_true_key
+    assert after.undefined_fraction == fresh.undefined_fraction
 
 
 # ---------------------------------------------------------------------------

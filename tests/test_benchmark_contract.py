@@ -8,6 +8,7 @@ benchmark run.  These tests load the tracer file as it is, without writing
 a bytecode cache next to it, and check what it relies on.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -18,6 +19,7 @@ import pytest
 import clockmux.aes  # noqa: F401  (the tracer wraps every loaded module)
 import clockmux.cli  # noqa: F401
 from clockmux import attack, clock, traces
+from clockmux.config import ExperimentConfig
 from clockmux.presets import study_set
 from clockmux.traces import generate_set
 
@@ -74,3 +76,17 @@ def test_clock_and_generation_counters_evaluate_on_small_calls(tracer):
     for name in ("clock.overhead_and_error", "clock.simulate_mux_clock",
                  "traces.generate_set"):
         assert stats[name].calls == 1
+
+
+def test_a_keyed_attack_at_the_default_step_builds_each_byte_once(tracer):
+    # the benchmark's build counts (16 a set) rest on the CPA scoring every
+    # byte from the sums the search left on the matrix
+    ts = generate_set(clock.FrequencySet(base_hz=10e6, fundamentals=(10e6,) * 4),
+                      bytes(range(16)), 800, oversampling=8, noise_sigma=0.5, seed=3)
+    cfg = dataclasses.replace(ExperimentConfig(), step=attack.DEFAULT_STEP)
+    with tracer.Tracer() as t:
+        result = clockmux.cli._attack_trace_set(cfg, ts, bytes(range(16)))
+    assert result["broken"]
+    stats = t.stats
+    assert stats["attack.min_traces_search"].calls == stats["attack.cpa_attack"].calls == 1
+    assert stats["aes.hypothesis_matrix"].calls == 16

@@ -1060,21 +1060,27 @@ def test_attack_and_compare_run_one_pass_per_set(tmp_path, capsys, monkeypatch, 
     assert calls["detect_peaks"] == 2
 
 
-@pytest.mark.parametrize("step, noise_sigma, min_traces, search_builds, cpa_builds", [
-    # k* 7 of 13 blocks: the first range (1-8) scores every byte
-    (60, 0.5, 420, list(range(16)), []),
-    # k* 9 of 16 blocks: the first range dies after byte 13, the second
-    # (9-16) builds every byte again
-    (50, 0.5, 450, list(range(14)) + list(range(16)), []),
-    # unbroken: no segment survives byte 1, so bytes 2-15 are not built by
-    # the search, and the CPA builds them
-    (60, 10.0, None, [0, 1], list(range(2, 16))),
+@pytest.mark.parametrize("step, noise_sigma, min_traces, search_builds, cpa_builds, study", [
+    # another step: the search leaves no sums, so the CPA builds every byte
+    (60, 0.5, 420, list(range(16)), list(range(16)), None),
+    # k* 2 of 3 blocks: the first range (1-8) scores every byte
+    (attack.DEFAULT_STEP, 0.5, 500, list(range(16)), [], None),
+    # k* 9 of 14 blocks: the first range dies after byte 10, the second
+    # (9-14) builds every byte again
+    (attack.DEFAULT_STEP, 5.0, 2250, list(range(11)) + list(range(16)), [], 5),
+    # unbroken: both ranges die after byte 10, and the CPA builds the bytes
+    # the search never built
+    (attack.DEFAULT_STEP, 5.5, None, list(range(11)) * 2, list(range(11, 16)), 5),
 ])
 def test_attack_builds_hypotheses_once_per_byte_and_search_range(
-        monkeypatch, step, noise_sigma, min_traces, search_builds, cpa_builds):
-    fixed = FrequencySet(base_hz=10e6, fundamentals=(10e6,) * 4)
-    ts = generate_set(fixed, bytes(range(16)), 800, oversampling=8,
-                      noise_sigma=noise_sigma, seed=3)
+        monkeypatch, step, noise_sigma, min_traces, search_builds, cpa_builds, study):
+    # 800 traces of a fixed clock at oversampling 8, or 4,500 of a study set at 12
+    if study is None:
+        ts = generate_set(FrequencySet(base_hz=10e6, fundamentals=(10e6,) * 4),
+                          bytes(range(16)), 800, oversampling=8, noise_sigma=noise_sigma, seed=3)
+    else:
+        ts = generate_set(STUDY_SETS[study - 1].fs, bytes(range(16)), 4500, oversampling=12,
+                          noise_sigma=noise_sigma, seed=3)
     calls = []
     real = aes.hypothesis_matrix
     monkeypatch.setattr(aes, "hypothesis_matrix",
@@ -1083,7 +1089,7 @@ def test_attack_builds_hypotheses_once_per_byte_and_search_range(
     result = cli._attack_trace_set(cfg, ts, bytes(range(16)))
     assert (result["min_traces"], result["broken"]) == (min_traces, min_traces is not None)
     # min_traces_search builds each byte once per range it scores, then
-    # cpa_attack builds only the bytes the search never built
+    # cpa_attack builds only the bytes a search at the default step did not
     assert calls == search_builds + cpa_builds
 
 
