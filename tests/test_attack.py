@@ -488,16 +488,19 @@ def test_cpa_needs_two_traces_and_valid_window():
         cpa_attack(synchronize(ts, round=10, window_halfwidth=200))
 
 
-def test_cpa_scores_match_two_pass_pearson():
+@pytest.mark.parametrize("columns", [slice(3, 4), slice(3, 10), slice(None)],
+                         ids=["1-column", "7-columns", "13-columns"])
+def test_cpa_scores_match_two_pass_pearson(columns):
     # an oracle independent of the shared one-pass kernel: the min-traces
     # oracle below calls cpa_attack, which scores through that kernel.  The
     # kernel fed float64 sums of h and h^2 gives the very scores cpa_attack
-    # gets from its integer sums.
+    # gets from its integer sums.  Windows of 1 and 7 columns off centre and
+    # all 13: at one column numpy may take the product through gemv.
     ts = generate_set(study_set(1).fs, KEY, 60, oversampling=12, seed=7,
                       noise_sigma=1.0)
     kept, _, _ = filter_traces(ts)
     am = synchronize(kept, round=10, window_halfwidth=6)
-    am = dataclasses.replace(am, rows=am.rows[:, 3:10])  # off centre
+    am = dataclasses.replace(am, rows=am.rows[:, columns])
     res = cpa_attack(am)
     y = am.rows
     cts = am.ciphertexts
@@ -506,7 +509,7 @@ def test_cpa_scores_match_two_pass_pearson():
         h = aes.hypothesis_matrix(cts, p)
         hf = h.astype(np.float64)
         float_sums, _ = attack._max_abs_rho(len(y), hf.sum(axis=0), (hf * hf).sum(axis=0),
-                                            yf.sum(axis=0), (yf * yf).sum(axis=0), hf.T @ yf)
+                                            yf.sum(axis=0), (yf * yf).sum(axis=0), yf.T @ hf)
         assert np.array_equal(res.scores[p], float_sums)
         ref = np.zeros(256)
         for g in range(256):
@@ -534,19 +537,19 @@ def test_cpa_integer_sums_stay_exact_past_32_bits():
     sh, shh = hf.sum(axis=0), (hf * hf).sum(axis=0)
     assert n * shh[0] - sh[0] ** 2 > 2**32
     float_sums, _ = attack._max_abs_rho(n, sh, shh, yf.sum(axis=0), (yf * yf).sum(axis=0),
-                                        hf.T @ yf)
+                                        yf.T @ hf)
     assert np.array_equal(res.scores[1], float_sums)
 
 
 def masked_max_abs_rho(n, sh, shh, sy, syy, shy):
     """The kernel's general form: every cell divided under a positive-
-    denominator mask, zero-variance cells scored 0."""
-    num = n * shy - sh[..., :, None] * sy[..., None, :]
+    denominator mask, zero-variance cells scored 0; ``shy`` is (..., W, 256)."""
+    num = n * shy - sy[..., :, None] * sh[..., None, :]
     varh = n * shh - sh * sh
     vary = n * syy - sy * sy
-    den = np.sqrt(np.clip(varh[..., :, None] * vary[..., None, :], 0.0, None))
+    den = np.sqrt(np.clip(vary[..., :, None] * varh[..., None, :], 0.0, None))
     rho = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-    return np.abs(rho).max(axis=-1), varh == 0
+    return np.abs(rho).max(axis=-2), varh == 0
 
 
 @pytest.mark.parametrize("case", ["random", "zero-variance guess", "constant column"])
@@ -560,7 +563,7 @@ def test_max_abs_rho_divides_unmasked_only_where_the_masked_form_gives_the_same_
     if case == "constant column":
         y[2, :, 3] = 0.5
     sums = (h.sum(axis=1), (h * h).sum(axis=1), y.sum(axis=1), (y * y).sum(axis=1),
-            h.transpose(0, 2, 1).astype(np.float64) @ y)
+            y.transpose(0, 2, 1) @ h.astype(np.float64))
     # only the random sums take the unmasked form: every variance positive
     sh, shh, sy, syy, _ = sums
     positive = (50 * shh - sh * sh > 0).all() and (50 * syy - sy * sy > 0).all()
@@ -837,7 +840,7 @@ def test_pipelined_search_pins_its_result_builds_and_worker(monkeypatch, make, s
     for p, (sh, shh, shy) in sums.items():
         h = aes.hypothesis_matrix(am.ciphertexts, p).astype(np.int64)
         assert np.array_equal(sh, h.sum(axis=0)) and np.array_equal(shh, (h * h).sum(axis=0))
-        np.testing.assert_allclose(shy, h.T.astype(np.float64) @ y, rtol=1e-12)
+        np.testing.assert_allclose(shy, y.T @ h.astype(np.float64), rtol=1e-12)
     # one worker beside the caller, and none outlives the call
     assert most == start + 1
     assert threading.active_count() == start

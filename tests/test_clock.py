@@ -273,6 +273,25 @@ def test_batched_edges_match_serial_runs_with_row_phases(n_edges):
                                      base_phases, source_phases)
 
 
+def test_fractional_part_by_floor_is_np_mod_bit_for_bit():
+    # _mux_edges takes x - floor(x) where the serial reference takes
+    # np.mod(x, 1.0); on what it is fed (k / ratio - phase, so x > -1) the
+    # two give the same bits, the sign of a zero included
+    rng = np.random.default_rng(23)
+    k = np.concatenate([rng.integers(0, 2**24 + 1, 100_000), np.arange(4096)]).astype(np.float64)
+    fed = k / rng.uniform(0.2, 5.0, k.size) - rng.random(k.size)
+    # -0.0 and integers; negatives whose + 1 rounds up to 1.0 (and one that does not)
+    exact = np.array([-0.0, 0.0, 1.0, 3.0, 2.0**24, 2.0**52, 2.0**53])
+    rounding = -np.array([2.0**-54, 2.0**-60, 1e-17, 5e-324, 2.0**-53])
+    x = np.concatenate([fed, exact, rounding])
+    frac = x.copy()
+    frac -= np.floor(frac)
+    want = np.mod(x, 1.0)
+    assert np.array_equal(frac.view(np.uint64), want.view(np.uint64))
+    assert not np.signbit(frac[fed.size:fed.size + exact.size]).any()
+    assert (frac[-len(rounding):-1] == 1.0).all() and frac[-1] < 1.0
+
+
 def test_batch_with_one_stalling_row_raises():
     # sources 100x slower than the base: phase 0 rises at cycles 0 and 100,
     # phase 0.5 only at 50 within the 128-cycle cap for two edges
