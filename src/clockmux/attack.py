@@ -22,12 +22,11 @@ byte's hypotheses through ``_block_prefix_sums`` in blocks of rows (step 3
 of ``DEFAULT_STEP`` rows, keeping only the running sum).  Step 4 at
 ``DEFAULT_STEP`` leaves each byte it built summed over all rows on the
 matrix, the very sums step 3 would build, and step 3 builds only the other
-bytes.  Step 4 sums the next byte's blocks on one worker thread while it
-scores this byte.  Every h*y sum is window-major, (..., W, 256): a block's
-product is y^T h, with M = W and N = 256, and the max over the window
-reduces an outer axis, 256 guesses at a time.  Both run faster that way
-than in the (..., 256, W) transpose, and give the same bits.  Each pass
-works on the set's arrays.
+bytes.  Every h*y sum is window-major, (..., W, 256): a block's product
+is y^T h, with M = W and N = 256, and the max over the window reduces an
+outer axis, 256 guesses at a time.  Both run faster that way than in the
+(..., 256, W) transpose, and give the same bits.  Each pass works on the
+set's arrays.
 ``filter_traces`` detects peaks in one ``detect_peaks`` pass over the
 non-failed rows, by index (a matrix pass; ``_find_peaks_row``, an exact
 numpy port of scipy's ``find_peaks``, only for rows with a plateau or
@@ -404,8 +403,7 @@ def _block_prefix_sums(h: np.ndarray, yb: np.ndarray, tail_y: np.ndarray,
     so any block of fewer than 2**26 rows fits; its float64 matrix would be
     137 GB), about twice as fast as in int64, and are widened to int64
     because ``_max_abs_rho``'s n*sum(h*h) - sum(h)**2 passes 2**32 from
-    16,384 rows on.  numpy alone, into the caller's arrays, so a worker
-    thread may run it.
+    16,384 rows on.
     """
     ph, phh, phy = out
     hf, block_sums = scratch
@@ -503,39 +501,25 @@ def min_traces_search(am: AlignedMatrix, true_key: bytes,
     product).  A segment succeeds when all 16 true-key bytes rank 1 as
     in ``CpaResult.broken`` (``_rank``: a tie for first fails), so each byte
     scores only the segments every earlier byte ranked first, and once none
-    is left the remaining bytes are not scored.  Sizes are scored in capped
-    ranges, 1 to ``SEARCH_CAP`` blocks first, then 9-16, 17-32 and so on,
-    bytes outer, returning at the first range that holds a success; each
-    range builds every byte's hypotheses and prefix sums anew, one byte at a
-    time.  Success at one size does not depend on any other, so the result
-    is exactly the smallest successful size, as an exhaustive search over
-    (size, offset) finds it, or None when no segment (or not even one block)
-    recovers the key.
-
-    The next byte's prefix sums are computed on one worker thread while
-    this byte's segments are scored.  The next byte is built only once this
-    one has left a segment alive (its range's largest size is scored first,
-    and almost always does), so a byte is built only when it will be scored,
-    in byte order.  Its hypotheses are built on the calling thread; the
-    worker writes into arrays allocated here, and it is gone when the call
-    returns or raises.
+    is left the remaining bytes are neither built nor scored.  Sizes are
+    scored in capped ranges, 1 to ``SEARCH_CAP`` blocks first, then 9-16,
+    17-32 and so on, bytes outer, returning at the first range that holds a
+    success; each range builds every byte's hypotheses and prefix sums anew,
+    one byte at a time, into one set of prefix arrays.  Success at one size
+    does not depend on any other, so the result is exactly the smallest
+    successful size, as an exhaustive search over (size, offset) finds it,
+    or None when no segment (or not even one block) recovers the key.
 
     At ``DEFAULT_STEP`` the search leaves each byte it builds summed over
-    all rows in ``am._sums`` (block totals plus the rows past the last block,
-    stored once the worker is done), for ``cpa_attack``; at another step
-    its h*y totals would add other blocks than the CPA's, so it leaves none.
+    all rows in ``am._sums`` (block totals plus the rows past the last
+    block, stored once built, so a byte whose build raises leaves none), for
+    ``cpa_attack``; at another step its h*y totals would add other blocks
+    than the CPA's, so it leaves none.
     """
     if step < 2:
         raise ValueError("step must be at least 2")
     if am.rows.shape[0] < step:
         return None
-    from concurrent.futures import ThreadPoolExecutor  # as in clock.simulate_mux_clock
-    with ThreadPoolExecutor(1) as pool:
-        return _search(am, true_key, step, pool.submit)
-
-
-def _search(am: AlignedMatrix, true_key: bytes, step: int, submit) -> int | None:
-    """``min_traces_search`` with each byte's prefix sums run by ``submit``."""
     nblocks, width = am.rows.shape[0] // step, am.rows.shape[1]
     rows = nblocks * step
     yb = am.rows[:rows].astype(np.float64).reshape(nblocks, step, width)
@@ -544,35 +528,25 @@ def _search(am: AlignedMatrix, true_key: bytes, step: int, submit) -> int | None
     py, pyy = (np.cumulative_sum(b, axis=0, include_initial=True)
                for b in (yb.sum(axis=1), (yb * yb).sum(axis=1)))
     guesses = _true_guesses(true_key)
-    # byte p's prefix sums go to buffer p % 2: one is scored, the other filled
-    buffers = [(np.zeros((nblocks + 1, 256), np.int64), np.zeros((nblocks + 1, 256), np.int64),
-                np.zeros((nblocks + 1, width, 256))) for _ in range(2)]
+    prefix = ph, phh, phy = (np.zeros((nblocks + 1, 256), np.int64),
+                             np.zeros((nblocks + 1, 256), np.int64),
+                             np.zeros((nblocks + 1, width, 256)))
     scratch = (np.empty((step, 256)), np.empty((nblocks, 256), np.uint32))
     # a size's gathered h*y sums and the kernel's work array, for every segment
     gathered = np.empty((2, nblocks, width, 256))
-
-    def build(p: int):
-        h = aes.hypothesis_matrix(am.ciphertexts, p)
-        total = None
-        if step == DEFAULT_STEP and p not in am._sums:
-            total = (np.empty(256, np.int64), np.empty(256, np.int64), np.empty((width, 256)))
-        return submit(_block_prefix_sums, h, yb, tail_y, buffers[p % 2], scratch, total), total
-
     first, last = 1, min(SEARCH_CAP, nblocks)
     while True:
         # alive[k][s]: every byte scored so far ranks 1 on the k blocks at s
         alive = {k: np.ones(nblocks - k + 1, dtype=bool) for k in range(first, last + 1)}
-        pending = build(0)
         for p in range(16):
-            if pending is None:  # no segment left alive
-                break
-            future, total = pending
-            future.result()
+            total = None
+            if step == DEFAULT_STEP and p not in am._sums:
+                total = (np.empty(256, np.int64), np.empty(256, np.int64), np.empty((width, 256)))
+            _block_prefix_sums(aes.hypothesis_matrix(am.ciphertexts, p), yb, tail_y,
+                               prefix, scratch, total)
             if total is not None:
                 am._sums[p] = total
-            pending = None
-            ph, phh, phy = buffers[p % 2]
-            for k in (last, *range(first, last)):
+            for k in range(first, last + 1):
                 s = np.flatnonzero(alive[k])
                 if not s.size:
                     continue
@@ -581,10 +555,10 @@ def _search(am: AlignedMatrix, true_key: bytes, step: int, submit) -> int | None
                 np.subtract(shy, np.take(phy, s, axis=0, out=work, mode="clip"), out=shy)
                 sc, _ = _max_abs_rho(k * step, ph[s + k] - ph[s], phh[s + k] - phh[s],
                                      py[s + k] - py[s], pyy[s + k] - pyy[s], shy, work)
-                alive[k][s] = survived = _rank(sc, guesses[p]) == 1
-                if pending is None and p < 15 and survived.any():
-                    pending = build(p + 1)  # scored on the next pass, built meanwhile
-        found = [k for k, a in alive.items() if a.any()]
+                alive[k][s] = _rank(sc, guesses[p]) == 1
+            found = [k for k, a in alive.items() if a.any()]
+            if not found:  # no segment left alive: the later bytes are not built
+                break
         if found:
             return found[0] * step
         if last == nblocks:

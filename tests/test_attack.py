@@ -7,7 +7,7 @@ port of ``find_peaks``, against scipy's reference implementation.
 """
 
 import dataclasses
-import sys
+import hashlib
 import threading
 import tracemalloc
 
@@ -803,47 +803,89 @@ def traced_search(monkeypatch, am, step):
     return result, am._sums, builds, max(threads)
 
 
-@pytest.mark.parametrize("make, step, expected, built", [
+def sums_digest(sums):
+    """SHA-256 of every stored (sum h, sum h^2, sum h*y), bytes in order."""
+    digest = hashlib.sha256()
+    for p in sorted(sums):
+        for a in sums[p]:
+            digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+NO_SUMS = hashlib.sha256().hexdigest()
+
+
+@pytest.mark.parametrize("make, step, expected, built, digest", [
     # analyze-shaped: study set 2, 4,000 traces at oversampling 12, step 250,
     # the set seed the CLI derives from --seed 1
-    (lambda: generate_set(study_set(2).fs, KEY, 4000, oversampling=12, noise_sigma=0.5,
-                          seed=1 + 1000003), 250, 1000, list(range(16))),
+    pytest.param(lambda: generate_set(study_set(2).fs, KEY, 4000, oversampling=12,
+                                      noise_sigma=0.5, seed=1 + 1000003),
+                 250, 1000, list(range(16)),
+                 "51b0bdd2713ce14442091b72806e0adf2c031a341e2a153edb3a575a6b828e26",
+                 id="analyze-set2"),
     # unbroken: no segment survives byte 1
-    (lambda: fixed_clock_set(120, seed=3, noise_sigma=2.0), 60, None, [0, 1]),
+    pytest.param(lambda: fixed_clock_set(120, seed=3, noise_sigma=2.0), 60, None, [0, 1],
+                 NO_SUMS, id="unbroken"),
     # k* 30 of 34 blocks: the first two ranges die, the third holds it
-    (lambda: fixed_clock_set(700, seed=13, noise_sigma=2.0), 20, 600, None),
+    pytest.param(lambda: fixed_clock_set(700, seed=13, noise_sigma=2.0), 20, 600,
+                 [0, 1, 0, 1, 2, 3, 4, 5, *range(16)], NO_SUMS, id="third-range"),
+    # compare-shaped: study sets 1 and 5, 2,000 traces, the CLI's set seeds
+    pytest.param(lambda: generate_set(study_set(1).fs, KEY, 2000, oversampling=12,
+                                      noise_sigma=0.5, seed=1),
+                 250, 1250, list(range(16)),
+                 "b912dc462dd21fcac29e9e9caabcec60776396dc192bb6fa2719579811c31ee7",
+                 id="compare-set1"),
+    pytest.param(lambda: generate_set(study_set(5).fs, KEY, 2000, oversampling=12,
+                                      noise_sigma=0.5, seed=1 + 4 * 1000003),
+                 250, 1500, list(range(16)),
+                 "09a551f89692cd567d12001b7ed56c6f358db2a6769e371b4d435a4453b95a6d",
+                 id="compare-set5"),
 ])
-def test_pipelined_search_pins_its_result_builds_and_worker(monkeypatch, make, step,
-                                                            expected, built):
+def test_search_pins_its_result_builds_and_sums(monkeypatch, make, step, expected, built,
+                                                digest):
+    # the builds and the sums' bits are frozen: a change to the search keeps them
     ts = make()
     am = aligned(ts, ts.oversampling)
     start = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # the two threads trade the interpreter often
-    try:
-        result, sums, builds, most = traced_search(monkeypatch, am, step)
-    finally:
-        sys.setswitchinterval(interval)
+    result, sums, builds, most = traced_search(monkeypatch, am, step)
     assert result == expected
     # each range builds bytes 0, 1, ... in order until none is left alive
-    if built is not None:
-        assert builds == built
-    else:
-        starts = [i for i, p in enumerate(builds) if p == 0]
-        ranges = [builds[i:j] for i, j in zip(starts, starts[1:] + [len(builds)])]
-        assert len(ranges) > 1 and ranges[-1] == list(range(16))
-        assert all(r == list(range(len(r))) for r in ranges)
+    assert builds == built
     # at the default step, the sums left behind are the built bytes' sums
     # over every row; at another step none is left
     assert sorted(sums) == (sorted(set(builds)) if step == attack.DEFAULT_STEP else [])
+    assert sums_digest(sums) == digest
     y = am.rows.astype(np.float64)
     for p, (sh, shh, shy) in sums.items():
         h = aes.hypothesis_matrix(am.ciphertexts, p).astype(np.int64)
         assert np.array_equal(sh, h.sum(axis=0)) and np.array_equal(shh, (h * h).sum(axis=0))
         np.testing.assert_allclose(shy, y.T @ h.astype(np.float64), rtol=1e-12)
-    # one worker beside the caller, and none outlives the call
-    assert most == start + 1
+    # the search runs on the calling thread
+    assert most == start
     assert threading.active_count() == start
+
+
+def test_search_holds_one_prefix_buffer():
+    # 1,500 x 360 at the default step: 6 blocks, of which only byte 0 is
+    # built.  The search holds the float64 rows (1,500 x 360, 4.32 MB), one
+    # set of prefix arrays, whose h*y part is (6 + 1, 360, 256) float64
+    # (5.16 MB), a size's gathered h*y sums and work array (2 x 6 x 360 x
+    # 256 float64, 8.85 MB), and a byte's totals (0.74 MB), block scratch
+    # (250 x 256 float64, 0.51 MB) and hypotheses (1,500 x 256 uint8,
+    # 0.38 MB): about 20 MB.  A second prefix buffer would add 5.16 MB.
+    n, width = 1500, 360
+    rng = np.random.default_rng(12)
+    am = AlignedMatrix(rows=rng.standard_normal((n, width)).astype(np.float32),
+                       ciphertexts=rng.integers(0, 256, size=(n, 16), dtype=np.uint8),
+                       peak_positions=np.full(n, -1))
+    tracemalloc.start()
+    try:
+        assert min_traces_search(am, KEY) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(am._sums) == [0]
+    assert peak < 22e6
 
 
 def test_a_worker_failure_surfaces_unchanged_and_leaves_no_thread(monkeypatch):
@@ -851,31 +893,31 @@ def test_a_worker_failure_surfaces_unchanged_and_leaves_no_thread(monkeypatch):
     start = threading.active_count()
     assert min_traces_search(am, KEY, step=20) == 600
     assert threading.active_count() == start
-    error = FloatingPointError("worker failed")
+    error = FloatingPointError("build failed")
     real_matmul = np.matmul
-    worker, allowed = [], [0]
+    caller, allowed = [], [0]
 
     def failing_matmul(*args, **kwargs):
         if allowed[0]:
             allowed[0] -= 1
             return real_matmul(*args, **kwargs)
-        worker.append(threading.current_thread() is not threading.main_thread())
+        caller.append(threading.current_thread() is threading.main_thread())
         raise error
 
     monkeypatch.setattr(np, "matmul", failing_matmul)
     with pytest.raises(FloatingPointError) as caught:
         min_traces_search(am, KEY, step=20)
-    assert caught.value is error and worker == [True]
+    assert caught.value is error and caller == [True]
     assert threading.active_count() == start
 
     # at the default step a byte takes 3 products (2 blocks and the tail):
-    # byte 4's worker fails, and the search leaves the sums of bytes 0-3 only
-    worker.clear()
+    # byte 4's build fails, and the search leaves the sums of bytes 0-3 only
+    caller.clear()
     allowed[0] = 12
     with pytest.raises(FloatingPointError) as caught:
         min_traces_search(am, KEY, step=attack.DEFAULT_STEP)
     monkeypatch.setattr(np, "matmul", real_matmul)
-    assert caught.value is error and worker == [True]
+    assert caught.value is error and caller == [True]
     assert threading.active_count() == start
     assert sorted(am._sums) == [0, 1, 2, 3]
     after, fresh = cpa_attack(am, true_key=KEY), cpa_attack(dataclasses.replace(am), true_key=KEY)

@@ -434,8 +434,8 @@ def test_command_line_loads_no_scipy(tmp_path):
 
 
 def test_command_line_import_leaves_out_the_thread_pool(tmp_path):
-    # only a call that starts a thread (a long simulation, the min-traces
-    # search, compare) loads concurrent.futures, so start-up does not pay for it
+    # only a call that starts a thread (a long simulation, compare) loads
+    # concurrent.futures, so start-up does not pay for it
     probe = "import sys, clockmux.cli; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", probe],
                           cwd=tmp_path, env=_src_env(),
@@ -937,8 +937,8 @@ def test_compare_pipeline_keeps_bytes_and_order(tmp_path, capsys, monkeypatch):
     assert switching == default
     files, stdout = switching
     assert len(files) == 7 and len(stdout.splitlines()) == 3  # per set: histogram, traces
-    # beside the caller: the preparing worker and the search's worker
-    assert max(alive) == start + 2
+    # beside the caller only the preparing worker; the search runs on the caller
+    assert max(alive) == start + 1
     assert threading.active_count() == start
 
 
