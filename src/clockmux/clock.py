@@ -23,7 +23,7 @@ rising edges sit at ``(m + phase_i) * rho_i``.
 Randomness comes from numpy's PCG64 generator; a fixed (frequency set, cycle
 count, seed) triple always reproduces the same waveform bit for bit.  Runs
 are rows, one per stream of a ``streams.StreamBank``: row i draws its
-selections in chunks until full, exactly as a Generator on
+selections 16 at a time until full, exactly as a Generator on
 ``SeedSequence(seed).spawn(n)[i]`` would (the tests check each row against
 such a Generator).
 """
@@ -301,10 +301,11 @@ def _edges_until(fs: FrequencySet, bank: StreamBank, rows, n_edges: int, base_ph
     Row r is the run that stream ``rows[r]`` of ``bank`` drives under
     ``source_phases[r]`` (default ``fs.phases``), its base edge k at
     ``base_phases[r] + k`` (a core not aligned to the capture trigger).  Each
-    pass draws a chunk of selections, ``integers(0, 4, size, np.int8)``, from
-    every stream whose row is still short, so each stream draws what a serial
-    run on its own numpy Generator would; a row still short after
-    ``STALL_CAP_CYCLES_PER_EDGE`` cycles per edge raises StalledClockError.
+    pass draws 16 selections, ``integers(0, 4, 16, np.int8)``, from every
+    stream whose row is still short, so a row's selections are the first bytes
+    of its stream however the passes fall, as on its own numpy Generator; a
+    row still short after ``STALL_CAP_CYCLES_PER_EDGE`` cycles per edge raises
+    StalledClockError.
     """
     phases = np.broadcast_to(fs.phases if source_phases is None else source_phases,
                              (len(rows), 4))
@@ -320,14 +321,13 @@ def _edges_until(fs: FrequencySet, bank: StreamBank, rows, n_edges: int, base_ph
         if first_cycle >= cycle_cap:
             raise StalledClockError(f"only {np.isfinite(edges[short[0]]).sum()} edges after "
                                     f"{first_cycle} base cycles (needed {n_edges})")
-        size = min(max(16, n_edges), cycle_cap - first_cycle)
-        sel = bank.integers4(rows[short], size)
+        sel = bank.integers4(rows[short], 16)
         part = _mux_edges(fs.ratios(), fs.duty_cycle, phases[short], sel, first_cycle,
                           prev[short])
         run = _merge_close(np.sort(np.concatenate((edges[short], part), axis=1), axis=1), tol)
         edges[short], prev[short] = run[:, :n_edges], sel[:, -1]
         short = short[np.isnan(run[:, n_edges - 1])]
-        first_cycle += size
+        first_cycle += 16
     return edges + np.reshape(base_phases, (-1, 1))
 
 

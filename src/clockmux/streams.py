@@ -3,10 +3,10 @@
 Row i of ``StreamBank(seed, n)`` is the stream of
 ``Generator(PCG64(SeedSequence(seed).spawn(n)[i]))``, reproduced bit for bit
 with array operations: the NEP 19 spawn hash in uint32 arithmetic, PCG64
-seeding, the 128-bit LCG step as a multiply in 32-bit limbs, the XSL-RR
-output, and the per-stream ``has_uint32``/``uinteger`` cache that numpy's
-32-bit draws share.  Each draw method names the ``Generator`` call it matches
-on every listed row; ``tests/test_streams.py`` checks them against numpy.
+seeding, the 128-bit LCG step as a multiply in 32-bit limbs, and the XSL-RR
+output.  Byte draws take whole 64-bit words, so no 32-bit half word is left
+cached.  Each draw method names the ``Generator`` call it matches on every
+listed row; ``tests/test_streams.py`` checks them against numpy.
 """
 
 import numpy as np
@@ -79,43 +79,30 @@ class StreamBank:
         self.inc_lo = s3 << np.uint64(1) | np.uint64(1)
         lo = self.inc_lo + s1
         self.hi, self.lo = _step(self.inc_hi + s0 + (lo < s1), lo, self.inc_hi, self.inc_lo)
-        self.has_uint32 = np.zeros(n, bool)
         self.uinteger = np.zeros(n, np.uint32)
 
-    def _walk(self, rows, k: int, steps=None) -> np.ndarray:
-        """Each row's next ``k`` raw words; each row then advances by ``steps``
-        (default ``k``) of them."""
+    def _walk(self, rows, k: int) -> np.ndarray:
+        """Each row's next ``k`` raw words; the rows advance past them."""
         inc, walk = (self.inc_hi[rows], self.inc_lo[rows]), [(self.hi[rows], self.lo[rows])]
         for _ in range(k):
             walk.append(_step(*walk[-1], *inc))
+        self.hi[rows], self.lo[rows] = walk[-1]
         hi, lo = (np.stack(half, 1) for half in zip(*walk))
-        at = np.arange(len(hi)), np.full(len(hi), k) if steps is None else steps
-        self.hi[rows], self.lo[rows] = hi[at], lo[at]
         return _xsl_rr(hi[:, 1:], lo[:, 1:])
 
     def random(self, rows, k: int) -> np.ndarray:
         """``random(k)``: (len(rows), k) float64."""
         return (self._walk(rows, k) >> np.uint64(11)) * 2.0 ** -53
 
-    def uint32(self, rows, m: int) -> np.ndarray:
-        """``m`` of numpy's ``next_uint32`` draws: a row with a cached upper
-        half serves it first, a row left with half a word caches it, and
-        ``uinteger`` keeps the upper half of the last word drawn."""
-        h = self.has_uint32[rows]
-        steps = (m - h + 1) // 2
-        raw = self._walk(rows, (m + 1) // 2, steps)
-        halves = np.concatenate((self.uinteger[rows, None], raw.astype("<u8").view("<u4")),
-                                axis=1)
-        at = np.arange(len(h))
-        out = halves[at[:, None], (~h)[:, None] + np.arange(m)]  # column 0 is the cache
-        self.has_uint32[rows] = (m - h) % 2 == 1
-        upper = (raw[at, steps - 1] >> _32).astype(np.uint32)
-        self.uinteger[rows] = np.where(steps > 0, upper, self.uinteger[rows])
-        return out
-
     def bytes(self, rows, size: int) -> np.ndarray:
-        """``integers(0, 256, size, np.uint8)``: bytes of 32-bit draws, low byte first."""
-        return self.uint32(rows, -(-size // 4)).astype("<u4").view(np.uint8)[:, :size]
+        """``integers(0, 256, size, np.uint8)`` for ``size`` a positive multiple
+        of 8: the bytes of ``size // 8`` words, low byte first, as numpy's
+        low-half-first 32-bit draws give them."""
+        if size <= 0 or size % 8:
+            raise ValueError(f"size must be a positive multiple of 8, got {size}")
+        raw = self._walk(rows, size // 8)
+        self.uinteger[rows] = raw[:, -1] >> _32  # numpy's state keeps it, spent
+        return raw.astype("<u8").view(np.uint8)
 
     def integers4(self, rows, size: int) -> np.ndarray:
         """``integers(0, 4, size, np.int8)``: Lemire's method never rejects at
@@ -140,6 +127,6 @@ class StreamBank:
     def states(self, rows) -> list[dict]:
         """The listed rows' states, as ``PCG64.state`` reports them."""
         cols = (a[rows].tolist() for a in (self.hi, self.lo, self.inc_hi, self.inc_lo,
-                                           self.has_uint32, self.uinteger))
+                                           self.uinteger))
         return [{"bit_generator": "PCG64", "state": {"state": hi << 64 | lo, "inc": ih << 64 | il},
-                 "has_uint32": int(h), "uinteger": u} for hi, lo, ih, il, h, u in zip(*cols)]
+                 "has_uint32": 0, "uinteger": u} for hi, lo, ih, il, u in zip(*cols)]

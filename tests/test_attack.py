@@ -888,7 +888,7 @@ def test_search_holds_one_prefix_buffer():
     assert peak < 22e6
 
 
-def test_a_worker_failure_surfaces_unchanged_and_leaves_no_thread(monkeypatch):
+def test_a_byte_build_failure_surfaces_unchanged_and_keeps_earlier_bytes(monkeypatch):
     am = aligned(fixed_clock_set(700, seed=13, noise_sigma=2.0), 8)
     start = threading.active_count()
     assert min_traces_search(am, KEY, step=20) == 600

@@ -206,12 +206,11 @@ def _serial_merge_close(edges, tol):
 
 
 def _serial_edges_until(fs, rng, n_edges, base_phase=0.0, source_phases=None):
-    """Reference run of one generator: chunks drawn until ``n_edges`` edges."""
+    """Reference run of one generator: chunks of 16 drawn until ``n_edges`` edges."""
     ratios = fs.ratios()
     phases = np.asarray(source_phases if source_phases is not None else fs.phases,
                         dtype=np.float64)
     tol = EDGE_COINCIDENCE_TOL_S / fs.base_period_s
-    chunk = max(16, n_edges)
     cycle_cap = STALL_CAP_CYCLES_PER_EDGE * n_edges
     edges = np.empty(0, dtype=np.float64)
     first_cycle = 0
@@ -221,11 +220,10 @@ def _serial_edges_until(fs, rng, n_edges, base_phase=0.0, source_phases=None):
             raise StalledClockError(
                 f"only {len(edges)} edges after {first_cycle} base cycles "
                 f"(needed {n_edges})")
-        size = min(chunk, cycle_cap - first_cycle)
-        sel = rng.integers(0, 4, size=size, dtype=np.int8)
+        sel = rng.integers(0, 4, size=16, dtype=np.int8)
         part = _serial_mux_edges(ratios, fs.duty_cycle, phases, sel, first_cycle, prev_sel)
         edges = _serial_merge_close(np.concatenate([edges, part]), tol)
-        first_cycle += size
+        first_cycle += 16
         prev_sel = int(sel[-1])
     return edges[:n_edges] + base_phase
 
@@ -254,7 +252,7 @@ def _assert_batch_matches_serial(fs, seed, n_rows, n_edges, base_phases=None,
     # each bank row stopped drawing where its serial generator did
     assert bank.states(rows) == [b.bit_generator.state for b in serial]
     for rng in one_chunk:
-        rng.integers(0, 4, size=max(16, n_edges), dtype=np.int8)
+        rng.integers(0, 4, size=16, dtype=np.int8)
     return sum(a.bit_generator.state != b.bit_generator.state
                for a, b in zip(serial, one_chunk))
 
@@ -355,15 +353,13 @@ def test_single_core_set_matches_serial_runs_per_generator():
 
 
 def test_overhead_at_16_rounds_matches_serial_generators():
-    # 17-edge runs draw 17-cycle chunks, 5 uint32 words each, so a second
-    # chunk starts on the upper half a first chunk left cached
     fs, rounds, n = study_set(7).fs, 16, 300
     rep = overhead_and_error(fs, rounds=rounds, n_encryptions=n, seed=6)
     gens = list(map(np.random.default_rng, np.random.SeedSequence(6).spawn(n)))
     edges = np.array([_serial_edges_until(fs, rng, rounds + 1) for rng in gens])
     one_chunk = list(map(np.random.default_rng, np.random.SeedSequence(6).spawn(n)))
     for rng in one_chunk:
-        rng.integers(0, 4, size=rounds + 1, dtype=np.int8)
+        rng.integers(0, 4, size=16, dtype=np.int8)
     assert sum(a.bit_generator.state != b.bit_generator.state
                for a, b in zip(gens, one_chunk)) >= 1
     completions, periods = edges[:, rounds], np.diff(edges, axis=1)

@@ -34,17 +34,14 @@ def test_raw_words_match_numpy(seed, n):
 def test_each_draw_matches_numpy_and_leaves_its_state(seed, n):
     bank, gens, rows = StreamBank(seed, n), _generators(seed, n), np.arange(n)
     assert bank.states(rows) == [g.bit_generator.state for g in gens]
-    # a 17-value chunk takes 5 uint32 words and leaves half a word cached;
-    # drawing it on every other row mixes cached and uncached rows for the
-    # failed-row bytes and the noise hand-off after it
+    # the failed-row bytes draw on every third row, so the noise hand-off after
+    # them starts from rows that have drawn different amounts
     phases = [
         ("plaintext", rows, lambda b, r: b.bytes(r, 16),
          lambda g: g.integers(0, 256, 16, dtype=np.uint8)),
         ("random(5)", rows, lambda b, r: b.random(r, 5), lambda g: g.random(5)),
         ("selections of 16", rows, lambda b, r: b.integers4(r, 16),
          lambda g: g.integers(0, 4, size=16, dtype=np.int8)),
-        ("selections of 17", rows[::2], lambda b, r: b.integers4(r, 17),
-         lambda g: g.integers(0, 4, size=17, dtype=np.int8)),
         ("failed-row bytes", rows[::3], lambda b, r: b.bytes(r, 16),
          lambda g: g.integers(0, 256, 16, dtype=np.uint8)),
         ("noise", rows, lambda b, r: b.standard_normal(r, 50),
@@ -58,8 +55,25 @@ def test_each_draw_matches_numpy_and_leaves_its_state(seed, n):
         for g_row, w_row in zip(got, want):
             assert np.array_equal(g_row, w_row), name
         assert bank.states(rows) == [g.bit_generator.state for g in gens], name
-    if n > 1:  # the mix the comment above promises
-        assert len({s["has_uint32"] for s in bank.states(rows)}) == 2
+
+
+@pytest.mark.parametrize("size", [0, 1, 4, 12, 17])
+def test_a_size_off_whole_words_raises_before_any_row_advances(size):
+    bank, rows = StreamBank(3, 5), np.arange(5)
+    before = bank.states(rows)
+    for draw in (bank.bytes, bank.integers4):
+        with pytest.raises(ValueError, match="positive multiple of 8"):
+            draw(rows, size)
+    assert bank.states(rows) == before
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_passes_of_16_selections_equal_one_numpy_draw(seed):
+    bank, gens, rows = StreamBank(seed, 7), _generators(seed, 7), np.arange(7)
+    got = np.concatenate([bank.integers4(rows, 16) for _ in range(4)], axis=1)
+    for g_row, gen in zip(got, gens):
+        assert np.array_equal(g_row, gen.integers(0, 4, 64, np.int8))
+    assert bank.states(rows) == [g.bit_generator.state for g in gens]
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])
