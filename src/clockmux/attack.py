@@ -18,8 +18,8 @@ The pipeline mirrors how captures are processed in practice:
 
 A set is filtered and aligned once into an ``AlignedMatrix`` that carries
 its rows' ciphertexts; steps 3 and 4 take that matrix alone, and both sum a
-byte's hypotheses through ``_block_prefix_sums`` in blocks of rows (step 3
-of ``DEFAULT_STEP`` rows, keeping only the running sum).  Step 4 at
+byte's hypotheses through one builder, ``_ByteSums``, in blocks of rows
+(step 3 of ``DEFAULT_STEP`` rows, keeping only the running sum).  Step 4 at
 ``DEFAULT_STEP`` leaves each byte it built summed over all rows on the
 matrix, the very sums step 3 would build, and step 3 builds only the other
 bytes.  Every h*y sum is window-major, (..., W, 256): a block's product
@@ -342,7 +342,7 @@ def _max_abs_rho(n, sh, shh, sy, syy, shy, work=None):
     """(max |rho| per guess, zero-variance hypothesis mask) from the sums
     ``sh``, ``shh`` (..., 256), ``sy``, ``syy`` (..., W), ``shy`` (..., W, 256)
     of h, h^2, y, y^2, h*y over ``n`` traces; leading axes are segments.
-    ``shy`` is window-major, as ``_block_prefix_sums`` writes it: the outer
+    ``shy`` is window-major, as ``_ByteSums`` builds it: the outer
     products are sy x sh and vary x varh (IEEE products commute, so these
     are the bits of sh x sy), and the max over the window reduces axis -2,
     256 guesses at a time, not a short last axis of W per guess.
@@ -383,49 +383,61 @@ def _true_guesses(true_key: bytes) -> list[int]:
     return [int(true_rk[int(aes.SHIFT_ROWS_IMAGE[p])]) for p in range(16)]
 
 
-def _block_prefix_sums(h: np.ndarray, yb: np.ndarray, tail_y: np.ndarray,
-                       out: tuple, scratch: tuple, total: tuple | None) -> None:
-    """One byte's block prefix sums (ph, phh, phy) of h, h^2 and h*y into
-    ``out``, whose row 0 stays zero; ``total``, when given, gets the sums
-    over every row, the tail past the last block included.
+class _ByteSums:
+    """One byte's sums of h, h^2 and h*y over blocks of ``step`` rows of
+    ``am``, built by ``build(p)`` for ``cpa_attack`` and ``min_traces_search``.
 
-    ``h`` is the byte's (rows, 256) uint8 hypotheses, squared in place,
-    ``yb`` the (blocks, step, W) float64 rows.  Each block is cast into
-    ``scratch``'s (step, 256) float64 matrix for its own BLAS product,
+    ``y`` is the float64 cast of ``am.rows``, ``yb`` its whole blocks as
+    (blocks, step, W), blocks = rows // step.  ``build`` fills the block
+    prefix sums ``ph`` and ``phh`` (blocks + 1, 256) and ``phy`` (m, W, 256),
+    whose row i holds the sum of blocks [0, i) at row i modulo m and whose
+    row 0 stays zero: with ``every_prefix`` m is blocks + 1, so every
+    prefix is kept (the search), else 2, only the running sum (the CPA),
+    which adds the same products in the same order.  Each block is cast
+    into a (step, 256) float64 scratch matrix for its own BLAS product,
     y^T h into a window-major (W, 256) row of ``phy`` (M = W, N = 256: at
     W = 25 it takes about 30% less time than h^T y into (256, W), at
     W = 360 about the same), and added to the sum of the blocks before it.
-    ``ph`` and ``phh`` are (blocks + 1, 256), ``phy`` (m, W, 256), and
-    ``total`` is shaped like one row of each.  ``phy`` holds prefix row i
-    at row i modulo m: blocks + 1 rows keep every prefix (the
-    search), 2 rows only the running sum (the CPA), which adds the same
-    products in the same order.  h and h^2 sum exactly in uint32 (h <= 8,
-    so any block of fewer than 2**26 rows fits; its float64 matrix would be
-    137 GB), about twice as fast as in int64, and are widened to int64
-    because ``_max_abs_rho``'s n*sum(h*h) - sum(h)**2 passes 2**32 from
-    16,384 rows on.
+    h and h^2 sum exactly in uint32 (h <= 8, so any block of fewer than
+    2**26 rows fits; its float64 matrix would be 137 GB), about twice as
+    fast as in int64, and are widened to int64 because ``_max_abs_rho``'s
+    n*sum(h*h) - sum(h)**2 passes 2**32 from 16,384 rows on.
     """
-    ph, phh, phy = out
-    hf, block_sums = scratch
-    nblocks, step, _ = yb.shape
-    m = len(phy)
-    hb, tail = h[:nblocks * step].reshape(nblocks, step, 256), h[nblocks * step:]
-    for i in range(nblocks):
-        np.copyto(hf, hb[i])
-        np.matmul(yb[i].T, hf, out=phy[(i + 1) % m])
-        if i:
-            np.add(phy[i % m], phy[(i + 1) % m], out=phy[(i + 1) % m])
-    if total is not None:
+
+    def __init__(self, am: AlignedMatrix, step: int, every_prefix: bool):
+        self.ciphertexts = am.ciphertexts
+        self.y = am.rows.astype(np.float64)
+        n, width = self.y.shape
+        blocks = n // step
+        self.yb = self.y[:blocks * step].reshape(blocks, step, width)
+        self.ph, self.phh = np.zeros((2, blocks + 1, 256), np.int64)
+        self.phy = np.zeros((blocks + 1 if every_prefix else 2, width, 256))
+        self.hf, self.block_sums = np.empty((step, 256)), np.empty((blocks, 256), np.uint32)
+
+    def build(self, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fill the prefixes with byte ``p``'s sums and return its (sum h,
+        sum h^2, sum h*y) over every row, the tail past the last block
+        included, in new arrays."""
+        h = aes.hypothesis_matrix(self.ciphertexts, p)
+        blocks, step, _ = self.yb.shape
+        hf, phy, m = self.hf, self.phy, len(self.phy)
+        hb, tail = h[:blocks * step].reshape(blocks, step, 256), h[blocks * step:]
+        for i in range(blocks):
+            np.copyto(hf, hb[i])
+            np.matmul(self.yb[i].T, hf, out=phy[(i + 1) % m])
+            if i:
+                np.add(phy[i % m], phy[(i + 1) % m], out=phy[(i + 1) % m])
         np.copyto(hf[:len(tail)], tail)
-        np.matmul(tail_y.T, hf[:len(tail)], out=total[2])
-        np.add(phy[nblocks % m], total[2], out=total[2])
-    for j, prefix in enumerate((ph, phh)):
-        if j:
-            np.multiply(h, h, out=h)  # h <= 8, so h*h fits uint8
-        np.sum(hb, axis=1, dtype=np.uint32, out=block_sums)
-        np.cumsum(block_sums, axis=0, dtype=np.int64, out=prefix[1:])
-        if total is not None:
-            np.add(prefix[-1], tail.sum(axis=0, dtype=np.uint32), out=total[j])
+        shy = np.matmul(self.y[blocks * step:].T, hf[:len(tail)])
+        np.add(phy[blocks % m], shy, out=shy)
+        totals = []
+        for j, prefix in enumerate((self.ph, self.phh)):
+            if j:
+                np.multiply(h, h, out=h)  # h <= 8, so h*h fits uint8
+            np.sum(hb, axis=1, dtype=np.uint32, out=self.block_sums)
+            np.cumsum(self.block_sums, axis=0, dtype=np.int64, out=prefix[1:])
+            totals.append(prefix[-1] + tail.sum(axis=0, dtype=np.uint32))
+        return (*totals, shy)
 
 
 def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None) -> CpaResult:
@@ -437,37 +449,26 @@ def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None) -> CpaResult:
     all rows).  Cells with zero variance score 0; zero-variance guesses
     count in ``undefined_fraction``.
     A byte is summed as ``min_traces_search`` sums it at ``DEFAULT_STEP``,
-    by ``_block_prefix_sums`` over blocks of that many rows plus the rows
-    past the last block: exact integer sums of h and h^2, one BLAS product
-    per block for h*y, added into a running sum, window-major (W, 256) as
+    by ``_ByteSums`` over blocks of that many rows plus the rows past the
+    last block: exact integer sums of h and h^2, one BLAS product per block
+    for h*y, added into a running sum, window-major (W, 256) as
     ``_max_abs_rho`` takes it.  Its scratch is one block's (step, 256)
-    float64 matrix, so it does not grow with the rows.
+    float64 matrix, so it does not grow with the rows.  Sums of y and y^2
+    add the whole float64 rows.
     A byte that a search at ``DEFAULT_STEP`` left on ``am`` is scored from
     those sums, the very ones built here, so the result is the same bits
     whether or not a search ran first.
     """
     if am.rows.shape[0] < 2:
         raise ValueError("need at least 2 traces to correlate")
-    y = am.rows.astype(np.float64)
-    n, width = y.shape
+    sums = _ByteSums(am, DEFAULT_STEP, every_prefix=False)
+    y = sums.y
     sy, syy = y.sum(axis=0), (y * y).sum(axis=0)
-    nblocks = n // DEFAULT_STEP
-    yb = y[:nblocks * DEFAULT_STEP].reshape(nblocks, DEFAULT_STEP, width)
-    # h and h^2 keep every block prefix (256 int64 per block), h*y a running sum
-    prefix = (np.zeros((nblocks + 1, 256), np.int64), np.zeros((nblocks + 1, 256), np.int64),
-              np.zeros((2, width, 256)))
-    scratch = (np.empty((DEFAULT_STEP, 256)), np.empty((nblocks, 256), np.uint32))
-    own = (np.empty(256, np.int64), np.empty(256, np.int64), np.empty((width, 256)))
     scores = np.zeros((16, 256), dtype=np.float64)
     undefined = 0
     for p in range(16):
-        if p in am._sums:
-            sh, shh, shy = am._sums[p]
-        else:
-            _block_prefix_sums(aes.hypothesis_matrix(am.ciphertexts, p), yb,
-                               y[nblocks * DEFAULT_STEP:], prefix, scratch, own)
-            sh, shh, shy = own
-        scores[p], constant = _max_abs_rho(n, sh, shh, sy, syy, shy)
+        sh, shh, shy = am._sums[p] if p in am._sums else sums.build(p)
+        scores[p], constant = _max_abs_rho(len(y), sh, shh, sy, syy, shy)
         undefined += int(constant.sum())
     rec_rk = bytearray(16)
     for p in range(16):
@@ -505,14 +506,14 @@ def min_traces_search(am: AlignedMatrix, true_key: bytes,
     scored in capped ranges, 1 to ``SEARCH_CAP`` blocks first, then 9-16,
     17-32 and so on, bytes outer, returning at the first range that holds a
     success; each range builds every byte's hypotheses and prefix sums anew,
-    one byte at a time, into one set of prefix arrays.  Success at one size
-    does not depend on any other, so the result is exactly the smallest
+    one byte at a time, into one ``_ByteSums``'s prefix arrays.  Success at
+    one size does not depend on any other, so the result is exactly the smallest
     successful size, as an exhaustive search over (size, offset) finds it,
     or None when no segment (or not even one block) recovers the key.
 
     At ``DEFAULT_STEP`` the search leaves each byte it builds summed over
-    all rows in ``am._sums`` (block totals plus the rows past the last
-    block, stored once built, so a byte whose build raises leaves none), for
+    all rows in ``am._sums`` (``_ByteSums.build``'s totals, stored once
+    built, so a byte whose build raises leaves none), for
     ``cpa_attack``; at another step its h*y totals would add other blocks
     than the CPA's, so it leaves none.
     """
@@ -520,31 +521,22 @@ def min_traces_search(am: AlignedMatrix, true_key: bytes,
         raise ValueError("step must be at least 2")
     if am.rows.shape[0] < step:
         return None
-    nblocks, width = am.rows.shape[0] // step, am.rows.shape[1]
-    rows = nblocks * step
-    yb = am.rows[:rows].astype(np.float64).reshape(nblocks, step, width)
-    tail_y = am.rows[rows:].astype(np.float64)
+    sums = _ByteSums(am, step, every_prefix=True)
+    nblocks = len(sums.yb)
     # row i of a prefix holds the sum of blocks [0, i)
     py, pyy = (np.cumulative_sum(b, axis=0, include_initial=True)
-               for b in (yb.sum(axis=1), (yb * yb).sum(axis=1)))
+               for b in (sums.yb.sum(axis=1), (sums.yb * sums.yb).sum(axis=1)))
     guesses = _true_guesses(true_key)
-    prefix = ph, phh, phy = (np.zeros((nblocks + 1, 256), np.int64),
-                             np.zeros((nblocks + 1, 256), np.int64),
-                             np.zeros((nblocks + 1, width, 256)))
-    scratch = (np.empty((step, 256)), np.empty((nblocks, 256), np.uint32))
+    ph, phh, phy = sums.ph, sums.phh, sums.phy
     # a size's gathered h*y sums and the kernel's work array, for every segment
-    gathered = np.empty((2, nblocks, width, 256))
+    gathered = np.empty((2, *phy[1:].shape))
     first, last = 1, min(SEARCH_CAP, nblocks)
     while True:
         # alive[k][s]: every byte scored so far ranks 1 on the k blocks at s
         alive = {k: np.ones(nblocks - k + 1, dtype=bool) for k in range(first, last + 1)}
         for p in range(16):
-            total = None
-            if step == DEFAULT_STEP and p not in am._sums:
-                total = (np.empty(256, np.int64), np.empty(256, np.int64), np.empty((width, 256)))
-            _block_prefix_sums(aes.hypothesis_matrix(am.ciphertexts, p), yb, tail_y,
-                               prefix, scratch, total)
-            if total is not None:
+            total = sums.build(p)
+            if step == DEFAULT_STEP:
                 am._sums[p] = total
             for k in range(first, last + 1):
                 s = np.flatnonzero(alive[k])

@@ -727,6 +727,8 @@ def nine_decade_noise(am, leak):
     (1300, 1.0, 250, list(range(16))),
     # unbroken, no leak: only byte 0 is built; 4 blocks and 100 rows past them
     (1100, 0.0, None, [0]),
+    # broken at one block of 250; 5 blocks and no rows past them
+    (1250, 1.0, 250, list(range(16))),
 ])
 def test_search_sums_at_the_default_step_are_the_cpa_s_own(rows, leak, expected, built):
     # the CPA sums a byte over blocks of DEFAULT_STEP rows, as the search
