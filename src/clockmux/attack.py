@@ -387,14 +387,15 @@ class _ByteSums:
     """One byte's sums of h, h^2 and h*y over blocks of ``step`` rows of
     ``am``, built by ``build(p)`` for ``cpa_attack`` and ``min_traces_search``.
 
-    ``y`` is the float64 cast of ``am.rows``, ``yb`` its whole blocks as
-    (blocks, step, W), blocks = rows // step.  ``build`` fills the block
-    prefix sums ``ph`` and ``phh`` (blocks + 1, 256) and ``phy`` (m, W, 256),
-    whose row i holds the sum of blocks [0, i) at row i modulo m and whose
-    row 0 stays zero: with ``every_prefix`` m is blocks + 1, so every
-    prefix is kept (the search), else 2, only the running sum (the CPA),
-    which adds the same products in the same order.  Each block is cast
-    into a (step, 256) float64 scratch matrix for its own BLAS product,
+    ``yb`` views the float32 ``am.rows``' whole blocks as (blocks, step, W),
+    blocks = rows // step; no float64 copy of the rows is held.  ``build``
+    fills the block prefix sums ``ph`` and ``phh`` (blocks + 1, 256) and
+    ``phy`` (m, W, 256), whose row i holds the sum of blocks [0, i) at row i
+    modulo m and whose row 0 stays zero: with ``every_prefix`` m is blocks
+    + 1, so every prefix is kept (the search), else 2, only the running sum
+    (the CPA), which adds the same products in the same order.  Each block
+    of h is cast into a (step, 256) float64 scratch matrix, and numpy casts
+    the block of y inside its BLAS product,
     y^T h into a window-major (W, 256) row of ``phy`` (M = W, N = 256: at
     W = 25 it takes about 30% less time than h^T y into (256, W), at
     W = 360 about the same), and added to the sum of the blocks before it.
@@ -405,8 +406,7 @@ class _ByteSums:
     """
 
     def __init__(self, am: AlignedMatrix, step: int, every_prefix: bool):
-        self.ciphertexts = am.ciphertexts
-        self.y = am.rows.astype(np.float64)
+        self.ciphertexts, self.y = am.ciphertexts, am.rows
         n, width = self.y.shape
         blocks = n // step
         self.yb = self.y[:blocks * step].reshape(blocks, step, width)
@@ -454,16 +454,15 @@ def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None) -> CpaResult:
     for h*y, added into a running sum, window-major (W, 256) as
     ``_max_abs_rho`` takes it.  Its scratch is one block's (step, 256)
     float64 matrix, so it does not grow with the rows.  Sums of y and y^2
-    add the whole float64 rows.
+    add the float32 rows in float64; only y^2's float64 square is transient.
     A byte that a search at ``DEFAULT_STEP`` left on ``am`` is scored from
     those sums, the very ones built here, so the result is the same bits
     whether or not a search ran first.
     """
     if am.rows.shape[0] < 2:
         raise ValueError("need at least 2 traces to correlate")
-    sums = _ByteSums(am, DEFAULT_STEP, every_prefix=False)
-    y = sums.y
-    sy, syy = y.sum(axis=0), (y * y).sum(axis=0)
+    sums, y = _ByteSums(am, DEFAULT_STEP, every_prefix=False), am.rows
+    sy, syy = y.sum(axis=0, dtype=np.float64), np.square(y, dtype=np.float64).sum(axis=0)
     scores = np.zeros((16, 256), dtype=np.float64)
     undefined = 0
     for p in range(16):
@@ -525,7 +524,8 @@ def min_traces_search(am: AlignedMatrix, true_key: bytes,
     nblocks = len(sums.yb)
     # row i of a prefix holds the sum of blocks [0, i)
     py, pyy = (np.cumulative_sum(b, axis=0, include_initial=True)
-               for b in (sums.yb.sum(axis=1), (sums.yb * sums.yb).sum(axis=1)))
+               for b in (sums.yb.sum(axis=1, dtype=np.float64),
+                         np.square(sums.yb, dtype=np.float64).sum(axis=1)))
     guesses = _true_guesses(true_key)
     ph, phh, phy = sums.ph, sums.phh, sums.phy
     # a size's gathered h*y sums and the kernel's work array, for every segment

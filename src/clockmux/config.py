@@ -134,10 +134,10 @@ class ExperimentConfig:
     command's peak memory under 4 GB (3.2 GB measured, for ``simulate`` at
     2**24 cycles on a set at the ratio; 2.4 GB for ``attack`` on a file at
     the sample cap, with or without a key), and are the same on every
-    machine.  Two cases do not fit (README): ``attack --no-sync`` at the
-    sample cap, whose unsynchronized rows' float64 cast passes 4 GB, and
-    ``attack --evaluate --step 2`` on a large file inside every limit,
-    whose search buffers grow with rows / step.
+    machine.  Two cases do not fit (README), both for the min-traces
+    search's buffers, which grow with rows / step: ``attack --no-sync
+    --evaluate`` at the sample cap (without a key it fits), and ``attack
+    --evaluate --step 2`` on a large file inside every limit.
     """
 
     sets: tuple[FrequencySet, ...] = ()

@@ -79,9 +79,10 @@ class TraceSet:
     """A batch of traces captured under one configuration, one row each.
 
     Row i of ``samples`` (n, S) float32, ``plaintexts``/``ciphertexts``
-    (n, 16) uint8 and ``failed`` (n,) bool is trace i.  Generator-fresh sets
-    also carry ``clock_edges``, the (n, cores, aes.ROUNDS + 1) round edge
-    times in seconds, which is neither persisted nor compared.
+    (n, 16) uint8 and ``failed`` (n,) bool is trace i, sampled every
+    ``sample_period_s`` (derived from ``fs`` and ``oversampling``, not held).
+    Generator-fresh sets also carry ``clock_edges``, the (n, cores, 11)
+    round edge times in seconds, neither persisted nor compared.
     ``attack.filter_traces`` sets ``peaks`` on the set it keeps:
     ((threshold_k, detect_separation), flat positions row after row, per-row
     counts).  It derives from ``samples``: treat them as read-only.
@@ -91,7 +92,6 @@ class TraceSet:
     plaintexts: np.ndarray
     ciphertexts: np.ndarray
     failed: np.ndarray
-    sample_period_s: float
     key: bytes
     fs: FrequencySet
     oversampling: int
@@ -107,6 +107,11 @@ class TraceSet:
     @property
     def core_count(self) -> int:
         return 2 if self.fs2 is not None else 1
+
+    @property
+    def sample_period_s(self) -> float:
+        """The sample grid's period, the base period over the oversampling."""
+        return self.fs.base_period_s / self.oversampling
 
     @property
     def traces(self) -> np.ndarray:
@@ -126,7 +131,7 @@ class TraceSet:
     def __eq__(self, other):
         if not isinstance(other, TraceSet):
             return NotImplemented
-        same = ("key", "key2", "fs", "fs2", "oversampling", "noise_sigma", "sample_period_s")
+        same = ("key", "key2", "fs", "fs2", "oversampling", "noise_sigma")
         return (all(getattr(self, a) == getattr(other, a) for a in same)
                 and self.samples.dtype == other.samples.dtype
                 and all(np.array_equal(getattr(self, a), getattr(other, a))
@@ -227,7 +232,7 @@ def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
             clean += render.astype(np.float32).astype(np.float64)
         samples[c0:c1] = clean + noise_sigma * noise
     return TraceSet(samples=samples, plaintexts=plaintexts, ciphertexts=ciphertexts,
-                    failed=failed, sample_period_s=sp, key=bytes(key), fs=fs,
+                    failed=failed, key=bytes(key), fs=fs,
                     oversampling=int(oversampling), noise_sigma=float(noise_sigma),
                     key2=None if key2 is None else bytes(key2), fs2=fs2, clock_edges=edges)
 
@@ -276,8 +281,8 @@ def first_round_coincidence_fraction(ts: TraceSet) -> float:
 # do not fit in the file (checked before any record is parsed), traces with
 # no samples, a sample count past the end of the file, traces with unequal
 # sample counts, or a non-finite (NaN or inf) sample.  ``write_trace_set``
-# refuses a set with such samples or sample period, or one whose header
-# values do not fit their fields, with ValueError before it opens the file.
+# refuses a set with such samples, or one whose header values do not fit
+# their fields, with ValueError before it opens the file.
 # ---------------------------------------------------------------------------
 
 def _record_dtype(n_samples: int) -> np.dtype:
@@ -308,9 +313,6 @@ def write_trace_set(ts: TraceSet, path) -> None:
     bad = np.flatnonzero(~np.isfinite(records["samples"]).all(axis=1))
     if bad.size:  # so would it here
         raise ValueError(f"trace {bad[0]} has a non-finite sample")
-    if ts.sample_period_s != ts.fs.base_period_s / ts.oversampling:  # so would it here
-        raise ValueError(f"sample period {ts.sample_period_s!r} s is not the base "
-                         f"period over oversampling {ts.oversampling}")
     for name, value in (("n_traces", len(ts)), ("oversampling", ts.oversampling)):
         if not 0 <= value <= 0xFFFFFFFF:
             raise ValueError(f"{name} {value} does not fit the format's u32 field")
@@ -401,8 +403,6 @@ def read_trace_set(path) -> TraceSet:
     bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
     if bad.size:
         raise TraceFormatError(f"trace {bad[0]} has a non-finite sample")
-    return TraceSet(samples=samples,
-                    plaintexts=records["plaintext"].copy(),
+    return TraceSet(samples=samples, plaintexts=records["plaintext"].copy(), key=key, fs=fs,
                     ciphertexts=records["ciphertext"].copy(), failed=records["failed"] != 0,
-                    sample_period_s=sp, key=key, fs=fs, oversampling=oversampling,
-                    noise_sigma=noise_sigma, key2=key2, fs2=fs2)
+                    oversampling=oversampling, noise_sigma=noise_sigma, key2=key2, fs2=fs2)

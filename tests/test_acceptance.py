@@ -356,7 +356,7 @@ def test_candidate_bounds_overlap_rate_and_exploit_gain():
     samples[16 * 12] = 130.0
     pair = TraceSet(samples=np.tile(samples, (8, 1)), plaintexts=np.zeros((8, 16), np.uint8),
                     ciphertexts=np.zeros((8, 16), np.uint8), failed=np.zeros(8, bool),
-                    sample_period_s=12.5e-9, key=KEY, fs=fs1, oversampling=8,
+                    key=KEY, fs=fs1, oversampling=8,
                     noise_sigma=0.0, key2=KEY2, fs2=fs2)
     rep = overlap_exploit(pair, candidates=5, region="last")
     assert 1.0 / rep.candidates == pytest.approx(0.2)

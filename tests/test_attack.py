@@ -187,8 +187,7 @@ def test_filter_params_resolution():
     assert q.detect_separation == 4
 
 
-def hand_set(rows, failed=None, clock_edges=None, fs=None, oversampling=8,
-             sample_period_s=12.5e-9, **dual):
+def hand_set(rows, failed=None, clock_edges=None, fs=None, oversampling=8, **dual):
     """A set of the sample ``rows`` with all-zero plaintexts and ciphertexts;
     ``dual`` passes key2 and fs2."""
     n = len(rows)
@@ -196,8 +195,7 @@ def hand_set(rows, failed=None, clock_edges=None, fs=None, oversampling=8,
                     plaintexts=np.zeros((n, 16), np.uint8),
                     ciphertexts=np.zeros((n, 16), np.uint8),
                     failed=np.zeros(n, bool) if failed is None else np.array(failed, bool),
-                    sample_period_s=sample_period_s, key=KEY, fs=fs or degenerate(),
-                    oversampling=oversampling, noise_sigma=0.0,
+                    key=KEY, fs=fs or degenerate(), oversampling=oversampling, noise_sigma=0.0,
                     clock_edges=clock_edges, **dual)
 
 
@@ -783,6 +781,24 @@ def test_cpa_scratch_does_not_grow_with_rows_times_guesses():
     assert peak < 16e6
 
 
+def test_cpa_holds_no_float64_copy_of_the_rows():
+    # 4,000 x 360 float32: a float64 copy of the rows takes 11.5 MB.  Only
+    # the transient square for the sum of y^2 is one; the block scratch,
+    # the running h*y sums and a byte's hypotheses stay near 2.5 MB.
+    n, width = 4000, 360
+    rng = np.random.default_rng(14)
+    am = AlignedMatrix(rows=rng.standard_normal((n, width)).astype(np.float32),
+                       ciphertexts=rng.integers(0, 256, size=(n, 16), dtype=np.uint8),
+                       peak_positions=np.full(n, -1))
+    tracemalloc.start()
+    try:
+        cpa_attack(am)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * width
+
+
 def test_min_traces_monotone_in_noise():
     minima = []
     for sigma in (0.0, 1.0, 2.0):
@@ -869,12 +885,13 @@ def test_search_pins_its_result_builds_and_sums(monkeypatch, make, step, expecte
 
 def test_search_holds_one_prefix_buffer():
     # 1,500 x 360 at the default step: 6 blocks, of which only byte 0 is
-    # built.  The search holds the float64 rows (1,500 x 360, 4.32 MB), one
+    # built.  The search holds no float64 copy of the rows (it would take
+    # 4.32 MB, as the transient square for the sums of y^2 does), one
     # set of prefix arrays, whose h*y part is (6 + 1, 360, 256) float64
     # (5.16 MB), a size's gathered h*y sums and work array (2 x 6 x 360 x
     # 256 float64, 8.85 MB), and a byte's totals (0.74 MB), block scratch
     # (250 x 256 float64, 0.51 MB) and hypotheses (1,500 x 256 uint8,
-    # 0.38 MB): about 20 MB.  A second prefix buffer would add 5.16 MB.
+    # 0.38 MB): about 16 MB.  A second prefix buffer would add 5.16 MB.
     n, width = 1500, 360
     rng = np.random.default_rng(12)
     am = AlignedMatrix(rows=rng.standard_normal((n, width)).astype(np.float32),
@@ -933,9 +950,9 @@ def test_a_byte_build_failure_surfaces_unchanged_and_keeps_earlier_bytes(monkeyp
 # Spectra
 # ---------------------------------------------------------------------------
 
-def sine_set(freq_hz, n_traces=4, n=240, sp=12.5e-9):
-    t = np.arange(n) * sp
-    return hand_set([np.sin(2 * np.pi * freq_hz * t)] * n_traces, sample_period_s=sp)
+def sine_set(freq_hz, n_traces=4, n=240):
+    t = np.arange(n) * 12.5e-9  # hand_set's grid: 1e-7 s over oversampling 8
+    return hand_set([np.sin(2 * np.pi * freq_hz * t)] * n_traces)
 
 
 def test_fft_peak_sits_in_the_sine_bin():
@@ -1002,9 +1019,8 @@ def test_candidate_count_endpoints_and_exponent():
         peak_permutation_bound(fs1, n_traces=0)
 
 
-def dual_hand_set(trace_samples, sp=12.5e-9):
-    return hand_set(trace_samples, fs=degenerate(10e6), sample_period_s=sp,
-                    key2=KEY2, fs2=degenerate(12e6))
+def dual_hand_set(trace_samples):
+    return hand_set(trace_samples, fs=degenerate(10e6), key2=KEY2, fs2=degenerate(12e6))
 
 
 def test_overlap_exploit_no_coincidence_scores_zero():

@@ -806,6 +806,22 @@ def test_cli_corrupt_headers_exit_3(tmp_path, capsys, small_trace_blob, case):
     assert "data error:" in capsys.readouterr().err
 
 
+def test_every_flipped_header_byte_exits_0_2_or_3(tmp_path, capsys, small_trace_blob):
+    # each header byte XOR 0xFF once; the reader must refuse the file as data
+    # (3) or the command must run (0) or refuse an argument (2), never exit 4
+    path = tmp_path / "flipped.bin"
+    codes = {}
+    for at in range(_LABEL_AT + _label_len(small_trace_blob) + 48):
+        blob = bytearray(small_trace_blob)
+        blob[at] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        for argv in (["attack", "--evaluate", bytes(range(16)).hex()], ["fft"]):
+            code = main([argv[0], str(path), "--out", str(tmp_path / argv[0]), *argv[1:]])
+            codes.setdefault(code, []).append((at, argv[0]))
+    capsys.readouterr()
+    assert set(codes) <= {0, 2, 3}, {c: v[:5] for c, v in codes.items() if c not in (0, 2, 3)}
+
+
 def _resized_trace(blob, index, delta, n_traces=4):
     """``blob`` with trace ``index`` given ``delta`` more (zero) samples."""
     header = _LABEL_AT + _label_len(blob) + 48

@@ -339,21 +339,12 @@ def test_writer_refuses_traces_without_samples(tmp_path):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("change", [{"sample_period_s": 1e-300}, {"oversampling": 2**31}])
-def test_writer_refuses_a_sample_period_the_reader_rejects(tmp_path, change):
-    ts = generate_set(degenerate(), KEY, 4, oversampling=8, seed=1)
-    path = tmp_path / "bad.bin"
-    with pytest.raises(ValueError, match="is not the base period over oversampling"):
-        write_trace_set(dataclasses.replace(ts, **change), path)
-    assert not path.exists()
-
-
 @pytest.mark.parametrize("change, message", [
     ({"fs": FrequencySet(10e6, (10e6,) * 4, label="é" * 32768)}, "label of 65536 UTF-8 bytes"),
     ({"fs2": FrequencySet(12e6, (12e6,) * 4, label="é" * 32768)}, "label of 65536 UTF-8 bytes"),
     ({"key": KEY[:15]}, "a key must be 16 bytes, got 15"),
     ({"key2": KEY2 + b"\0"}, "a key must be 16 bytes, got 17"),
-    ({"oversampling": 2**32, "sample_period_s": 1e-7 / 2**32},
+    ({"oversampling": 2**32},
      "oversampling 4294967296 does not fit the format's u32 field"),
 ])
 def test_writer_refuses_a_header_value_its_field_cannot_hold(tmp_path, change, message):
@@ -448,7 +439,7 @@ def test_equality_ignores_generation_metadata():
     ts = one_trace(degenerate(), oversampling=8)
     bare = TraceSet(samples=ts.samples.copy(), plaintexts=ts.plaintexts.copy(),
                     ciphertexts=ts.ciphertexts.copy(), failed=ts.failed.copy(),
-                    sample_period_s=ts.sample_period_s, key=KEY, fs=degenerate(),
+                    key=KEY, fs=degenerate(),
                     oversampling=8, noise_sigma=0.0)
     assert ts == bare
     assert ts.clock_edges is not None and bare.clock_edges is None
