@@ -26,7 +26,9 @@ bytes.  Every h*y sum is window-major, (..., W, 256): a block's product
 is y^T h, with M = W and N = 256, and the max over the window reduces an
 outer axis, 256 guesses at a time.  Both run faster that way than in the
 (..., 256, W) transpose, and give the same bits.  Each pass works on the
-set's arrays.
+set's arrays, with scratch sized by constants, not by the input: row
+batches (``traces._row_batches``), ``SEARCH_CHUNK`` segments per kernel
+call, and ``MAX_SEARCH_CELLS`` for the search's prefix buffer.
 ``filter_traces`` detects peaks in one ``detect_peaks`` pass over the
 non-failed rows, by index (a matrix pass; ``_find_peaks_row``, an exact
 numpy port of scipy's ``find_peaks``, only for rows with a plateau or
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import aes
-from .traces import TraceSet
+from .traces import TraceSet, _row_batches
 
 DEFAULT_STEP = 250
 
@@ -205,8 +207,8 @@ def detect_peaks(samples: np.ndarray, threshold_k: float = 3.0, min_separation: 
     ``rows``.
 
     The peaks are scipy ``find_peaks``'s with that height and a distance of
-    ``min_separation`` (which keeps the tallest peak of any cluster).  256
-    float64 rows at a time (gathered by ``rows``, so they are never copied
+    ``min_separation`` (which keeps the tallest peak of any cluster).  A row
+    batch of float64 rows at a time (gathered by ``rows``, so never copied
     whole), a peak is a strict local maximum at or above the height.  Only
     a row with a plateau at or above its height, or with two such maxima
     closer than ``min_separation``, goes to ``_find_peaks_row``, the exact
@@ -218,8 +220,8 @@ def detect_peaks(samples: np.ndarray, threshold_k: float = 3.0, min_separation: 
     width = samples.shape[1]
     distance = max(1, int(min_separation))
     found_rows, found_pos = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for c0 in range(0, n if width >= 3 else 0, 256):
-        chunk = samples[c0:c0 + 256] if rows is None else samples[rows[c0:c0 + 256]]
+    for c0, c1 in _row_batches(n if width >= 3 else 0, width):
+        chunk = samples[c0:c1] if rows is None else samples[rows[c0:c1]]
         x = chunk.astype(np.float64)
         height = (x.mean(axis=1) + threshold_k * x.std(axis=1))[:, None]
         mid = x[:, 1:-1]
@@ -338,24 +340,21 @@ def raw_matrix(ts: TraceSet, round: int = 10,
 # Correlation
 # ---------------------------------------------------------------------------
 
-def _max_abs_rho(n, sh, shh, sy, syy, shy, work=None):
+def _max_abs_rho(n, sh, shh, sy, syy, shy):
     """(max |rho| per guess, zero-variance hypothesis mask) from the sums
     ``sh``, ``shh`` (..., 256), ``sy``, ``syy`` (..., W), ``shy`` (..., W, 256)
     of h, h^2, y, y^2, h*y over ``n`` traces; leading axes are segments.
-    ``shy`` is window-major, as ``_ByteSums`` builds it: the outer
+    The call computes in the float64 ``shy``, overwriting it, and in one
+    work array.  ``shy`` is window-major, as ``_ByteSums`` builds it: the outer
     products are sy x sh and vary x varh (IEEE products commute, so these
     are the bits of sh x sy), and the max over the window reduces axis -2,
     256 guesses at a time, not a short last axis of W per guess.
     A cell with zero variance on either side scores 0.  When every
     variance is positive, so is every cell's product (it is at least the
     product of the two least), and the cells are divided without the
-    mask: the same operations on every cell, so the same bits.  Given
-    ``work``, a float64 array shaped like ``shy``, the call computes in
-    ``shy`` and ``work``, overwriting both, and allocates no array of
-    their size.
+    mask: the same operations on every cell, so the same bits.
     """
-    if work is None:
-        shy, work = shy.astype(np.float64), np.empty(shy.shape)
+    work = np.empty(shy.shape)
     num = np.multiply(shy, n, out=shy)
     np.subtract(num, np.multiply(sy[..., :, None], sh[..., None, :], out=work), out=num)
     varh = n * shh - sh * sh
@@ -467,7 +466,7 @@ def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None) -> CpaResult:
     undefined = 0
     for p in range(16):
         sh, shh, shy = am._sums[p] if p in am._sums else sums.build(p)
-        scores[p], constant = _max_abs_rho(len(y), sh, shh, sy, syy, shy)
+        scores[p], constant = _max_abs_rho(len(y), sh, shh, sy, syy, shy.copy())
         undefined += int(constant.sum())
     rec_rk = bytearray(16)
     for p in range(16):
@@ -487,6 +486,14 @@ def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None) -> CpaResult:
 #: The search scores segments of 1 to SEARCH_CAP blocks first; each later
 #: range doubles the largest size (9-16, 17-32, ...).
 SEARCH_CAP = 8
+
+#: Segments of one size scored per kernel call: the h*y sums it gathers and
+#: the kernel's work array are (SEARCH_CHUNK, W, 256) float64 at most.
+SEARCH_CHUNK = 64
+
+#: The most blocks x W the search takes: its (blocks + 1, W, 256) float64
+#: prefix buffer stays near 1 GiB.
+MAX_SEARCH_CELLS = 1 << 19
 
 
 def min_traces_search(am: AlignedMatrix, true_key: bytes,
@@ -509,6 +516,9 @@ def min_traces_search(am: AlignedMatrix, true_key: bytes,
     one size does not depend on any other, so the result is exactly the smallest
     successful size, as an exhaustive search over (size, offset) finds it,
     or None when no segment (or not even one block) recovers the key.
+    A size's live segments are scored ``SEARCH_CHUNK`` at a time, each from
+    its own sums, so the chunk moves no bit.  More than ``MAX_SEARCH_CELLS``
+    blocks x W raise ValueError before anything is allocated.
 
     At ``DEFAULT_STEP`` the search leaves each byte it builds summed over
     all rows in ``am._sums`` (``_ByteSums.build``'s totals, stored once
@@ -520,16 +530,18 @@ def min_traces_search(am: AlignedMatrix, true_key: bytes,
         raise ValueError("step must be at least 2")
     if am.rows.shape[0] < step:
         return None
+    nblocks, width = am.rows.shape[0] // step, am.rows.shape[1]
+    if nblocks * width > MAX_SEARCH_CELLS:
+        raise ValueError(f"{nblocks} blocks of {step} rows x W = {width} columns is "
+                         f"{nblocks * width} cells, past the search's limit of "
+                         f"{MAX_SEARCH_CELLS}")
     sums = _ByteSums(am, step, every_prefix=True)
-    nblocks = len(sums.yb)
     # row i of a prefix holds the sum of blocks [0, i)
     py, pyy = (np.cumulative_sum(b, axis=0, include_initial=True)
                for b in (sums.yb.sum(axis=1, dtype=np.float64),
                          np.square(sums.yb, dtype=np.float64).sum(axis=1)))
     guesses = _true_guesses(true_key)
     ph, phh, phy = sums.ph, sums.phh, sums.phy
-    # a size's gathered h*y sums and the kernel's work array, for every segment
-    gathered = np.empty((2, *phy[1:].shape))
     first, last = 1, min(SEARCH_CAP, nblocks)
     while True:
         # alive[k][s]: every byte scored so far ranks 1 on the k blocks at s
@@ -539,15 +551,13 @@ def min_traces_search(am: AlignedMatrix, true_key: bytes,
             if step == DEFAULT_STEP:
                 am._sums[p] = total
             for k in range(first, last + 1):
-                s = np.flatnonzero(alive[k])
-                if not s.size:
-                    continue
-                shy, work = gathered[:, :s.size]
-                np.take(phy, s + k, axis=0, out=shy, mode="clip")  # "clip" copies unbuffered
-                np.subtract(shy, np.take(phy, s, axis=0, out=work, mode="clip"), out=shy)
-                sc, _ = _max_abs_rho(k * step, ph[s + k] - ph[s], phh[s + k] - phh[s],
-                                     py[s + k] - py[s], pyy[s + k] - pyy[s], shy, work)
-                alive[k][s] = _rank(sc, guesses[p]) == 1
+                live = np.flatnonzero(alive[k])
+                for c0 in range(0, live.size, SEARCH_CHUNK):
+                    s = live[c0:c0 + SEARCH_CHUNK]
+                    sc, _ = _max_abs_rho(k * step, ph[s + k] - ph[s], phh[s + k] - phh[s],
+                                         py[s + k] - py[s], pyy[s + k] - pyy[s],
+                                         phy[s + k] - phy[s])
+                    alive[k][s] = _rank(sc, guesses[p]) == 1
             found = [k for k, a in alive.items() if a.any()]
             if not found:  # no segment left alive: the later bytes are not built
                 break
@@ -566,8 +576,9 @@ def fft_spectrum(ts: TraceSet, bin_hz: float) -> SpectrumHistogram:
     """Average energy spectrum of a set, folded into bins of ``bin_hz``.
 
     Each non-failed row is mean-subtracted, zero-padded to its length
-    rounded up to a power of two, and transformed, 256 rows per batched
-    ``rfft``; per-bin energies are summed in row order and averaged.
+    rounded up to a power of two, n_fft, and transformed, a row batch of
+    n_fft-sample rows per ``rfft``; per-bin energies are summed in row order
+    (so the batch moves no bit) and averaged.
     The normalization keeps Parseval exact: sum(magnitudes**2) equals the
     mean time-domain energy of the mean-subtracted rows.  A bin narrower
     than the spectrum's resolution, sample rate / n_fft, would only add
@@ -586,8 +597,8 @@ def fft_spectrum(ts: TraceSet, bin_hz: float) -> SpectrumHistogram:
     weights = np.full(n_fft // 2 + 1, 2.0)
     weights[0] = weights[-1] = 1.0  # n_fft is a power of two: even, or 1
     energy = np.zeros(n_fft // 2 + 1)
-    for c0 in range(0, rows.size, 256):
-        x = ts.samples[rows[c0:c0 + 256]].astype(np.float64)
+    for c0, c1 in _row_batches(rows.size, n_fft):
+        x = ts.samples[rows[c0:c1]].astype(np.float64)
         x -= x.mean(axis=1, keepdims=True)
         spec = np.fft.rfft(x, n_fft, axis=1)
         # a sum over axis 0 adds row after row, as a running total would

@@ -234,7 +234,10 @@ def _score(cfg: ExperimentConfig, am, fs, true_key: bytes | None) -> dict:
     overhead of the set's clock ``fs``."""
     result = {"min_traces": None, "broken": None, "recovered_key": None}
     if true_key is not None:
-        result["min_traces"] = min_traces_search(am, true_key, step=cfg.step)
+        try:
+            result["min_traces"] = min_traces_search(am, true_key, step=cfg.step)
+        except ValueError as exc:  # more blocks x W than the search takes
+            raise ConfigError(f"[attack] step: {exc}") from None
         result["broken"] = result["min_traces"] is not None
     if am.rows.shape[0] >= 2:
         cpa = cpa_attack(am, true_key=true_key)

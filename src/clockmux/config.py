@@ -134,10 +134,12 @@ class ExperimentConfig:
     command's peak memory under 4 GB (3.2 GB measured, for ``simulate`` at
     2**24 cycles on a set at the ratio; 2.4 GB for ``attack`` on a file at
     the sample cap, with or without a key), and are the same on every
-    machine.  Two cases do not fit (README), both for the min-traces
-    search's buffers, which grow with rows / step: ``attack --no-sync
-    --evaluate`` at the sample cap (without a key it fits), and ``attack
-    --evaluate --step 2`` on a large file inside every limit.
+    machine.  The min-traces search's prefix buffer grows with rows / step,
+    which no key limits alone: the search refuses more than
+    ``attack.MAX_SEARCH_CELLS`` blocks x W, and the CLI reports that as an
+    ``[attack] step`` error.  One case does not fit (README):
+    ``attack --no-sync`` on very wide rows (500 x 528,000 samples), in the
+    CPA's (2, W, 256) float64 running sum of h*y.
     """
 
     sets: tuple[FrequencySet, ...] = ()

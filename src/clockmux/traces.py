@@ -50,8 +50,9 @@ WINDOW_CYCLES_PER_ROUND = 3
 #: Pulse half-width as a fraction of the base period.
 PULSE_HALF_WIDTH_FRACTION = 1.0 / 8.0
 
-#: Traces rendered per scatter; bounds the render's working arrays.
-_CHUNK_TRACES = 256
+#: Samples in a row batch at most: generation, peak detection and the
+#: spectrum take one batch at a time, so their scratch is not the input's size.
+BATCH_SAMPLES = 1 << 16
 
 
 class TraceFormatError(Exception):
@@ -138,6 +139,13 @@ class TraceSet:
                         for a in _ROW_FIELDS[:4]))
 
 
+def _row_batches(n: int, width: int) -> list[tuple[int, int]]:
+    """(first, stop) ranges that cover ``n`` rows of ``width`` samples in
+    order, each of at most ``BATCH_SAMPLES`` samples and at least one row."""
+    rows = max(1, BATCH_SAMPLES // max(1, width))
+    return [(c0, min(c0 + rows, n)) for c0 in range(0, n, rows)]
+
+
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -182,11 +190,12 @@ def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
     Each trace encrypts a fresh random block.  With ``fs2``/``key2`` a second
     core encrypts the same block on its own clock.  Every plaintext is drawn
     first, each from its trace's stream; every key then encrypts the whole set
-    at once, and the arrays are filled ``_CHUNK_TRACES`` rows at a time, one
-    draw at a time: core-2 phases (``random(5)`` is ``random()`` then
-    ``random(4)``), one ``_edges_until`` call per core, failed rows'
+    at once, and the arrays are filled one ``_row_batches`` batch of rows at
+    a time, one draw at a time: core-2 phases (``random(5)`` is ``random()``
+    then ``random(4)``), one ``_edges_until`` call per core, failed rows'
     ciphertexts, noise.  Each core's pulses are one ``_render_pulses`` call,
-    rounded to float32 and summed, and the noise is added last.
+    rounded to float32 and summed, and the noise is added last.  Every step
+    is row-wise, so the batch size moves no bit.
     """
     if n_traces < 0:
         raise ValueError("n_traces must be non-negative")
@@ -213,8 +222,7 @@ def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
     # the failed flag and stored ciphertexts are core 1's, copied off the states they view
     ciphertexts = encrypted[0][1].copy()
     threshold = error_threshold_factor * fs.base_period_s
-    for c0 in range(0, n_traces, _CHUNK_TRACES):
-        c1 = min(c0 + _CHUNK_TRACES, n_traces)
+    for c0, c1 in _row_batches(n_traces, n_samples):
         chunk = np.arange(c0, c1)
         offsets = [()]  # core 1 is trigger-aligned
         if fs2 is not None:  # core 2 free-runs: a base phase, then four source phases
@@ -230,7 +238,8 @@ def generate_set(fs: FrequencySet, key: bytes, n_traces: int, *,
         for c, d in enumerate(dists):
             render = _render_pulses(edges[c0:c1, c, 1:], d[c0:c1], n_samples, sp, hw)
             clean += render.astype(np.float32).astype(np.float64)
-        samples[c0:c1] = clean + noise_sigma * noise
+        noise *= noise_sigma  # in place, as is the sum: no further batch-sized arrays
+        samples[c0:c1] = np.add(clean, noise, out=clean)
     return TraceSet(samples=samples, plaintexts=plaintexts, ciphertexts=ciphertexts,
                     failed=failed, key=bytes(key), fs=fs,
                     oversampling=int(oversampling), noise_sigma=float(noise_sigma),

@@ -92,8 +92,8 @@ def test_detect_peaks_matches_find_peaks_row_for_row(monkeypatch):
             # a two-sample running max flattens every pulse's apex into a plateau
             for rows in (x, np.maximum(x[:, 1:], x[:, :-1])):
                 corpus += [(rows, 3.0, own, None), (rows, 2.0, 4, None), (rows, 1.0, 6, None)]
-    # indexed rows: every other row (of 600, so the index spans two 256-row
-    # chunks), one row, and none
+    # indexed rows: every other row (of 600, so the 300-row index spans five
+    # 68-row batches of these 960-sample rows), one row, and none
     stack = np.concatenate([x + np.float32(i) * x[::-1] for i in range(25)])
     corpus += [(stack, 3.0, own, np.arange(0, len(stack), 2)), (x, 2.0, 4, np.array([5])),
                (x, 3.0, own, np.empty(0, np.intp))]
@@ -568,9 +568,8 @@ def test_max_abs_rho_divides_unmasked_only_where_the_masked_form_gives_the_same_
     assert positive == (case == "random")
     expected_scores, expected_mask = masked_max_abs_rho(50, *sums)
     assert expected_mask.any() == (case == "zero-variance guess")
-    for work in (None, np.empty_like(sums[4])):
-        scores, mask = attack._max_abs_rho(50, *sums[:4], sums[4].copy(), work)
-        assert np.array_equal(scores, expected_scores) and np.array_equal(mask, expected_mask)
+    scores, mask = attack._max_abs_rho(50, *sums[:4], sums[4].copy())
+    assert np.array_equal(scores, expected_scores) and np.array_equal(mask, expected_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -861,26 +860,29 @@ NO_SUMS = hashlib.sha256().hexdigest()
 ])
 def test_search_pins_its_result_builds_and_sums(monkeypatch, make, step, expected, built,
                                                 digest):
-    # the builds and the sums' bits are frozen: a change to the search keeps them
+    # the builds and the sums' bits are frozen: a change to the search keeps
+    # them, and so does the number of segments it scores per kernel call
     ts = make()
-    am = aligned(ts, ts.oversampling)
-    start = threading.active_count()
-    result, sums, builds, most = traced_search(monkeypatch, am, step)
-    assert result == expected
-    # each range builds bytes 0, 1, ... in order until none is left alive
-    assert builds == built
-    # at the default step, the sums left behind are the built bytes' sums
-    # over every row; at another step none is left
-    assert sorted(sums) == (sorted(set(builds)) if step == attack.DEFAULT_STEP else [])
-    assert sums_digest(sums) == digest
-    y = am.rows.astype(np.float64)
-    for p, (sh, shh, shy) in sums.items():
-        h = aes.hypothesis_matrix(am.ciphertexts, p).astype(np.int64)
-        assert np.array_equal(sh, h.sum(axis=0)) and np.array_equal(shh, (h * h).sum(axis=0))
-        np.testing.assert_allclose(shy, y.T @ h.astype(np.float64), rtol=1e-12)
-    # the search runs on the calling thread
-    assert most == start
-    assert threading.active_count() == start
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(attack, "SEARCH_CHUNK", chunk)
+        am = aligned(ts, ts.oversampling)
+        start = threading.active_count()
+        result, sums, builds, most = traced_search(monkeypatch, am, step)
+        assert result == expected, chunk
+        # each range builds bytes 0, 1, ... in order until none is left alive
+        assert builds == built, chunk
+        # at the default step, the sums left behind are the built bytes' sums
+        # over every row; at another step none is left
+        assert sorted(sums) == (sorted(set(builds)) if step == attack.DEFAULT_STEP else [])
+        assert sums_digest(sums) == digest, chunk
+        y = am.rows.astype(np.float64)
+        for p, (sh, shh, shy) in sums.items():
+            h = aes.hypothesis_matrix(am.ciphertexts, p).astype(np.int64)
+            assert np.array_equal(sh, h.sum(axis=0)) and np.array_equal(shh, (h * h).sum(axis=0))
+            np.testing.assert_allclose(shy, y.T @ h.astype(np.float64), rtol=1e-12)
+        # the search runs on the calling thread
+        assert most == start
+        assert threading.active_count() == start
 
 
 def test_search_holds_one_prefix_buffer():
@@ -888,8 +890,9 @@ def test_search_holds_one_prefix_buffer():
     # built.  The search holds no float64 copy of the rows (it would take
     # 4.32 MB, as the transient square for the sums of y^2 does), one
     # set of prefix arrays, whose h*y part is (6 + 1, 360, 256) float64
-    # (5.16 MB), a size's gathered h*y sums and work array (2 x 6 x 360 x
-    # 256 float64, 8.85 MB), and a byte's totals (0.74 MB), block scratch
+    # (5.16 MB), a chunk's two gathered h*y prefix rows, then their
+    # difference and the kernel's work array (2 x 6 x 360 x 256 float64,
+    # 8.85 MB either way), and a byte's totals (0.74 MB), block scratch
     # (250 x 256 float64, 0.51 MB) and hypotheses (1,500 x 256 uint8,
     # 0.38 MB): about 16 MB.  A second prefix buffer would add 5.16 MB.
     n, width = 1500, 360
@@ -905,6 +908,36 @@ def test_search_holds_one_prefix_buffer():
         tracemalloc.stop()
     assert sorted(am._sums) == [0]
     assert peak < 22e6
+
+
+def test_search_refuses_more_cells_than_its_limit_before_allocating(monkeypatch):
+    # 1,025 blocks of 2 rows x 512 columns, one block past the limit; the
+    # rows are a broadcast view, so the matrix takes no memory
+    width, step = 512, 2
+    n = step * (attack.MAX_SEARCH_CELLS // width + 1)
+    am = AlignedMatrix(rows=np.broadcast_to(np.float32(0), (n, width)),
+                       ciphertexts=np.zeros((n, 16), np.uint8), peak_positions=np.full(n, -1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^1025 blocks of 2 rows x W = 512 columns is "
+                                             r"524800 cells, past the search's limit of 524288"):
+            min_traces_search(am, KEY, step=step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+    # the limit counts whole blocks: 10 blocks of 4 rows x 5 columns pass a
+    # limit of 50 cells (the 2 rows past the last block do not count) and
+    # fail one of 49
+    rng = np.random.default_rng(5)
+    am = AlignedMatrix(rows=rng.standard_normal((42, 5)).astype(np.float32),
+                       ciphertexts=rng.integers(0, 256, size=(42, 16), dtype=np.uint8),
+                       peak_positions=np.full(42, -1))
+    monkeypatch.setattr(attack, "MAX_SEARCH_CELLS", 50)
+    assert min_traces_search(am, KEY, step=4) is None
+    monkeypatch.setattr(attack, "MAX_SEARCH_CELLS", 49)
+    with pytest.raises(ValueError, match="^10 blocks of 4 rows x W = 5 columns is 50 cells"):
+        min_traces_search(am, KEY, step=4)
 
 
 def test_a_byte_build_failure_surfaces_unchanged_and_keeps_earlier_bytes(monkeypatch):

@@ -533,6 +533,22 @@ def test_commands_at_the_scale_limits_exit_0(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_a_search_past_its_cell_limit_exits_2_naming_the_step(tmp_path, capsys):
+    # 40 traces of 36,000 samples (5.8 MB); unsynchronized, the 36 kept rows
+    # make 18 blocks of 2 at W = 36,000, past the search's 2**19 blocks x W
+    cfg = write_config(tmp_path, "[sets]\nuse = 1\n\n[traces]\nn_traces = 40\n"
+                                 "window_cycles = 3000\n")
+    out = tmp_path / "out"
+    assert main(["gen", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["attack", str(out / "traces_set1.bin"), "--config", cfg, "--out", str(out),
+                 "--no-sync", "--step", "2", "--evaluate", bytes(range(16)).hex()]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: [attack] step: 18 blocks of 2 rows x W = 36000 columns is 648000 "
+                   "cells, past the search's limit of 524288\n")
+    assert not (out / "attack_report.json").exists()
+
+
 def test_attack_window_wider_than_any_row_reports_as_no_row_kept(tmp_path, capsys):
     # 2w + 1 columns fit no row of these traces; 10**10 columns would not fit
     # in memory and 10**30 not in an int64, yet both report what 100000 does

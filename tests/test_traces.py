@@ -3,17 +3,19 @@
 Render positions are checked against hand-computed grids on degenerate
 (fixed-frequency) clocks, the batched pulse render against a per-edge
 reference loop, dual-core superposition against the sum of each core's own
-render, chunked generation against a tiny render chunk, and the file format
-against byte-level corruptions.
+render, batched generation, peak detection and spectrum against tiny row
+batches, and the file format against byte-level corruptions.
 """
 
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from clockmux import aes, traces
+from clockmux.attack import detect_peaks, fft_spectrum
 from clockmux.clock import FrequencySet
 from clockmux.presets import REFERENCE_BASE_HZ, dual_reference_pair, study_set
 from clockmux.traces import (
@@ -263,23 +265,60 @@ def test_first_round_coincidence_fraction():
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_sets_do_not_depend_on_the_render_chunk(cores, monkeypatch):
-    # 600 traces span three 256-row render chunks, failures included; a
-    # 7-row chunk must give every array bit for bit
+    # 600 traces of 240 samples (256 once the spectrum pads them), failures
+    # included, span three row batches (273 rows, 256 in the spectrum);
+    # batches of 1 row and of 7 rows (6 in the spectrum) must give every
+    # array, every peak and the spectrum bit for bit
     fs1, fs2 = dual_reference_pair()
     dual = dict(fs2=fs2, key2=KEY2) if cores == 2 else {}
+    bin_hz = 3 * 8 / (256 * fs1.base_period_s)  # three spectrum lines
 
     def make():
-        return generate_set(fs1, KEY, 600, oversampling=8, seed=9, noise_sigma=0.5,
-                            **dual)
+        ts = generate_set(fs1, KEY, 600, oversampling=8, seed=9, noise_sigma=0.5, **dual)
+        live = np.flatnonzero(~ts.failed)
+        # (positions, counts) of every row, then of the live rows, then the spectrum
+        return ts, [*detect_peaks(ts.samples), *detect_peaks(ts.samples, rows=live),
+                    fft_spectrum(ts, bin_hz).magnitudes]
 
-    big = make()
-    monkeypatch.setattr(traces, "_CHUNK_TRACES", 7)
-    small = make()
+    big, passes = make()
     assert big.failed.any()
-    assert big == small
-    for name in ("samples", "ciphertexts", "clock_edges"):
-        assert np.array_equal(getattr(big, name), getattr(small, name)), name
-    assert big.clock_edges.shape == (600, cores, 11)
+    assert big.samples.shape == (600, 240) and big.clock_edges.shape == (600, cores, 11)
+    for batch in (1, 7 * 240):
+        monkeypatch.setattr(traces, "BATCH_SAMPLES", batch)
+        small, small_passes = make()
+        assert big == small
+        for name in ("samples", "ciphertexts", "clock_edges"):
+            assert np.array_equal(getattr(big, name), getattr(small, name)), name
+        for i, (a, b) in enumerate(zip(passes, small_passes)):
+            assert np.array_equal(a, b), i
+
+
+def test_row_passes_hold_one_batch_of_a_wide_set():
+    # 8 rows of 2**18 samples: a batch is one row, whose float64 copy takes
+    # 2 MB.  Generation, peak detection and the spectrum each hold a few
+    # such copies beside the set's own float32 samples; a batch of 256 rows
+    # would hold all 8 rows, and each pass 8 times as much.
+    n = 8
+    batch = 8 * (1 << 18)  # bytes of one batch in float64
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            out = run()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ts, gen_peak = peak(lambda: generate_set(study_set(1).fs, KEY, n, oversampling=16,
+                                             seed=3, noise_sigma=0.5, window_cycles=1 << 14))
+    assert ts.samples.shape == (n, 1 << 18)
+    assert traces._row_batches(n, 1 << 18) == [(i, i + 1) for i in range(n)]
+    scratch = gen_peak - ts.samples.nbytes
+    assert scratch < 8 * batch
+    for run in (lambda: detect_peaks(ts.samples),
+                lambda: detect_peaks(ts.samples, rows=np.arange(n)),
+                lambda: fft_spectrum(ts, 1e6)):
+        assert peak(run)[1] < 8 * batch
 
 
 # ---------------------------------------------------------------------------
