@@ -27,7 +27,7 @@ is y^T h, with M = W and N = 256, and the max over the window reduces an
 outer axis, 256 guesses at a time.  Both run faster that way than in the
 (..., 256, W) transpose, and give the same bits.  Each pass works on the
 set's arrays, with scratch sized by constants, not by the input: row
-batches (``traces._row_batches``), ``SEARCH_CHUNK`` segments per kernel
+batches (``clock._row_batches``), ``SEARCH_CHUNK`` segments per kernel
 call, and ``MAX_SEARCH_CELLS`` for the search's prefix buffer.
 ``filter_traces`` detects peaks in one ``detect_peaks`` pass over the
 non-failed rows, by index (a matrix pass; ``_find_peaks_row``, an exact
@@ -50,7 +50,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import aes
-from .traces import TraceSet, _row_batches
+from .clock import _row_batches
+from .traces import TraceSet
 
 DEFAULT_STEP = 250
 

@@ -60,15 +60,19 @@ DEFAULT_ERROR_THRESHOLD_FACTOR = 0.25
 STALL_CAP_CYCLES_PER_EDGE = 64
 
 #: A fundamental may be at most this multiple of ``base_hz``.  Edges per base
-#: cycle, and with them the memory of a simulation or of the overhead Monte
-#: Carlo, grow with the ratio; at 5 the largest sizes a config allows still
-#: fit in 4 GB.  The study sets stay below 1.5; the acceptance tests' error-
-#: risk set reaches 4.5.
+#: cycle, and with them the memory of a simulation, grow with the ratio; at 5
+#: the largest simulation a config allows peaks at 1.4 GB.  The study sets stay
+#: below 1.5; the acceptance tests' error-risk set reaches 4.5.
 MAX_FUNDAMENTAL_RATIO = 5.0
 
 #: Base cycles per run of a long ``simulate_mux_clock``: runs are computed on
 #: a few threads and joined in cycle order, so the edges do not depend on it.
 SIM_RUN_CYCLES = 1 << 15
+
+#: Samples in a row batch at most: the period histogram, the overhead Monte
+#: Carlo, trace generation, peak detection and the spectrum take one batch at
+#: a time, so their scratch is not the input's size.
+BATCH_SAMPLES = 1 << 16
 
 
 class ClampedProbabilityWarning(UserWarning):
@@ -168,12 +172,21 @@ class OverheadReport:
     error_risk: float
 
 
+def _row_batches(n: int, width: int) -> list[tuple[int, int]]:
+    """(first, stop) ranges that cover ``n`` rows of ``width`` samples in
+    order, each of at most ``BATCH_SAMPLES`` samples and at least one row."""
+    rows = max(1, BATCH_SAMPLES // max(1, width))
+    return [(c0, min(c0 + rows, n)) for c0 in range(0, n, rows)]
+
+
 # ---------------------------------------------------------------------------
 # Waveform simulation
 # ---------------------------------------------------------------------------
 
 def _compact(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Each row's masked ``values`` in order, nan-padded to the longest row."""
+    if len(mask) == 1:
+        return values[mask][None]
     count = np.count_nonzero(mask, axis=1)
     out = np.full((len(mask), count.max(initial=0)), np.nan)
     out[np.arange(out.shape[1]) < count[:, None]] = values[mask]
@@ -238,7 +251,10 @@ def _merge_close(edges: np.ndarray, tol: float) -> np.ndarray:
     # An edge at least tol past its predecessor is always kept, so a close
     # edge after a kept one is dropped; only an edge ending a chain of close
     # gaps needs the last kept edge looked up.
-    sub, close = edges[rows], close[rows]
+    if len(rows) < len(edges):
+        sub, close = edges[rows], close[rows]
+    else:  # every row (a lone one, say): no copy; _compact copies the kept edges out
+        sub, rows = edges, slice(None)
     keep = ~np.isnan(sub)
     keep[:, 1:] &= ~close
     for r, j in zip(*np.nonzero(close[:, 1:] & close[:, :-1])):
@@ -246,8 +262,9 @@ def _merge_close(edges: np.ndarray, tol: float) -> np.ndarray:
         while not keep[r, last]:
             last -= 1
         keep[r, j + 2] = sub[r, j + 2] - sub[r, last] >= tol
-    edges[rows] = np.nan
-    edges[rows, :keep.sum(axis=1).max()] = _compact(sub, keep)
+    kept = _compact(sub, keep)
+    edges[rows, :kept.shape[1]] = kept
+    edges[rows, kept.shape[1]:] = np.nan
     return edges
 
 
@@ -259,6 +276,17 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _run_in_order(run, starts):
+    """``run(c0)`` for each start, in order, on up to one thread per usable core."""
+    threads = min(_usable_cores(), len(starts))
+    if threads == 1:
+        yield from map(run, starts)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # ~3.5 ms; only long runs pay it
+    with ThreadPoolExecutor(threads) as pool:
+        yield from pool.map(run, starts)
+
+
 def simulate_mux_clock(fs: FrequencySet, n_base_cycles: int, seed: int) -> OutputWaveform:
     """Simulate the mux output over ``n_base_cycles`` base periods.
 
@@ -266,8 +294,11 @@ def simulate_mux_clock(fs: FrequencySet, n_base_cycles: int, seed: int) -> Outpu
     the output follows the selected source's level for the whole cycle, and
     the returned waveform lists every output rising edge in seconds.  Runs
     of ``SIM_RUN_CYCLES`` cycles are computed on up to one thread per usable
-    core; a run's edges lie inside its cycles, so joined in cycle order they
-    are the one-run edges bit for bit.
+    core, each copied into one edge array as it comes; a run's edges lie
+    inside its cycles, so joined in cycle order they are the one-run edges
+    bit for bit.  That array is sized by the set's bound on edges per cycle,
+    merged and scaled in place, and shrunk to its edges, so beside the
+    result only a few runs and the merge's scratch are held.
     """
     if n_base_cycles < 1:
         raise ValueError("n_base_cycles must be at least 1")
@@ -278,20 +309,26 @@ def simulate_mux_clock(fs: FrequencySet, n_base_cycles: int, seed: int) -> Outpu
     def run(c0: int) -> np.ndarray:  # one row, so no nan padding
         prev = sel[c0 - 1:c0] if c0 else np.array([-1])
         return _mux_edges(ratios, fs.duty_cycle, phases, sel[None, c0:c0 + SIM_RUN_CYCLES],
-                          c0, prev)[0]
+                          c0, prev)
 
     starts = range(0, n_base_cycles, SIM_RUN_CYCLES)
-    threads = min(_usable_cores(), len(starts))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # ~3.5 ms; only long runs pay it
-        with ThreadPoolExecutor(threads) as pool:
-            parts = list(pool.map(run, starts))
+    if len(starts) == 1:  # a lone run is neither copied nor put on a pool
+        edges = run(0)
+        n = edges.shape[1]
     else:
-        parts = [run(c0) for c0 in starts]
+        # a cycle holds at most its boundary edge and ceil(f / base_hz) + 1 rising
+        # edges of its source; the bound's unused tail is never written
+        per_cycle = 2 + math.ceil(max(fs.fundamentals) / fs.base_hz)
+        edges, n = np.empty((1, n_base_cycles * per_cycle)), 0
+        for part in _run_in_order(run, starts):
+            edges[:, n:n + part.shape[1]] = part
+            n += part.shape[1]
     tb = fs.base_period_s
-    edges = parts[0] if len(parts) == 1 else np.concatenate(parts)  # a lone run is not copied
-    edges = _merge_close(edges[None], EDGE_COINCIDENCE_TOL_S / tb)[0]
-    return OutputWaveform(edges_s=edges[~np.isnan(edges)] * tb, source_per_cycle=sel)
+    # the merge leaves the kept edges before a nan tail, and nan sorts last
+    n = int(np.searchsorted(_merge_close(edges[:, :n], EDGE_COINCIDENCE_TOL_S / tb)[0], np.nan))
+    edges.resize(n, refcheck=False)  # in place: no view of edges is left
+    edges *= tb
+    return OutputWaveform(edges_s=edges, source_per_cycle=sel)
 
 
 def _edges_until(fs: FrequencySet, bank: StreamBank, rows, n_edges: int, base_phases=0.0,
@@ -345,17 +382,35 @@ def extract_periods(w: OutputWaveform) -> np.ndarray:
 def period_histogram(periods: np.ndarray, bin_width_s: float) -> PeriodHistogram:
     """Histogram of periods with fixed-width bins anchored at zero.
 
-    Bin k covers [k * bin_width_s, (k + 1) * bin_width_s).
+    Bin k covers [k * bin_width_s, (k + 1) * bin_width_s).  Periods are
+    counted one ``_row_batches`` chunk at a time: a chunk whose bins span no
+    more than its length by ``np.bincount`` from its lowest bin, any other by
+    ``np.unique``, so no scratch grows with the input or with the bins' span.
+    A nan, an infinite or a negative period raises ValueError, as does one
+    past 2**63 bin widths.
     """
     if not bin_width_s > 0:
         raise ValueError("bin_width_s must be positive")
     periods = np.asarray(periods, dtype=np.float64)
-    if (periods < 0).any():
-        raise ValueError("periods must be non-negative")
-    idx = np.floor(periods / bin_width_s).astype(np.int64)
-    uniq, counts = np.unique(idx, return_counts=True)
-    return PeriodHistogram(bin_width_s=float(bin_width_s),
-                           bins={int(u): int(c) for u, c in zip(uniq, counts)})
+    bins: dict[int, int] = {}
+    for c0, c1 in _row_batches(len(periods), 1):
+        q = periods[c0:c1] / bin_width_s
+        np.floor(q, out=q)
+        lo, hi = q.min(), q.max()  # nan in either if any period is nan
+        if np.isnan(lo) or not hi < 2.0 ** 63:
+            raise ValueError("periods must be finite and under 2**63 bin widths")
+        if lo < 0:
+            raise ValueError("periods must be non-negative")
+        idx = q.astype(np.int64)
+        if hi - lo < len(idx):
+            counts = np.bincount(idx - int(lo))
+            uniq = np.flatnonzero(counts)
+            counts, uniq = counts[uniq], uniq + int(lo)
+        else:
+            uniq, counts = np.unique(idx, return_counts=True)
+        for u, c in zip(uniq.tolist(), counts.tolist()):
+            bins[u] = bins.get(u, 0) + c
+    return PeriodHistogram(bin_width_s=float(bin_width_s), bins=dict(sorted(bins.items())))
 
 
 def reference_bin_width(fs: FrequencySet) -> float:
@@ -508,18 +563,22 @@ def overhead_and_error(fs: FrequencySet, rounds: int = 10,
     to ``rounds`` base periods (the fixed-clock time); error_risk is the
     fraction of driving periods shorter than ``error_threshold_factor`` base
     periods, i.e. instantaneous frequency more than 1/factor times the base.
+    Encryptions are drawn one ``_row_batches`` batch of 1,024 rows at a time,
+    so beside one batch only each row's stream and completion time are held.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     if n_encryptions < 1:
         raise ValueError("n_encryptions must be at least 1")
-    edges = _edges_until(fs, StreamBank(seed, n_encryptions), np.arange(n_encryptions),
-                         rounds + 1)
-    completions = edges[:, rounds]  # base units
-    periods = np.diff(edges, axis=1)
+    # each row is its own stream, so the batches move no draw
+    bank, completions, short = StreamBank(seed, n_encryptions), np.empty(n_encryptions), 0
+    for c0, c1 in _row_batches(n_encryptions, 64):
+        edges = _edges_until(fs, bank, np.arange(c0, c1), rounds + 1)
+        completions[c0:c1] = edges[:, rounds]  # base units
+        short += int(np.count_nonzero(np.diff(edges, axis=1) < error_threshold_factor))
     nominal = float(rounds)
     return OverheadReport(
         mean_overhead=float(completions.mean() / nominal - 1.0),
         worst_overhead=float(completions.max() / nominal - 1.0),
-        error_risk=int(np.count_nonzero(periods < error_threshold_factor)) / periods.size,
+        error_risk=short / (n_encryptions * rounds),
     )

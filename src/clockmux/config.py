@@ -131,9 +131,9 @@ class ExperimentConfig:
     float is finite), so a config file, a CLI flag through
     ``dataclasses.replace`` and a library call meet the same limits.  The
     upper limits on sizes, with ``clock.MAX_FUNDAMENTAL_RATIO``, keep each
-    command's peak memory under 4 GB (3.2 GB measured, for ``simulate`` at
-    2**24 cycles on a set at the ratio; 2.4 GB for ``attack`` on a file at
-    the sample cap, with or without a key), and are the same on every
+    command's peak memory under 4 GB (2.4 GB measured, for ``attack`` on a
+    file at the sample cap, with or without a key; 1.4 GB for ``simulate``
+    at 2**24 cycles on a set near the ratio), and are the same on every
     machine.  The min-traces search's prefix buffer grows with rows / step,
     which no key limits alone: the search refuses more than
     ``attack.MAX_SEARCH_CELLS`` blocks x W, and the CLI reports that as an
@@ -151,10 +151,11 @@ class ExperimentConfig:
     seed: int = _param("run", "seed", 1, _parse_int, _NON_NEGATIVE)
     # where the artifacts go, not what they hold: left out of the digest
     out_dir: str = _param("run", "out_dir", ".", str, digest=False)
-    # about 60 B per base cycle of a study set: its edges, selections and periods
+    # about 23 B per base cycle of a study set: its edges, selections and periods
     n_base_cycles: int = _param("simulate", "n_base_cycles", 32000, _parse_int, _at_least(1),
                                 _at_most(2**24))
-    # about 3.3 KB per encryption of the overhead Monte Carlo
+    # about 0.25 KB per encryption of the overhead Monte Carlo (its stream bank),
+    # beside one batch of 1,024
     n_encryptions: int = _param("simulate", "n_encryptions", 200, _parse_int, _at_least(1),
                                 _at_most(2**18))
     error_threshold_factor: float = _param("simulate", "error_threshold_factor",

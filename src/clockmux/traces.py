@@ -22,7 +22,9 @@ check it against numpy).  Each stream draws in a fixed order (plaintext,
 dual-core phases, core-1 clock, core-2 clock, failure ciphertext, noise),
 although a set draws each step for many traces at once.  The noise draw
 always happens, scaled by ``noise_sigma``, so different noise levels reuse
-identical clocks and plaintexts.
+identical clocks and plaintexts.  A set is generated one row batch at a
+time, by the batch rule the clock layer and the attack share,
+``clock._row_batches``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import aes
-from .clock import DEFAULT_ERROR_THRESHOLD_FACTOR, FrequencySet, _edges_until
+from .clock import DEFAULT_ERROR_THRESHOLD_FACTOR, FrequencySet, _edges_until, _row_batches
 from .streams import StreamBank
 
 TRACE_MAGIC = b"CLKBTRC1"
@@ -49,10 +51,6 @@ WINDOW_CYCLES_PER_ROUND = 3
 
 #: Pulse half-width as a fraction of the base period.
 PULSE_HALF_WIDTH_FRACTION = 1.0 / 8.0
-
-#: Samples in a row batch at most: generation, peak detection and the
-#: spectrum take one batch at a time, so their scratch is not the input's size.
-BATCH_SAMPLES = 1 << 16
 
 
 class TraceFormatError(Exception):
@@ -137,13 +135,6 @@ class TraceSet:
                 and self.samples.dtype == other.samples.dtype
                 and all(np.array_equal(getattr(self, a), getattr(other, a))
                         for a in _ROW_FIELDS[:4]))
-
-
-def _row_batches(n: int, width: int) -> list[tuple[int, int]]:
-    """(first, stop) ranges that cover ``n`` rows of ``width`` samples in
-    order, each of at most ``BATCH_SAMPLES`` samples and at least one row."""
-    rows = max(1, BATCH_SAMPLES // max(1, width))
-    return [(c0, min(c0 + rows, n)) for c0 in range(0, n, rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -493,6 +494,93 @@ def test_period_histogram_rejects_bad_input():
         period_histogram(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         period_histogram(np.array([-1.0]), 0.5)
+
+
+def test_period_histogram_refuses_non_finite_periods():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            period_histogram([1e-7, bad], 1e-9)
+        with pytest.raises(ValueError, match="finite"):  # in the second chunk
+            period_histogram(np.append(np.full(1 << 16, 1e-7), bad), 1e-9)
+
+
+def _unique_histogram(periods, bin_width_s):
+    """Reference histogram: one ``np.unique`` over every period's bin index."""
+    idx = np.floor(np.asarray(periods, dtype=np.float64) / bin_width_s).astype(np.int64)
+    uniq, counts = np.unique(idx, return_counts=True)
+    return dict(zip(uniq.tolist(), counts.tolist()))
+
+
+def _traced_peak(run):
+    """``tracemalloc`` peak (bytes) of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_period_histogram_matches_a_unique_reference(monkeypatch):
+    def check(periods, width):
+        got = period_histogram(periods, width).bins
+        assert got == _unique_histogram(periods, width)
+        assert list(got) == sorted(got)
+
+    rng = np.random.default_rng(12)
+    # empty, one period, one full chunk, and a chunk of one past it; a width
+    # that keeps each chunk's bins dense, and one that spreads them sparse
+    for n in (0, 1, 1 << 16, (1 << 16) + 1):
+        periods = rng.uniform(0.0, 3e-7, n)
+        for width in (5.2e-10, 1e-15):
+            check(periods, width)
+    for index in range(1, 8):
+        fs = study_set(index).fs
+        periods = extract_periods(simulate_mux_clock(fs, 320_000, seed=index))
+        check(periods, reference_bin_width(fs))
+        if index == 1:  # chunks of 7 periods share their bins with each other
+            monkeypatch.setattr(clock, "BATCH_SAMPLES", 7)
+            check(periods[:5000], reference_bin_width(fs))
+            monkeypatch.undo()
+    # bins 10**3 and 10**12 apart: counted without a counter per bin between
+    sparse = np.array([1e-9, 1.0])
+    check(sparse, 1e-12)
+    assert sorted(period_histogram(sparse, 1e-12).bins) == pytest.approx([1e3, 1e12], abs=1)
+    assert _traced_peak(lambda: period_histogram(sparse, 1e-12)) < 1e6
+
+
+def test_clock_statistics_hold_a_constant_scratch():
+    # the overhead Monte Carlo draws 1,024 rows a batch, and the histogram
+    # counts 65,536 periods a chunk: 4 times the rows, or 2**20 periods (8 MB
+    # of float64), add no scratch beyond the batch
+    fs = study_set(1).fs
+    overhead_and_error(fs, n_encryptions=1, seed=3)  # first-call allocations
+    one_batch, four = (_traced_peak(lambda: overhead_and_error(fs, n_encryptions=n, seed=3))
+                       for n in (1024, 4096))
+    assert four < 1.5 * one_batch
+    periods = np.random.default_rng(4).uniform(0.5e-7, 3e-7, 1 << 20)
+    assert _traced_peak(lambda: period_histogram(periods, reference_bin_width(fs))) < 4e6
+
+
+def test_overhead_does_not_depend_on_the_row_batch(monkeypatch):
+    fs = study_set(4).fs
+    want = overhead_and_error(fs, n_encryptions=300, seed=6)
+    monkeypatch.setattr(clock, "BATCH_SAMPLES", 7 * 64)  # 7 rows a batch
+    assert overhead_and_error(fs, n_encryptions=300, seed=6) == want
+
+
+def test_a_long_simulation_holds_only_its_edges_and_selections():
+    # the runs fill one array sized by the edge bound, which is shrunk in place
+    fs = study_set(3).fs
+    n = 3 * clock.SIM_RUN_CYCLES + 5
+    tracemalloc.start()
+    try:
+        w = simulate_mux_clock(fs, n, seed=2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert w.edges_s.flags.owndata and w.edges_s.shape == (len(w.edges_s),)
+    assert held < w.edges_s.nbytes + w.source_per_cycle.nbytes + 64 * 1024
 
 
 def test_reference_bin_width_scales_with_base_period():

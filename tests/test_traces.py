@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from clockmux import aes, traces
+from clockmux import aes, clock, traces
 from clockmux.attack import detect_peaks, fft_spectrum
 from clockmux.clock import FrequencySet
 from clockmux.presets import REFERENCE_BASE_HZ, dual_reference_pair, study_set
@@ -284,7 +284,7 @@ def test_sets_do_not_depend_on_the_render_chunk(cores, monkeypatch):
     assert big.failed.any()
     assert big.samples.shape == (600, 240) and big.clock_edges.shape == (600, cores, 11)
     for batch in (1, 7 * 240):
-        monkeypatch.setattr(traces, "BATCH_SAMPLES", batch)
+        monkeypatch.setattr(clock, "BATCH_SAMPLES", batch)
         small, small_passes = make()
         assert big == small
         for name in ("samples", "ciphertexts", "clock_edges"):
@@ -312,7 +312,7 @@ def test_row_passes_hold_one_batch_of_a_wide_set():
     ts, gen_peak = peak(lambda: generate_set(study_set(1).fs, KEY, n, oversampling=16,
                                              seed=3, noise_sigma=0.5, window_cycles=1 << 14))
     assert ts.samples.shape == (n, 1 << 18)
-    assert traces._row_batches(n, 1 << 18) == [(i, i + 1) for i in range(n)]
+    assert clock._row_batches(n, 1 << 18) == [(i, i + 1) for i in range(n)]
     scratch = gen_peak - ts.samples.nbytes
     assert scratch < 8 * batch
     for run in (lambda: detect_peaks(ts.samples),
