@@ -454,7 +454,8 @@ def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None) -> CpaResult:
     for h*y, added into a running sum, window-major (W, 256) as
     ``_max_abs_rho`` takes it.  Its scratch is one block's (step, 256)
     float64 matrix, so it does not grow with the rows.  Sums of y and y^2
-    add the float32 rows in float64; only y^2's float64 square is transient.
+    add the float32 rows in float64, y^2 one ``_row_batches`` batch of
+    float64 squares at a time (a lone column, W = 1, is squared whole).
     A byte that a search at ``DEFAULT_STEP`` left on ``am`` is scored from
     those sums, the very ones built here, so the result is the same bits
     whether or not a search ran first.
@@ -462,12 +463,19 @@ def cpa_attack(am: AlignedMatrix, true_key: bytes | None = None) -> CpaResult:
     if am.rows.shape[0] < 2:
         raise ValueError("need at least 2 traces to correlate")
     sums, y = _ByteSums(am, DEFAULT_STEP, every_prefix=False), am.rows
-    sy, syy = y.sum(axis=0, dtype=np.float64), np.square(y, dtype=np.float64).sum(axis=0)
+    n, width = y.shape
+    sy = y.sum(axis=0, dtype=np.float64)
+    if width == 1:  # numpy sums a lone column pairwise, so batches would move its bits
+        syy = np.square(y, dtype=np.float64).sum(axis=0)
+    else:  # a sum over axis 0 adds row after row, as a running total would
+        syy = np.zeros(width)
+        for c0, c1 in _row_batches(n, width):
+            syy = np.vstack([syy[None], np.square(y[c0:c1], dtype=np.float64)]).sum(axis=0)
     scores = np.zeros((16, 256), dtype=np.float64)
     undefined = 0
     for p in range(16):
         sh, shh, shy = am._sums[p] if p in am._sums else sums.build(p)
-        scores[p], constant = _max_abs_rho(len(y), sh, shh, sy, syy, shy.copy())
+        scores[p], constant = _max_abs_rho(n, sh, shh, sy, syy, shy.copy())
         undefined += int(constant.sum())
     rec_rk = bytearray(16)
     for p in range(16):
@@ -537,10 +545,12 @@ def min_traces_search(am: AlignedMatrix, true_key: bytes,
                          f"{nblocks * width} cells, past the search's limit of "
                          f"{MAX_SEARCH_CELLS}")
     sums = _ByteSums(am, step, every_prefix=True)
-    # row i of a prefix holds the sum of blocks [0, i)
+    # row i of a prefix holds the sum of blocks [0, i); a block's y^2 sum is
+    # its own, so squaring whole blocks a row batch at a time moves no bit
+    block_yy = [np.square(sums.yb[b0:b1], dtype=np.float64).sum(axis=1)
+                for b0, b1 in _row_batches(nblocks, step * width)]
     py, pyy = (np.cumulative_sum(b, axis=0, include_initial=True)
-               for b in (sums.yb.sum(axis=1, dtype=np.float64),
-                         np.square(sums.yb, dtype=np.float64).sum(axis=1)))
+               for b in (sums.yb.sum(axis=1, dtype=np.float64), np.concatenate(block_yy)))
     guesses = _true_guesses(true_key)
     ph, phh, phy = sums.ph, sums.phh, sums.phy
     first, last = 1, min(SEARCH_CAP, nblocks)

@@ -31,7 +31,6 @@ such a Generator).
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -61,12 +60,12 @@ STALL_CAP_CYCLES_PER_EDGE = 64
 
 #: A fundamental may be at most this multiple of ``base_hz``.  Edges per base
 #: cycle, and with them the memory of a simulation, grow with the ratio; at 5
-#: the largest simulation a config allows peaks at 1.4 GB.  The study sets stay
+#: the largest simulation a config allows peaks at 1.3 GiB.  The study sets stay
 #: below 1.5; the acceptance tests' error-risk set reaches 4.5.
 MAX_FUNDAMENTAL_RATIO = 5.0
 
-#: Base cycles per run of a long ``simulate_mux_clock``: runs are computed on
-#: a few threads and joined in cycle order, so the edges do not depend on it.
+#: Base cycles per run of ``simulate_mux_clock``: each run is merged onto the
+#: edges kept before it, so the edges do not depend on it.
 SIM_RUN_CYCLES = 1 << 15
 
 #: Samples in a row batch at most: the period histogram, the overhead Monte
@@ -251,10 +250,7 @@ def _merge_close(edges: np.ndarray, tol: float) -> np.ndarray:
     # An edge at least tol past its predecessor is always kept, so a close
     # edge after a kept one is dropped; only an edge ending a chain of close
     # gaps needs the last kept edge looked up.
-    if len(rows) < len(edges):
-        sub, close = edges[rows], close[rows]
-    else:  # every row (a lone one, say): no copy; _compact copies the kept edges out
-        sub, rows = edges, slice(None)
+    sub, close = edges[rows], close[rows]
     keep = ~np.isnan(sub)
     keep[:, 1:] &= ~close
     for r, j in zip(*np.nonzero(close[:, 1:] & close[:, :-1])):
@@ -268,64 +264,38 @@ def _merge_close(edges: np.ndarray, tol: float) -> np.ndarray:
     return edges
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on: its affinity set where the platform
-    reports one, else the machine's core count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_in_order(run, starts):
-    """``run(c0)`` for each start, in order, on up to one thread per usable core."""
-    threads = min(_usable_cores(), len(starts))
-    if threads == 1:
-        yield from map(run, starts)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # ~3.5 ms; only long runs pay it
-    with ThreadPoolExecutor(threads) as pool:
-        yield from pool.map(run, starts)
-
-
 def simulate_mux_clock(fs: FrequencySet, n_base_cycles: int, seed: int) -> OutputWaveform:
     """Simulate the mux output over ``n_base_cycles`` base periods.
 
     One source index is drawn per base rising edge (uniform over the four),
     the output follows the selected source's level for the whole cycle, and
     the returned waveform lists every output rising edge in seconds.  Runs
-    of ``SIM_RUN_CYCLES`` cycles are computed on up to one thread per usable
-    core, each copied into one edge array as it comes; a run's edges lie
-    inside its cycles, so joined in cycle order they are the one-run edges
-    bit for bit.  That array is sized by the set's bound on edges per cycle,
-    merged and scaled in place, and shrunk to its edges, so beside the
-    result only a few runs and the merge's scratch are held.
+    of ``SIM_RUN_CYCLES`` cycles are computed in cycle order, and each is
+    merged behind the last edge kept so far: a run's edges lie inside its
+    cycles and the merge's only state is that edge, so the result is the
+    one-run edges bit for bit.  The kept edges go into one array sized by
+    the set's bound on edges per cycle, which is shrunk to them and scaled
+    in place, so beside the result only one run and its merge are held.
     """
     if n_base_cycles < 1:
         raise ValueError("n_base_cycles must be at least 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     sel = rng.integers(0, 4, size=n_base_cycles, dtype=np.int8)
     ratios, phases = fs.ratios(), np.array([fs.phases])
-
-    def run(c0: int) -> np.ndarray:  # one row, so no nan padding
-        prev = sel[c0 - 1:c0] if c0 else np.array([-1])
-        return _mux_edges(ratios, fs.duty_cycle, phases, sel[None, c0:c0 + SIM_RUN_CYCLES],
-                          c0, prev)
-
-    starts = range(0, n_base_cycles, SIM_RUN_CYCLES)
-    if len(starts) == 1:  # a lone run is neither copied nor put on a pool
-        edges = run(0)
-        n = edges.shape[1]
-    else:
-        # a cycle holds at most its boundary edge and ceil(f / base_hz) + 1 rising
-        # edges of its source; the bound's unused tail is never written
-        per_cycle = 2 + math.ceil(max(fs.fundamentals) / fs.base_hz)
-        edges, n = np.empty((1, n_base_cycles * per_cycle)), 0
-        for part in _run_in_order(run, starts):
-            edges[:, n:n + part.shape[1]] = part
-            n += part.shape[1]
     tb = fs.base_period_s
-    # the merge leaves the kept edges before a nan tail, and nan sorts last
-    n = int(np.searchsorted(_merge_close(edges[:, :n], EDGE_COINCIDENCE_TOL_S / tb)[0], np.nan))
+    tol = EDGE_COINCIDENCE_TOL_S / tb
+    # a cycle holds at most its boundary edge and ceil(f / base_hz) + 1 rising
+    # edges of its source; the bound's unused tail is never written
+    per_cycle = 2 + math.ceil(max(fs.fundamentals) / fs.base_hz)
+    edges, n = np.empty(n_base_cycles * per_cycle), 0
+    for c0 in range(0, n_base_cycles, SIM_RUN_CYCLES):
+        prev = sel[c0 - 1:c0] if c0 else np.array([-1])
+        part = _mux_edges(ratios, fs.duty_cycle, phases, sel[None, c0:c0 + SIM_RUN_CYCLES],
+                          c0, prev)  # one row, so no nan padding
+        n0 = max(n - 1, 0)  # the last kept edge, if any, goes first and stays
+        run = _merge_close(np.concatenate((edges[n0:n], part[0]))[None], tol)[0]
+        n = n0 + int(np.searchsorted(run, np.nan))  # the merge's nan tail sorts last
+        edges[n0:n] = run[:n - n0]
     edges.resize(n, refcheck=False)  # in place: no view of edges is left
     edges *= tb
     return OutputWaveform(edges_s=edges, source_per_cycle=sel)

@@ -132,14 +132,16 @@ class ExperimentConfig:
     ``dataclasses.replace`` and a library call meet the same limits.  The
     upper limits on sizes, with ``clock.MAX_FUNDAMENTAL_RATIO``, keep each
     command's peak memory under 4 GB (2.4 GB measured, for ``attack`` on a
-    file at the sample cap, with or without a key; 1.4 GB for ``simulate``
+    file at the sample cap, with or without a key; 1.3 GiB for ``simulate``
     at 2**24 cycles on a set near the ratio), and are the same on every
     machine.  The min-traces search's prefix buffer grows with rows / step,
     which no key limits alone: the search refuses more than
     ``attack.MAX_SEARCH_CELLS`` blocks x W, and the CLI reports that as an
     ``[attack] step`` error.  One case does not fit (README):
     ``attack --no-sync`` on very wide rows (500 x 528,000 samples), in the
-    CPA's (2, W, 256) float64 running sum of h*y.
+    CPA's (2, W, 256) float64 running sum of h*y.  At 4,096 x 65,536
+    samples it exits 0 under a 4 GB address-space limit, since the CPA
+    squares y one row batch at a time for its sum of y^2.
     """
 
     sets: tuple[FrequencySet, ...] = ()
@@ -151,10 +153,10 @@ class ExperimentConfig:
     seed: int = _param("run", "seed", 1, _parse_int, _NON_NEGATIVE)
     # where the artifacts go, not what they hold: left out of the digest
     out_dir: str = _param("run", "out_dir", ".", str, digest=False)
-    # about 23 B per base cycle of a study set: its edges, selections and periods
+    # about 21 B per base cycle of a study set: its edges, selections and periods
     n_base_cycles: int = _param("simulate", "n_base_cycles", 32000, _parse_int, _at_least(1),
                                 _at_most(2**24))
-    # about 0.25 KB per encryption of the overhead Monte Carlo (its stream bank),
+    # about 0.15 KB per encryption of the overhead Monte Carlo (its stream bank),
     # beside one batch of 1,024
     n_encryptions: int = _param("simulate", "n_encryptions", 200, _parse_int, _at_least(1),
                                 _at_most(2**18))

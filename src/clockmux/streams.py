@@ -51,6 +51,27 @@ def _xsl_rr(hi, lo):
     return (v >> rot) | (v << (-rot & np.uint64(63)))
 
 
+def _spawned_states(seed, n: int) -> list[np.ndarray]:
+    """``generate_state(4, np.uint64)`` of each of ``SeedSequence(seed).spawn(n)``,
+    as four uint64 arrays; only the joined words outlive the hashing."""
+    ss = np.random.SeedSequence(seed)
+    # child i's pool is the parent's mixed with spawn key word i; the hash
+    # constant has passed 16 hashmixes, and 4 more per entropy word past 4
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, _n_words(ss.entropy) - 4), 1 << 32)
+    const, key, pool = const & 0xFFFFFFFF, np.arange(n, dtype=np.uint32), []
+    for word in ss.pool:
+        h, const = _hash(key, const, _MULT_A)
+        mixed = _MIX_L * np.full(n, word, np.uint32) - _MIX_R * h
+        pool.append(mixed ^ mixed >> 16)
+    # eight hashed uint32 words, each pair joined low first as it is hashed
+    const, state = _INIT_B, []
+    for i in range(0, 8, 2):
+        lo, const = _hash(pool[i % 4], const, _MULT_B)
+        hi, const = _hash(pool[i % 4 + 1], const, _MULT_B)
+        state.append(lo.astype(np.uint64) | hi.astype(np.uint64) << _32)
+    return state
+
+
 class StreamBank:
     """The PCG64 streams of ``SeedSequence(seed).spawn(n)``, one row each.
 
@@ -59,21 +80,7 @@ class StreamBank:
     """
 
     def __init__(self, seed, n: int):
-        ss = np.random.SeedSequence(seed)
-        # child i's pool is the parent's mixed with spawn key word i; the hash
-        # constant has passed 16 hashmixes, and 4 more per entropy word past 4
-        const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, _n_words(ss.entropy) - 4), 1 << 32)
-        const, key, pool = const & 0xFFFFFFFF, np.arange(n, dtype=np.uint32), []
-        for word in ss.pool:
-            h, const = _hash(key, const, _MULT_A)
-            mixed = _MIX_L * np.full(n, word, np.uint32) - _MIX_R * h
-            pool.append(mixed ^ mixed >> 16)
-        # generate_state(4, np.uint64): eight hashed uint32 words, paired low first
-        const, words = _INIT_B, []
-        for i in range(8):
-            w, const = _hash(pool[i % 4], const, _MULT_B)
-            words.append(w.astype(np.uint64))
-        s0, s1, s2, s3 = (words[j] | words[j + 1] << _32 for j in range(0, 8, 2))
+        s0, s1, s2, s3 = _spawned_states(seed, n)
         # pcg64_set_seed: initial state (s0, s1), sequence (s2, s3)
         self.inc_hi = s2 << np.uint64(1) | s3 >> np.uint64(63)
         self.inc_lo = s3 << np.uint64(1) | np.uint64(1)

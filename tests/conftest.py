@@ -1,9 +1,8 @@
 """Shared pytest hooks: no test may leave a thread alive, and a
 per-criterion summary for the acceptance suite.
 
-Threads are started by ``clock.simulate_mux_clock``'s runs and
-``compare``'s preparing worker; each must be joined before the call that
-started it returns or raises.
+The one thread the package starts is ``compare``'s preparing worker; it
+must be joined before the call that started it returns or raises.
 
 Every acceptance criterion maps to one or more test functions in
 ``test_acceptance.py``.  After a run that touched any of them, the terminal

@@ -16,7 +16,7 @@ import pytest
 import scipy.stats
 from scipy.signal import find_peaks
 
-from clockmux import aes, attack, cli
+from clockmux import aes, attack, cli, clock
 from clockmux.attack import (
     AlignedMatrix,
     FilterParams,
@@ -488,17 +488,20 @@ def test_cpa_needs_two_traces_and_valid_window():
 
 @pytest.mark.parametrize("columns", [slice(3, 4), slice(3, 10), slice(None)],
                          ids=["1-column", "7-columns", "13-columns"])
-def test_cpa_scores_match_two_pass_pearson(columns):
+def test_cpa_scores_match_two_pass_pearson(monkeypatch, columns):
     # an oracle independent of the shared one-pass kernel: the min-traces
     # oracle below calls cpa_attack, which scores through that kernel.  The
     # kernel fed float64 sums of h and h^2 gives the very scores cpa_attack
     # gets from its integer sums.  Windows of 1 and 7 columns off centre and
-    # all 13: at one column numpy may take the product through gemv.
+    # all 13: at one column numpy may take the product through gemv.  The
+    # CPA squares y three rows a batch (a lone column whole), yet its sum of
+    # y^2 is the whole-matrix square's to the bit.
     ts = generate_set(study_set(1).fs, KEY, 60, oversampling=12, seed=7,
                       noise_sigma=1.0)
     kept, _, _ = filter_traces(ts)
     am = synchronize(kept, round=10, window_halfwidth=6)
     am = dataclasses.replace(am, rows=am.rows[:, columns])
+    monkeypatch.setattr(clock, "BATCH_SAMPLES", 3 * am.rows.shape[1])
     res = cpa_attack(am)
     y = am.rows
     cts = am.ciphertexts
@@ -781,9 +784,10 @@ def test_cpa_scratch_does_not_grow_with_rows_times_guesses():
 
 
 def test_cpa_holds_no_float64_copy_of_the_rows():
-    # 4,000 x 360 float32: a float64 copy of the rows takes 11.5 MB.  Only
-    # the transient square for the sum of y^2 is one; the block scratch,
-    # the running h*y sums and a byte's hypotheses stay near 2.5 MB.
+    # 4,000 x 360 float32: a float64 copy of the rows takes 11.5 MB.  The
+    # sum of y^2 squares one row batch at a time, so the block scratch, the
+    # running h*y sums and a byte's hypotheses (about 4.7 MB) are the peak;
+    # a whole-matrix square for y^2 put it at 1.19 copies.
     n, width = 4000, 360
     rng = np.random.default_rng(14)
     am = AlignedMatrix(rows=rng.standard_normal((n, width)).astype(np.float32),
@@ -795,7 +799,7 @@ def test_cpa_holds_no_float64_copy_of_the_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * n * width
+    assert peak < 0.6 * 8 * n * width
 
 
 def test_min_traces_monotone_in_noise():

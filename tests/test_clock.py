@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -581,6 +582,34 @@ def test_a_long_simulation_holds_only_its_edges_and_selections():
         tracemalloc.stop()
     assert w.edges_s.flags.owndata and w.edges_s.shape == (len(w.edges_s),)
     assert held < w.edges_s.nbytes + w.source_per_cycle.nbytes + 64 * 1024
+
+
+def test_a_simulation_in_several_runs_starts_no_thread(monkeypatch):
+    started, start = [], threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    simulate_mux_clock(study_set(1).fs, 3 * clock.SIM_RUN_CYCLES + 5, seed=1)
+    assert started == []
+
+
+def test_the_merge_scratch_does_not_grow_with_the_run_count():
+    # each run is merged behind the last kept edge, so beside the edge-bound
+    # array and the selections (one byte per cycle) the peak is one run's
+    # scratch: 4.7 MB at 4 runs and at 32; a merge over the whole row adds
+    # its float64 difference, 9 MB at 32 runs
+    fs = study_set(3).fs
+    per_cycle = 2 + math.ceil(max(fs.fundamentals) / fs.base_hz)
+    simulate_mux_clock(fs, 1000, seed=2)  # first-call allocations
+
+    def scratch(runs):
+        n = runs * clock.SIM_RUN_CYCLES
+        return _traced_peak(lambda: simulate_mux_clock(fs, n, seed=2)) - (8 * per_cycle + 1) * n
+
+    assert scratch(32) < 1.1 * scratch(4)
 
 
 def test_reference_bin_width_scales_with_base_period():

@@ -434,7 +434,7 @@ def test_command_line_loads_no_scipy(tmp_path):
 
 
 def test_command_line_import_leaves_out_the_thread_pool(tmp_path):
-    # only a call that starts a thread (a long simulation, compare) loads
+    # only compare, whose worker is the one thread a command starts, loads
     # concurrent.futures, so start-up does not pay for it
     probe = "import sys, clockmux.cli; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", probe],

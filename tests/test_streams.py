@@ -1,6 +1,7 @@
 """The stream bank against numpy: every row must be its spawned Generator."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,3 +86,18 @@ def test_bad_seeds_raise_what_seed_sequence_raises(seed):
                  lambda: overhead_and_error(fs, n_encryptions=4, seed=seed)):
         with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
             call()
+
+
+def test_seeding_holds_few_words_per_stream():
+    # a bank keeps 36 B a stream; seeding joins each hashed pair into its
+    # state word as it goes and drops the spawn pools before the LCG step,
+    # so its peak is 144 B a stream (240 B with all eight words held at once)
+    n = 1 << 16
+    StreamBank(1, 10)  # first-call allocations
+    tracemalloc.start()
+    try:
+        StreamBank(7, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 180 * n
