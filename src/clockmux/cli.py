@@ -31,6 +31,7 @@ unreadable or corrupt data (or such a set in a trace file), 4 internal error.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import json
@@ -50,8 +51,8 @@ from .attack import (
 )
 from .clock import (
     StalledClockError,
+    _row_batches,
     double_edge_probability,
-    extract_periods,
     overhead_and_error,
     period_histogram,
     presence_probabilities,
@@ -145,9 +146,11 @@ def _require_sets(cfg: ExperimentConfig, minimum: int = 1) -> None:
 def _clock_summary(cfg: ExperimentConfig, fs, index: int, out_dir: str) -> dict:
     """Simulate one set's clock, write its histogram CSV, return its stats."""
     wave = simulate_mux_clock(fs, cfg.n_base_cycles, _set_seed(cfg, index))
-    hist = period_histogram(extract_periods(wave), reference_bin_width(fs))
-    rows = [(idx, idx * hist.bin_width_s, hist.bins[idx])
-            for idx in sorted(hist.bins)]
+    edges, width = wave.edges_s, reference_bin_width(fs)
+    bins = collections.Counter()  # periods a period_histogram chunk at a time, not all held
+    for c0, c1 in _row_batches(len(edges) - 1, 1):
+        bins.update(period_histogram(edges[c0 + 1:c1 + 1] - edges[c0:c1], width).bins)
+    rows = [(idx, idx * width, bins[idx]) for idx in sorted(bins)]
     _write_csv(os.path.join(out_dir, f"histogram_set{index}.csv"), cfg,
                ("bin_index", "period_low_s", "count"), rows)
     sources = range(1, 5)
@@ -157,7 +160,7 @@ def _clock_summary(cfg: ExperimentConfig, fs, index: int, out_dir: str) -> dict:
         "base_hz": fs.base_hz,
         **{f"f{i}_hz": float(f) for i, f in zip(sources, fs.fundamentals)},
         "n_edges": len(wave.edges_s),
-        "unique_bins": hist.unique_bins,
+        "unique_bins": len(bins),
         **{f"p_edge_{i}": p for i, p in zip(sources, presence_probabilities(fs))},
         **{f"p_double_{i}": double_edge_probability(p, fs.base_period_s)
            for i, p in zip(sources, fs.periods_s)},

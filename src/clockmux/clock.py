@@ -60,7 +60,7 @@ STALL_CAP_CYCLES_PER_EDGE = 64
 
 #: A fundamental may be at most this multiple of ``base_hz``.  Edges per base
 #: cycle, and with them the memory of a simulation, grow with the ratio; at 5
-#: the largest simulation a config allows peaks at 1.3 GiB.  The study sets stay
+#: the largest simulation a config allows peaks at 0.7 GiB.  The study sets stay
 #: below 1.5; the acceptance tests' error-risk set reaches 4.5.
 MAX_FUNDAMENTAL_RATIO = 5.0
 
@@ -192,15 +192,17 @@ def _compact(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mux_edges(ratios: np.ndarray, duty: float, phases: np.ndarray,
-               selections: np.ndarray, first_cycle: int,
-               prev_selection: np.ndarray) -> np.ndarray:
-    """Rising-edge times (base units, unmerged) of runs of cycles, one per row.
+def _mux_edges(fs: FrequencySet, phases: np.ndarray, selections: np.ndarray,
+               first_cycle: int, prev_selection: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Rising-edge times (base units) of runs of cycles, one per row, behind ``kept``.
 
     Row r selects source ``selections[r, j]`` at base edge ``first_cycle + j``
     under source phases ``phases[r]``; ``prev_selection[r]`` was active just
-    before (-1: output held low, i.e. power-on).  Rows come back sorted, nan-padded.
+    before (-1: output held low, i.e. power-on) and ``kept[r]`` holds its edges
+    before that (sorted, nan-padded, maybe no column).  Rows come back sorted,
+    nan-padded and ``_merge_close``d at ``EDGE_COINCIDENCE_TOL_S``.
     """
+    ratios, duty = fs.ratios(), fs.duty_cycle
     m, n = selections.shape
     rows = np.arange(m)[:, None]
     k = np.arange(first_cycle, first_cycle + n, dtype=np.float64)
@@ -221,7 +223,7 @@ def _mux_edges(ratios: np.ndarray, duty: float, phases: np.ndarray,
     # Left limit of a square wave: high on (0, duty], low at exactly 0 (the
     # tail of the previous period) and on (duty, 1).
     prev_high = (r_prev > 0.0) & (r_prev <= duty) & valid_prev
-    parts = [_compact(np.broadcast_to(k, (m, n)), new_high & ~prev_high)]
+    parts = [kept, _compact(np.broadcast_to(k, (m, n)), new_high & ~prev_high)]
 
     # Edges strictly inside a cycle: the selected source's own rising edges.
     t_lo = float(first_cycle)
@@ -237,7 +239,8 @@ def _mux_edges(ratios: np.ndarray, duty: float, phases: np.ndarray,
         cyc_idx = np.where(ok, cyc, t_lo).astype(np.intp) - first_cycle
         ok &= src[rows, cyc_idx] == i
         parts.append(_compact(e, ok))
-    return np.sort(np.concatenate(parts, axis=1), axis=1)
+    return _merge_close(np.sort(np.concatenate(parts, axis=1), axis=1),
+                        EDGE_COINCIDENCE_TOL_S / fs.base_period_s)
 
 
 def _merge_close(edges: np.ndarray, tol: float) -> np.ndarray:
@@ -281,23 +284,20 @@ def simulate_mux_clock(fs: FrequencySet, n_base_cycles: int, seed: int) -> Outpu
         raise ValueError("n_base_cycles must be at least 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     sel = rng.integers(0, 4, size=n_base_cycles, dtype=np.int8)
-    ratios, phases = fs.ratios(), np.array([fs.phases])
-    tb = fs.base_period_s
-    tol = EDGE_COINCIDENCE_TOL_S / tb
+    phases = np.array([fs.phases])
     # a cycle holds at most its boundary edge and ceil(f / base_hz) + 1 rising
     # edges of its source; the bound's unused tail is never written
     per_cycle = 2 + math.ceil(max(fs.fundamentals) / fs.base_hz)
     edges, n = np.empty(n_base_cycles * per_cycle), 0
     for c0 in range(0, n_base_cycles, SIM_RUN_CYCLES):
         prev = sel[c0 - 1:c0] if c0 else np.array([-1])
-        part = _mux_edges(ratios, fs.duty_cycle, phases, sel[None, c0:c0 + SIM_RUN_CYCLES],
-                          c0, prev)  # one row, so no nan padding
         n0 = max(n - 1, 0)  # the last kept edge, if any, goes first and stays
-        run = _merge_close(np.concatenate((edges[n0:n], part[0]))[None], tol)[0]
+        run = _mux_edges(fs, phases, sel[None, c0:c0 + SIM_RUN_CYCLES], c0, prev,
+                         edges[None, n0:n])[0]  # one row, so no nan padding
         n = n0 + int(np.searchsorted(run, np.nan))  # the merge's nan tail sorts last
         edges[n0:n] = run[:n - n0]
     edges.resize(n, refcheck=False)  # in place: no view of edges is left
-    edges *= tb
+    edges *= fs.base_period_s
     return OutputWaveform(edges_s=edges, source_per_cycle=sel)
 
 
@@ -316,7 +316,6 @@ def _edges_until(fs: FrequencySet, bank: StreamBank, rows, n_edges: int, base_ph
     """
     phases = np.broadcast_to(fs.phases if source_phases is None else source_phases,
                              (len(rows), 4))
-    tol = EDGE_COINCIDENCE_TOL_S / fs.base_period_s
     cycle_cap = STALL_CAP_CYCLES_PER_EDGE * n_edges
     # a short row holds all its edges; chunks cover disjoint ascending cycle
     # ranges, so merging after each one equals merging their concatenation
@@ -329,9 +328,7 @@ def _edges_until(fs: FrequencySet, bank: StreamBank, rows, n_edges: int, base_ph
             raise StalledClockError(f"only {np.isfinite(edges[short[0]]).sum()} edges after "
                                     f"{first_cycle} base cycles (needed {n_edges})")
         sel = bank.integers4(rows[short], 16)
-        part = _mux_edges(fs.ratios(), fs.duty_cycle, phases[short], sel, first_cycle,
-                          prev[short])
-        run = _merge_close(np.sort(np.concatenate((edges[short], part), axis=1), axis=1), tol)
+        run = _mux_edges(fs, phases[short], sel, first_cycle, prev[short], edges[short])
         edges[short], prev[short] = run[:, :n_edges], sel[:, -1]
         short = short[np.isnan(run[:, n_edges - 1])]
         first_cycle += 16
@@ -344,8 +341,6 @@ def _edges_until(fs: FrequencySet, bank: StreamBank, rows, n_edges: int, base_ph
 
 def extract_periods(w: OutputWaveform) -> np.ndarray:
     """Successive rising-edge gaps in seconds (empty if fewer than 2 edges)."""
-    if len(w.edges_s) < 2:
-        return np.empty(0, dtype=np.float64)
     return np.diff(w.edges_s)
 
 

@@ -132,7 +132,7 @@ class ExperimentConfig:
     ``dataclasses.replace`` and a library call meet the same limits.  The
     upper limits on sizes, with ``clock.MAX_FUNDAMENTAL_RATIO``, keep each
     command's peak memory under 4 GB (2.4 GB measured, for ``attack`` on a
-    file at the sample cap, with or without a key; 1.3 GiB for ``simulate``
+    file at the sample cap, with or without a key; 0.68 GiB for ``simulate``
     at 2**24 cycles on a set near the ratio), and are the same on every
     machine.  The min-traces search's prefix buffer grows with rows / step,
     which no key limits alone: the search refuses more than
@@ -153,7 +153,7 @@ class ExperimentConfig:
     seed: int = _param("run", "seed", 1, _parse_int, _NON_NEGATIVE)
     # where the artifacts go, not what they hold: left out of the digest
     out_dir: str = _param("run", "out_dir", ".", str, digest=False)
-    # about 21 B per base cycle of a study set: its edges, selections and periods
+    # about 11 B per base cycle of a study set: its edges and selections
     n_base_cycles: int = _param("simulate", "n_base_cycles", 32000, _parse_int, _at_least(1),
                                 _at_most(2**24))
     # about 0.15 KB per encryption of the overhead Monte Carlo (its stream bank),

@@ -127,9 +127,8 @@ def test_switch_between_high_sources_creates_no_boundary_edge():
 
 def _forced_selection_wave(fs, selections):
     """Run the edge extraction with a fixed selection sequence (seconds)."""
-    edges = _mux_edges(fs.ratios(), fs.duty_cycle, np.asarray([fs.phases]),
-                       np.asarray([selections]), 0, np.array([-1]))
-    edges = _merge_close(edges, EDGE_COINCIDENCE_TOL_S / fs.base_period_s)[0]
+    edges = _mux_edges(fs, np.asarray([fs.phases]), np.asarray([selections]), 0,
+                       np.array([-1]), np.empty((1, 0)))[0]
     return edges * fs.base_period_s
 
 
@@ -418,6 +417,33 @@ def test_merge_close_matches_serial_on_long_rows_with_planted_chains():
         chained += int((close[1:] & close[:-1]).sum())
     assert chained > 100  # chains, not only lone close pairs, were merged
     assert len(want[0]) < width and len(want[4]) == 10
+
+
+def test_mux_edges_merges_each_run_behind_the_kept_rows():
+    # every row keeps an edge half a tolerance before the run's first cycle, so
+    # a row whose run opens with a boundary edge holds a close pair at the seam
+    rng = np.random.default_rng(21)
+    fs = make_fs(7.3, 12.9, 4.1, 23.0)
+    m, first_cycle, tol = 6, 48, EDGE_COINCIDENCE_TOL_S / fs.base_period_s
+    phases = rng.random((m, 4))
+    sel = rng.integers(0, 4, size=(m, 40), dtype=np.int8)
+    kept = np.full((m, 6), np.nan)
+    for r in range(m):  # row r: r earlier edges, then the one at the seam
+        kept[r, :r + 1] = np.append(np.sort(rng.uniform(0.0, first_cycle - 1.0, r)),
+                                    first_cycle - 0.5 * tol)
+    before = kept.copy()
+    got = _mux_edges(fs, phases, sel, first_cycle, np.full(m, -1), kept)
+    assert np.array_equal(kept, before, equal_nan=True)
+    seams = 0
+    for r in range(m):
+        run = _serial_mux_edges(fs.ratios(), fs.duty_cycle, phases[r], sel[r], first_cycle, None)
+        row = kept[r, ~np.isnan(kept[r])]
+        want = _serial_merge_close(np.sort(np.concatenate((row, run))), tol)
+        assert np.array_equal(got[r, :len(want)], want)
+        assert np.isnan(got[r, len(want):]).all()
+        seams += int(run[0] == first_cycle)
+        assert len(want) == len(row) + len(run) - int(run[0] == first_cycle)
+    assert 0 < seams < m
 
 
 def _serial_waveform(fs, n_base_cycles, seed):

@@ -9,13 +9,15 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from clockmux import aes, attack, cli
-from clockmux.clock import FrequencySet
+from clockmux.clock import (FrequencySet, period_histogram, reference_bin_width,
+                            simulate_mux_clock)
 from clockmux.attack import filter_traces, raw_matrix, synchronize
 from clockmux.cli import main
 from clockmux.config import (
@@ -398,6 +400,24 @@ def test_cli_simulate_writes_histograms_and_summary(tmp_path, capsys):
     # one source frequency means one period bin
     assert row[header.index("unique_bins")] == "1"
     assert "fixed probe" in capsys.readouterr().out
+
+
+def test_clock_summary_counts_periods_without_a_period_array(tmp_path, monkeypatch):
+    fs = STUDY_SETS[0].fs
+    wave = simulate_mux_clock(fs, 1 << 20, seed=5)
+    monkeypatch.setattr(cli, "simulate_mux_clock", lambda *args: wave)
+    tracemalloc.start()
+    try:
+        stats = cli._clock_summary(ExperimentConfig(), fs, 1, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * wave.edges_s.nbytes
+    want = period_histogram(np.diff(wave.edges_s), reference_bin_width(fs)).bins
+    with open(tmp_path / "histogram_set1.csv", newline="") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))[1:]
+    assert {int(r[0]): int(r[2]) for r in rows} == want
+    assert stats["unique_bins"] == len(want) and stats["n_edges"] == len(wave.edges_s)
 
 
 NO_SCIPY_PROBE = """\
