@@ -16,7 +16,6 @@ import numpy as np
 from clockmux.clock import (
     completion_time_count,
     edge_count_distribution,
-    extract_periods,
     period_histogram,
     permutation_count,
     presence_probabilities,
@@ -36,7 +35,7 @@ def main() -> None:
           f"{[round(f / 1e6, 4) for f in fs.fundamentals]} MHz")
 
     wave = simulate_mux_clock(fs, n_base_cycles=32000, seed=1)
-    periods = extract_periods(wave)
+    periods = np.diff(wave.edges_s)
     hist = period_histogram(periods, reference_bin_width(fs))
     print(f"\nsimulated 32000 base cycles (seed 1):")
     print(f"  rising edges:        {len(wave.edges_s)}")

@@ -73,17 +73,24 @@ def _check_block(b: bytes, name: str) -> bytes:
     return b
 
 
+def _schedule_step(word: list, i: int) -> list:
+    """FIPS-197's mix for word ``i`` of the schedule: word i - 1, rotated,
+    substituted and XORed with Rcon when ``i`` is a multiple of 4.  Word i is
+    word i - 4 XOR this, so word i - 4 is word i XOR it too."""
+    if i % 4:
+        return word
+    t = [int(SBOX[v]) for v in word[1:] + word[:1]]
+    t[0] ^= _RCON[i // 4 - 1]
+    return t
+
+
 def expand_key(key: bytes) -> tuple[bytes, ...]:
     """FIPS-197 key expansion for a 128-bit key: the eleven 16-byte round
     keys, the cipher key first."""
     key = _check_block(key, "key")
     words = [list(key[4 * i:4 * i + 4]) for i in range(4)]
     for i in range(4, 44):
-        t = list(words[i - 1])
-        if i % 4 == 0:
-            t = t[1:] + t[:1]
-            t = [int(SBOX[v]) for v in t]
-            t[0] ^= _RCON[i // 4 - 1]
+        t = _schedule_step(words[i - 1], i)
         words.append([a ^ b for a, b in zip(words[i - 4], t)])
     return tuple(bytes(sum((words[4 * r + c] for c in range(4)), []))
                  for r in range(ROUNDS + 1))
@@ -101,11 +108,7 @@ def key_from_last_round_key(last_rk: bytes) -> bytes:
     for i in range(4):
         w[40 + i] = list(last_rk[4 * i:4 * i + 4])
     for i in range(39, -1, -1):
-        t = list(w[i + 3])
-        if (i + 4) % 4 == 0:
-            t = t[1:] + t[:1]
-            t = [int(SBOX[v]) for v in t]
-            t[0] ^= _RCON[(i + 4) // 4 - 1]
+        t = _schedule_step(w[i + 3], i + 4)
         w[i] = [a ^ b for a, b in zip(w[i + 4], t)]
     return bytes(sum((w[i] for i in range(4)), []))
 

@@ -192,8 +192,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def _generate_one(cfg: ExperimentConfig, fs, index: int):
-    fs2 = cfg.fs2 if cfg.core_count == 2 else None
-    key2 = cfg.key2 if cfg.core_count == 2 else None
     return generate_set(fs, cfg.key, cfg.n_traces,
                         noise_sigma=cfg.noise_sigma,
                         oversampling=cfg.oversampling,
@@ -201,7 +199,7 @@ def _generate_one(cfg: ExperimentConfig, fs, index: int):
                         amplitude=cfg.amplitude,
                         error_threshold_factor=cfg.error_threshold_factor,
                         window_cycles=cfg.window_cycles,
-                        fs2=fs2, key2=key2)
+                        fs2=cfg.fs2, key2=cfg.key2)
 
 
 def cmd_gen(cfg: ExperimentConfig) -> int:

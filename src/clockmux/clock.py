@@ -339,11 +339,6 @@ def _edges_until(fs: FrequencySet, bank: StreamBank, rows, n_edges: int, base_ph
 # Period statistics
 # ---------------------------------------------------------------------------
 
-def extract_periods(w: OutputWaveform) -> np.ndarray:
-    """Successive rising-edge gaps in seconds (empty if fewer than 2 edges)."""
-    return np.diff(w.edges_s)
-
-
 def period_histogram(periods: np.ndarray, bin_width_s: float) -> PeriodHistogram:
     """Histogram of periods with fixed-width bins anchored at zero.
 

@@ -57,7 +57,8 @@ class ConfigError(ValueError):
 
 
 class _LimitError(ConfigError):
-    """A declared parameter is out of range; ``name`` is its field."""
+    """A rule on one parameter is broken; ``name`` is its field, or
+    ``fs2.base_hz``, and finds its line in the parser."""
 
     def __init__(self, name: str, message: str):
         super().__init__(message)
@@ -128,20 +129,15 @@ class ExperimentConfig:
     Every parameter but ``sets`` and ``fs2`` is declared once, by
     ``_param``.  The parser, the known-key table and ``digest`` read the
     declarations, and ``__post_init__`` checks every limit (and that every
-    float is finite), so a config file, a CLI flag through
-    ``dataclasses.replace`` and a library call meet the same limits.  The
-    upper limits on sizes, with ``clock.MAX_FUNDAMENTAL_RATIO``, keep each
-    command's peak memory under 4 GB (2.4 GB measured, for ``attack`` on a
-    file at the sample cap, with or without a key; 0.68 GiB for ``simulate``
-    at 2**24 cycles on a set near the ratio), and are the same on every
-    machine.  The min-traces search's prefix buffer grows with rows / step,
-    which no key limits alone: the search refuses more than
+    float is finite), the set sample cap and the dual-core rules, so a
+    config file, a CLI flag through ``dataclasses.replace`` and a library
+    call meet the same limits.  The upper limits on sizes, with
+    ``clock.MAX_FUNDAMENTAL_RATIO``, keep each command's peak memory under
+    4 GB, the same on every machine; README gives the measured peaks and
+    the one case that does not fit.  The min-traces search's prefix buffer grows with
+    rows / step, which no key limits alone: the search refuses more than
     ``attack.MAX_SEARCH_CELLS`` blocks x W, and the CLI reports that as an
-    ``[attack] step`` error.  One case does not fit (README):
-    ``attack --no-sync`` on very wide rows (500 x 528,000 samples), in the
-    CPA's (2, W, 256) float64 running sum of h*y.  At 4,096 x 65,536
-    samples it exits 0 under a 4 GB address-space limit, since the CPA
-    squares y one row batch at a time for its sum of y^2.
+    ``[attack] step`` error.
     """
 
     sets: tuple[FrequencySet, ...] = ()
@@ -213,6 +209,20 @@ class ExperimentConfig:
             raise _LimitError(name, f"[traces] {name}: {total} samples per set "
                                     f"(n_traces x window_cycles x oversampling), "
                                     f"more than the {MAX_SET_SAMPLES} a set may hold")
+        if self.core_count == 2:
+            if self.key2 is None:
+                raise _LimitError("core_count", "[traces] core_count = 2 requires key2")
+            if self.fs2 is None:
+                raise _LimitError("core_count",
+                                  "[traces] core_count = 2 requires a [set2] section")
+        elif self.fs2 is not None:
+            raise _LimitError("fs2", "[set2] requires [traces] core_count = 2")
+        elif self.key2 is not None:
+            raise _LimitError("key2", "[traces] key2 requires core_count = 2")
+        for i, fs in enumerate(self.sets, start=1):
+            if self.fs2 is not None and fs.base_hz == self.fs2.base_hz:
+                raise _LimitError("fs2.base_hz", f"[set2] base_hz: equals the base_hz of "
+                                  f"set {i}; the two cores need distinct base clocks")
 
     def _set_sizes(self) -> dict[str, int]:
         """The factors of a trace set's sample count, by field."""
@@ -362,7 +372,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     seen_single: set[str] = set()
     sets: list[FrequencySet] = []
     explicit: list[FrequencySet] = []
-    set2: _Section | None = None
     fs2: FrequencySet | None = None
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
@@ -376,30 +385,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
         elif sec.name == "set":
             explicit.append(_build_set(sec))
         elif sec.name == "set2":
-            set2, fs2 = sec, _build_set(sec)
+            fs2 = _build_set(sec)
+            lines["fs2"] = sec.lineno
+            lines["fs2.base_hz"] = sec.entries["base_hz"].lineno
         else:
             for key, entry in sec.entries.items():
                 f = _PARAM_BY_KEY[sec.name, key]
                 values[f.name] = sec.get(key, f.metadata["parse"])
                 lines[f.name] = entry.lineno
     try:
-        cfg = ExperimentConfig(sets=tuple(sets + explicit), fs2=fs2, **values)
+        return ExperimentConfig(sets=tuple(sets + explicit), fs2=fs2, **values)
     except _LimitError as exc:
         raise ConfigError(f"line {lines[exc.name]}: {exc}") from None
-    if cfg.core_count == 2:
-        if cfg.key2 is None:
-            raise ConfigError("[traces] core_count = 2 requires key2")
-        if set2 is None:
-            raise ConfigError("[traces] core_count = 2 requires a [set2] section")
-        for i, fs in enumerate(cfg.sets, start=1):
-            if fs.base_hz == fs2.base_hz:
-                raise set2.fail("base_hz", f"equals the base_hz of set {i}; "
-                                "the two cores need distinct base clocks")
-    elif set2 is not None:
-        raise ConfigError(f"line {set2.lineno}: [set2] requires [traces] core_count = 2")
-    elif cfg.key2 is not None:
-        raise ConfigError(f"line {lines['key2']}: [traces] key2 requires core_count = 2")
-    return cfg
 
 
 def parse_config(path: str) -> ExperimentConfig:

@@ -29,7 +29,6 @@ from clockmux.clock import (
     FrequencySet,
     completion_time_count,
     edge_count_distribution,
-    extract_periods,
     overhead_and_error,
     period_histogram,
     permutation_count,
@@ -226,7 +225,7 @@ def test_randomized_clock_multiplies_the_attack_cost():
 def reference_simulation(index: int):
     entry = STUDY_SETS[index - 1]
     wave = simulate_mux_clock(entry.fs, REFERENCE_CYCLES, seed=index)
-    hist = period_histogram(extract_periods(wave),
+    hist = period_histogram(np.diff(wave.edges_s),
                             reference_bin_width(entry.fs))
     return entry, len(wave.edges_s), hist.unique_bins
 

@@ -27,7 +27,7 @@ from clockmux.config import (
     parse_config,
     parse_config_text,
 )
-from clockmux.presets import STUDY_SETS
+from clockmux.presets import STUDY_SETS, study_set
 from clockmux.traces import (TraceFormatError, generate_set, read_trace_set,
                              write_trace_set)
 from test_golden import DUAL_CONFIG
@@ -288,10 +288,18 @@ def test_replace_checks_the_same_limits():
             ("n_encryptions", 2**18 + 1, "[simulate] n_encryptions: must be at most 262144"),
             ("amplitude", 1e39, "[traces] amplitude: must be at most 1e+30"),
             ("noise_sigma", 1e39, "[traces] noise_sigma: must be at most 1e+30"),
-            ("threshold_k", 1e308, "[attack] threshold_k: must be at most 1000000")]:
+            ("threshold_k", 1e308, "[attack] threshold_k: must be at most 1000000"),
+            ("core_count", 2, "[traces] core_count = 2 requires key2"),
+            ("key2", bytes(16), "[traces] key2 requires core_count = 2"),
+            ("fs2", study_set(2).fs, "[set2] requires [traces] core_count = 2")]:
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(cfg, **{name: value})
         assert str(err.value) == message
+    with pytest.raises(ConfigError) as err:  # every study set runs at 10 MHz
+        ExperimentConfig(sets=(study_set(1).fs,), core_count=2, key2=bytes(16),
+                         fs2=study_set(2).fs)
+    assert str(err.value) == ("[set2] base_hz: equals the base_hz of set 1; "
+                              "the two cores need distinct base clocks")
 
 
 def test_set_sample_cap_is_inclusive():
